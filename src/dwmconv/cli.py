@@ -28,22 +28,15 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
-def _parse_pair(text: str, name: str) -> tuple[int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) == 1:
-        return parts[0], parts[0]
-    if len(parts) == 2:
-        return parts[0], parts[1]
-    raise ValueError(f"{name} takes one or two comma-separated integers, got {text!r}")
-
-
-def _parse_pad(text: str) -> tuple[int, int, int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) == 1:
-        return (parts[0],) * 4
-    if len(parts) == 4:
-        return tuple(parts)
-    raise ValueError(f"--pad takes one or four comma-separated integers, got {text!r}")
+def _parse_ints(text: str, name: str, count: int) -> tuple[int, ...]:
+    """``count`` comma-separated integers, or one integer repeated ``count`` times."""
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) in (1, count):
+        return tuple(parts) * (count // len(parts))
+    raise ValueError(f"{name} takes one or {count} comma-separated integers, got {text!r}")
 
 
 def _resolve_config(path_text: str) -> Path:
@@ -97,12 +90,11 @@ def cmd_conv(args) -> int:
         return _fail(str(exc))
 
     kernel = tuple(weights.shape[2:])
-    if args.kernel is not None and _parse_pair(args.kernel, "--kernel") != kernel:
-        return _fail(f"--kernel {args.kernel} does not match weights file taps {kernel}")
-    stride = _parse_pair(args.stride, "--stride")
-    pad = _parse_pad(args.pad)
     try:
-        spec = ConvSpec(kernel=kernel, stride=stride, pad=pad)
+        if args.kernel is not None and _parse_ints(args.kernel, "--kernel", 2) != kernel:
+            return _fail(f"--kernel {args.kernel} does not match weights file taps {kernel}")
+        spec = ConvSpec(kernel=kernel, stride=_parse_ints(args.stride, "--stride", 2),
+                        pad=_parse_ints(args.pad, "--pad", 4))
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -113,7 +105,7 @@ def cmd_conv(args) -> int:
         return _fail(str(exc))
 
     stats = (f"algo={args.algo} kernel={kernel[0]}x{kernel[1]} "
-             f"stride={stride[0]}x{stride[1]} out={out.y.shape[2]}x{out.y.shape[3]} "
+             f"stride={spec.stride[0]}x{spec.stride[1]} out={out.y.shape[2]}x{out.y.shape[3]} "
              f"mults_per_channel_filter={out.flops}")
     if args.verify:
         reference = direct_conv2d(data, weights, spec,

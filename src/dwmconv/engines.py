@@ -22,8 +22,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .convspec import ConvSpec
 from .decompose import DecompositionPlan, input_region_for_part, plan_decomposition
+from .flops import flops_direct, flops_dwm, flops_winograd_classic
 from .tensor import accumulate, check_finite, pad_input, require_tensor4, slice_strided
-from .transforms import (NumericTransformSet, TransformSet, get_transform,
+from .transforms import (POINT_SEQUENCE, NumericTransformSet, TransformSet, get_transform,
                          precision_dtype, to_exact_arrays, to_float)
 
 _OBJECT = np.dtype(object)
@@ -31,21 +32,14 @@ _OBJECT = np.dtype(object)
 
 @dataclass(frozen=True)
 class ConvOutput:
-    """Convolution result plus the elementwise-multiply count actually incurred.
+    """Convolution result plus the FLOP model's multiplication count for it.
 
-    ``flops`` is normalized per channel, per filter and per image (the same
-    normalization the FLOP model uses); None when not instrumented.
+    ``flops`` is normalized per channel, per filter and per image, as
+    everywhere in ``dwmconv.flops``.
     """
 
     y: np.ndarray
-    flops: int | None = None
-
-
-class FlopCounter:
-    """Mutable tally of elementwise transform-domain products."""
-
-    def __init__(self):
-        self.elementwise = 0
+    flops: int
 
 
 def _resolve_dtype(data: np.ndarray, precision):
@@ -60,12 +54,14 @@ def _numeric_for(ts: TransformSet, dtype) -> NumericTransformSet:
     return to_float(ts, np.dtype(dtype))
 
 
-def _check_pair(data: np.ndarray, weights: np.ndarray):
+def _check_pair(data: np.ndarray, weights: np.ndarray, kernel: tuple[int, int]):
     require_tensor4(data, "data")
     require_tensor4(weights, "weights")
     if data.shape[1] != weights.shape[1]:
         raise ValueError(
             f"channel mismatch: data has {data.shape[1]}, weights have {weights.shape[1]}")
+    if tuple(weights.shape[2:]) != kernel:
+        raise ValueError(f"weights taps {weights.shape[2:]} do not match kernel {kernel}")
 
 
 def _lmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -122,25 +118,31 @@ def _windows(signal: np.ndarray, lr: int, lc: int) -> np.ndarray:
 
 def _grad_tiles(grad_out: np.ndarray, th: int, tw: int) -> np.ndarray:
     """Zero-pad (N, F, OH, OW) to the tile grid and view as (N, F, TH, TW, 2, 2)."""
-    n, f, oh, ow = grad_out.shape
-    if (oh, ow) != (2 * th, 2 * tw):
-        padded = np.zeros((n, f, 2 * th, 2 * tw), dtype=grad_out.dtype)
-        padded[:, :, :oh, :ow] = grad_out
-    else:
-        padded = grad_out
+    n, f, _, _ = grad_out.shape
+    padded = _pad_signal(grad_out, 2 * th, 2 * tw)
     return padded.reshape(n, f, th, 2, tw, 2).transpose(0, 1, 2, 4, 3, 5)
 
 
+def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
+    """Walk the plan once: per part, its numeric row and column transforms,
+    then its kernel sub-block and its padded-input region, both as
+    ``slice_strided`` (origin, step, count) arguments."""
+    for part in plan.parts:
+        row, col = part.row, part.col
+        (ro, rs, rc), (co, cs, cc) = input_region_for_part(plan, part, out_dims)
+        yield (_numeric_for(part.transform_rows, dt), _numeric_for(part.transform_cols, dt),
+               ((row.origin, col.origin), (row.step, col.step), (row.count, col.count)),
+               ((ro, co), (rs, cs), (rc, cc)))
+
+
 def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
-                  precision=None, counter: FlopCounter | None = None) -> np.ndarray:
+                  precision=None) -> np.ndarray:
     """Plain strided correlation; the in-package baseline for everything else.
 
     Each output element accumulates in a fixed order: channel ascending,
     then kernel row, then kernel column.
     """
-    _check_pair(data, weights)
-    if tuple(weights.shape[2:]) != spec.kernel:
-        raise ValueError(f"weights taps {weights.shape[2:]} do not match kernel {spec.kernel}")
+    _check_pair(data, weights, spec.kernel)
     dt = _resolve_dtype(data, precision)
     d = data.astype(dt, copy=False)
     w = weights.astype(dt, copy=False)
@@ -156,14 +158,11 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
             for kx in range(r_w):
                 window = dpad[:, ci, ky:ky + s_h * oh:s_h, kx:kx + s_w * ow:s_w]
                 y += w[:, ci, ky, kx][None, :, None, None] * window[:, None, :, :]
-    if counter is not None:
-        counter.elementwise += oh * ow * r_h * r_w
     return check_finite(y, "direct_conv2d")
 
 
 def _winograd_forward(signal: np.ndarray, weights: np.ndarray,
-                      nt_r: NumericTransformSet, nt_c: NumericTransformSet,
-                      counter: FlopCounter | None = None) -> np.ndarray:
+                      nt_r: NumericTransformSet, nt_c: NumericTransformSet) -> np.ndarray:
     """Tiled F(2, r) correlation of a stride-1 signal.
 
     Output is cut into 2x2 tiles, each computed from an (r+1) x (r+1)
@@ -187,16 +186,13 @@ def _winograd_forward(signal: np.ndarray, weights: np.ndarray,
     u = _rmul(_lmul(nt_r.g, weights), nt_c.g)            # G g Gt
     u_blocks = np.ascontiguousarray(u.transpose(2, 3, 0, 1))      # (lr,lc,F,C)
     m = _from_blocks(_bmm(u_blocks, _to_blocks(v)), n, th, tw)    # sum over channels
-    if counter is not None:
-        counter.elementwise += th * tw * lr * lc
     tiles = _rmul(_lmul(nt_r.a_t, m), nt_c.a_t)          # At m A -> (N,F,TH,TW,2,2)
     y = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, f, 2 * th, 2 * tw)
     return np.ascontiguousarray(y[:, :, :oh, :ow])
 
 
 def winograd_conv2d(data: np.ndarray, weights: np.ndarray, ts: TransformSet,
-                    ts_cols: TransformSet | None = None, precision=None,
-                    counter: FlopCounter | None = None) -> np.ndarray:
+                    ts_cols: TransformSet | None = None, precision=None) -> np.ndarray:
     """Classic tiled Winograd correlation, stride 1 only.
 
     ``data`` must already carry any zero padding.  Rectangular kernels use
@@ -204,21 +200,18 @@ def winograd_conv2d(data: np.ndarray, weights: np.ndarray, ts: TransformSet,
     Strided convolutions are out of this engine's reach; decompose them
     with a plan and use dwm_conv2d.
     """
-    _check_pair(data, weights)
     tsc = ts_cols if ts_cols is not None else ts
+    _check_pair(data, weights, (ts.r, tsc.r))
     if ts.m != 2 or tsc.m != 2:
         raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
-    if tuple(weights.shape[2:]) != (ts.r, tsc.r):
-        raise ValueError(f"weights taps {weights.shape[2:]} do not match F(2,{ts.r})xF(2,{tsc.r})")
     dt = _resolve_dtype(data, precision)
     y = _winograd_forward(data.astype(dt, copy=False), weights.astype(dt, copy=False),
-                          _numeric_for(ts, dt), _numeric_for(tsc, dt), counter)
+                          _numeric_for(ts, dt), _numeric_for(tsc, dt))
     return check_finite(y, "winograd_conv2d")
 
 
 def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
-               plan: DecompositionPlan | None = None, precision=None,
-               counter: FlopCounter | None = None) -> np.ndarray:
+               plan: DecompositionPlan | None = None, precision=None) -> np.ndarray:
     """Decomposed Winograd convolution for any kernel size and stride.
 
     Pads the input once, then for each plan part gathers the kernel
@@ -227,9 +220,7 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     order.  Equals direct_conv2d up to float rounding (exactly, in the
     object-dtype test mode).
     """
-    _check_pair(data, weights)
-    if tuple(weights.shape[2:]) != spec.kernel:
-        raise ValueError(f"weights taps {weights.shape[2:]} do not match kernel {spec.kernel}")
+    _check_pair(data, weights, spec.kernel)
     if plan is None:
         plan = plan_decomposition(spec)
     elif plan.spec != spec:
@@ -241,22 +232,15 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     oh, ow = spec.out_dims(d.shape[2], d.shape[3])
 
     acc = None
-    for part in plan.parts:
-        row, col = part.row, part.col
-        gsub = w[:, :,
-                 row.origin:row.origin + row.step * row.count:row.step,
-                 col.origin:col.origin + col.step * col.count:col.step]
-        (ro, rs, rc), (co, cs, cc) = input_region_for_part(plan, part, (oh, ow))
-        sig = slice_strided(dpad, (ro, co), (rs, cs), (rc, cc))
-        y_part = _winograd_forward(sig, gsub,
-                                   _numeric_for(part.transform_rows, dt),
-                                   _numeric_for(part.transform_cols, dt), counter)
+    for nt_r, nt_c, ksel, isel in _part_loop(plan, dt, (oh, ow)):
+        y_part = _winograd_forward(slice_strided(dpad, *isel), slice_strided(w, *ksel),
+                                   nt_r, nt_c)
         acc = y_part if acc is None else accumulate(acc, y_part)
     return check_finite(acc, "dwm_conv2d")
 
 
-def _winograd_grad_data_impl(grad_out: np.ndarray, weights: np.ndarray,
-                             nt_r: NumericTransformSet, nt_c: NumericTransformSet) -> np.ndarray:
+def _winograd_backward_data(grad_out: np.ndarray, weights: np.ndarray,
+                            nt_r: NumericTransformSet, nt_c: NumericTransformSet) -> np.ndarray:
     """Signal gradient of _winograd_forward: B[(A dY At) . (G g Gt)]Bt per tile,
     scatter-added into the overlapping input windows in row-major tile order."""
     n, f, oh, ow = grad_out.shape
@@ -279,7 +263,7 @@ def _winograd_grad_data_impl(grad_out: np.ndarray, weights: np.ndarray,
     return np.ascontiguousarray(dsig[:, :, :oh + p_r - 1, :ow + p_c - 1])
 
 
-def _winograd_grad_weight_impl(grad_out: np.ndarray, signal: np.ndarray,
+def _winograd_backward_weights(grad_out: np.ndarray, signal: np.ndarray,
                                nt_r: NumericTransformSet, nt_c: NumericTransformSet) -> np.ndarray:
     """Weight gradient of _winograd_forward: Gt[(A dY At) . (Bt d B)]G,
     accumulated over tiles and batch in the transform domain."""
@@ -306,39 +290,6 @@ def _winograd_grad_weight_impl(grad_out: np.ndarray, signal: np.ndarray,
     return np.ascontiguousarray(dg)
 
 
-def winograd_grad_data(grad_out: np.ndarray, weights: np.ndarray, ts: TransformSet,
-                       ts_cols: TransformSet | None = None, precision=None) -> np.ndarray:
-    """Gradient w.r.t. the stride-1 input signal of winograd_conv2d."""
-    require_tensor4(grad_out, "grad_out")
-    require_tensor4(weights, "weights")
-    tsc = ts_cols if ts_cols is not None else ts
-    if tuple(weights.shape[2:]) != (ts.r, tsc.r):
-        raise ValueError(f"weights taps {weights.shape[2:]} do not match F(2,{ts.r})xF(2,{tsc.r})")
-    if grad_out.shape[1] != weights.shape[0]:
-        raise ValueError(
-            f"grad_out has {grad_out.shape[1]} filters, weights have {weights.shape[0]}")
-    dt = _resolve_dtype(grad_out, precision)
-    out = _winograd_grad_data_impl(grad_out.astype(dt, copy=False),
-                                   weights.astype(dt, copy=False),
-                                   _numeric_for(ts, dt), _numeric_for(tsc, dt))
-    return check_finite(out, "winograd_grad_data")
-
-
-def winograd_grad_weight(grad_out: np.ndarray, data: np.ndarray, ts: TransformSet,
-                         ts_cols: TransformSet | None = None, precision=None) -> np.ndarray:
-    """Gradient w.r.t. the weights of winograd_conv2d, summed over tiles and batch."""
-    require_tensor4(grad_out, "grad_out")
-    require_tensor4(data, "data")
-    tsc = ts_cols if ts_cols is not None else ts
-    if grad_out.shape[0] != data.shape[0]:
-        raise ValueError(f"batch mismatch: {grad_out.shape[0]} vs {data.shape[0]}")
-    dt = _resolve_dtype(grad_out, precision)
-    out = _winograd_grad_weight_impl(grad_out.astype(dt, copy=False),
-                                     data.astype(dt, copy=False),
-                                     _numeric_for(ts, dt), _numeric_for(tsc, dt))
-    return check_finite(out, "winograd_grad_weight")
-
-
 def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray,
                  weights: np.ndarray, precision=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of dwm_conv2d w.r.t. data and weights.
@@ -350,11 +301,9 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     weight gradient is assembled by placement.  Weights stay in the spatial
     domain; nothing Winograd-transformed persists between calls.
     """
-    _check_pair(data, weights)
-    require_tensor4(grad_out, "grad_out")
     spec = plan.spec
-    if tuple(weights.shape[2:]) != spec.kernel:
-        raise ValueError(f"weights taps {weights.shape[2:]} do not match kernel {spec.kernel}")
+    _check_pair(data, weights, spec.kernel)
+    require_tensor4(grad_out, "grad_out")
     oh, ow = spec.out_dims(data.shape[2], data.shape[3])
     n, _, _, _ = data.shape
     f = weights.shape[0]
@@ -369,27 +318,11 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     grad_pad = np.zeros_like(dpad)
     grad_w = np.zeros_like(w)
 
-    for idx, part in enumerate(plan.parts):
-        row, col = part.row, part.col
-        nt_r = _numeric_for(part.transform_rows, dt)
-        nt_c = _numeric_for(part.transform_cols, dt)
-        gsub = w[:, :,
-                 row.origin:row.origin + row.step * row.count:row.step,
-                 col.origin:col.origin + col.step * col.count:col.step]
-        (ro, rs, rc), (co, cs, cc) = input_region_for_part(plan, part, (oh, ow))
-        sig = slice_strided(dpad, (ro, co), (rs, cs), (rc, cc))
-
-        gd = _winograd_grad_data_impl(gout, gsub, nt_r, nt_c)
-        view = grad_pad[:, :, ro:ro + rs * rc:rs, co:co + cs * cc:cs]
-        if idx == 0:
-            view[...] = gd
-        else:
-            view += gd
-
-        grad_w[:, :,
-               row.origin:row.origin + row.step * row.count:row.step,
-               col.origin:col.origin + col.step * col.count:col.step] = \
-            _winograd_grad_weight_impl(gout, sig, nt_r, nt_c)
+    for nt_r, nt_c, ksel, isel in _part_loop(plan, dt, (oh, ow)):
+        view = slice_strided(grad_pad, *isel)
+        view += _winograd_backward_data(gout, slice_strided(w, *ksel), nt_r, nt_c)
+        slice_strided(grad_w, *ksel)[...] = \
+            _winograd_backward_weights(gout, slice_strided(dpad, *isel), nt_r, nt_c)
 
     top, _, left, _ = spec.pad
     h, wd = data.shape[2], data.shape[3]
@@ -402,20 +335,26 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
              algo: str = "direct", precision=None,
              plan: DecompositionPlan | None = None) -> ConvOutput:
-    """Run one convolution by name ("direct", "winograd", "dwm") with instrumentation."""
-    counter = FlopCounter()
+    """Run one convolution by name ("direct", "winograd", "dwm") with its FLOP-model count."""
     if algo == "direct":
-        y = direct_conv2d(data, weights, spec, precision=precision, counter=counter)
-    elif algo == "winograd":
+        y = direct_conv2d(data, weights, spec, precision=precision)
+        return ConvOutput(y=y, flops=flops_direct(spec, y.shape[2:]))
+    if algo == "winograd":
         if spec.stride != (1, 1):
             raise ValueError(
                 "classic Winograd is stride-1 only; use --algo dwm for strided convolutions")
+        if max(spec.kernel) > len(POINT_SEQUENCE):
+            raise ValueError(
+                f"classic Winograd supports at most {len(POINT_SEQUENCE)} taps per axis, "
+                f"got kernel {spec.kernel}; use --algo dwm for larger kernels")
         dt = _resolve_dtype(data, precision)
         dpad = pad_input(data.astype(dt, copy=False), spec.pad)
-        y = winograd_conv2d(dpad, weights, get_transform(spec.kernel[0]),
-                            get_transform(spec.kernel[1]), counter=counter)
-    elif algo == "dwm":
-        y = dwm_conv2d(data, weights, spec, plan=plan, precision=precision, counter=counter)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}; expected direct, winograd or dwm")
-    return ConvOutput(y=y, flops=counter.elementwise)
+        ts_r, ts_c = get_transform(spec.kernel[0]), get_transform(spec.kernel[1])
+        y = winograd_conv2d(dpad, weights, ts_r, ts_c)
+        return ConvOutput(y=y, flops=flops_winograd_classic(spec, y.shape[2:], ts_r, ts_c))
+    if algo == "dwm":
+        if plan is None:
+            plan = plan_decomposition(spec)
+        y = dwm_conv2d(data, weights, spec, plan=plan, precision=precision)
+        return ConvOutput(y=y, flops=flops_dwm(plan, y.shape[2:]))
+    raise ValueError(f"unknown algorithm {algo!r}; expected direct, winograd or dwm")

@@ -46,7 +46,8 @@ def slice_strided(d: np.ndarray, origin: tuple[int, int], step: tuple[int, int],
                   count: tuple[int, int]) -> np.ndarray:
     """Strided spatial sampling: out[..., i, j] = d[..., o_r + i*s_r, o_c + j*s_c].
 
-    The result is a view into ``d``; treat it as read-only.
+    The result is a view into ``d``: reading it gathers a strided region,
+    writing into it scatters back into the same elements of ``d``.
     """
     require_tensor4(d)
     names = ("row", "col")

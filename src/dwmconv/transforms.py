@@ -282,12 +282,6 @@ def get_baseline_transform(r: int, m: int = 2) -> TransformSet:
     return cook_toom(m, r, BASELINE_POINT_SEQUENCE[:count])
 
 
-@lru_cache(maxsize=None)
-def get_numeric_transform(r: int, precision: str, m: int = 2) -> NumericTransformSet:
-    """Cached float rendering of the default F(m, r)."""
-    return to_float(get_transform(r, m), precision)
-
-
 def transform_to_json(ts: TransformSet) -> dict:
     """JSON-friendly dump with entries as exact "p/q" strings."""
     fmt = lambda rows: [[str(x) for x in row] for row in rows]

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +89,31 @@ def test_conv_kernel_flag_must_match_weights(tmp_path, capsys):
     code, _, err = run_cli(capsys, "conv", "--algo", "direct", "--in", str(din),
                            "--weights", str(win), "--kernel", "5")
     assert code != 0 and "kernel" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--stride", "x"), ("--stride", "1,2,3"), ("--pad", "1,2"), ("--pad", "1,,1,1"),
+    ("--kernel", "3,x"),
+])
+def test_conv_malformed_geometry_flag_is_one_error_line(tmp_path, flag, value):
+    din, win, _, _ = _write_fixture(tmp_path, (1, 1, 8, 8), (1, 1, 3, 3))
+    proc = subprocess.run([sys.executable, "-m", "dwmconv.cli", "conv", "--algo", "direct",
+                           "--in", str(din), "--weights", str(win), flag, value],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and flag in errors[0]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("taps", [(16, 16), (3, 14)])
+def test_conv_winograd_tap_limit_errors_toward_dwm(tmp_path, capsys, taps):
+    din, win, _, _ = _write_fixture(tmp_path, (1, 1, 20, 20), (1, 1, *taps))
+    code, _, err = run_cli(capsys, "conv", "--algo", "winograd", "--in", str(din),
+                           "--weights", str(win))
+    assert code == 1
+    assert "at most 13 taps per axis" in err and "--algo dwm" in err
+    assert "count must be" not in err
 
 
 def test_bench_flops_bundled_config_passes_check(capsys):

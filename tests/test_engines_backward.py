@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
-from dwmconv.engines import (dwm_backward, winograd_grad_data, winograd_grad_weight)
-from dwmconv.transforms import get_transform
+from dwmconv.engines import dwm_backward, dwm_conv2d
 
-from reference import finite_difference, oracle_grads
+from reference import finite_difference, oracle_conv, oracle_grads
+
+# 3x3 stride 1 is a one-part plan: dwm_backward runs the plain F(2,3) gradients
+PLAN3 = plan_decomposition(ConvSpec(kernel=(3, 3)))
 
 
 def test_zero_grad_out_gives_zero_gradients():
-    ts = get_transform(3)
     dy = np.zeros((1, 2, 4, 4))
     g = np.ones((2, 1, 3, 3))
-    np.testing.assert_array_equal(winograd_grad_data(dy, g, ts), np.zeros((1, 1, 6, 6)))
     d = np.ones((1, 1, 6, 6))
-    np.testing.assert_array_equal(winograd_grad_weight(dy, d, ts), np.zeros((2, 1, 3, 3)))
+    gd, gw = dwm_backward(dy, PLAN3, d, g)
+    np.testing.assert_array_equal(gd, np.zeros((1, 1, 6, 6)))
+    np.testing.assert_array_equal(gw, np.zeros((2, 1, 3, 3)))
 
     spec = ConvSpec(kernel=(5, 5), stride=(2, 2))
     plan = plan_decomposition(spec)
@@ -29,12 +33,11 @@ def test_zero_grad_out_gives_zero_gradients():
 
 def test_delta_filter_grad_data_places_grad_at_taps():
     # single tile, g = delta at (0,0): d gradient is dY placed at the taps
-    ts = get_transform(3)
     dy = np.zeros((1, 1, 2, 2))
     dy[0, 0, 0, 0] = 1.0
     g = np.zeros((1, 1, 3, 3))
     g[0, 0, 0, 0] = 1.0
-    gd = winograd_grad_data(dy, g, ts)
+    gd, _ = dwm_backward(dy, PLAN3, np.zeros((1, 1, 4, 4)), g)
     expected = np.zeros((1, 1, 4, 4))
     expected[0, 0, 0, 0] = 1.0
     np.testing.assert_allclose(gd, expected, atol=1e-14)
@@ -42,10 +45,9 @@ def test_delta_filter_grad_data_places_grad_at_taps():
 
 def test_ones_single_tile_grad_weight_counts_windows():
     # every 3x3 tap is covered by all four 2x2 output positions
-    ts = get_transform(3)
     dy = np.ones((1, 1, 2, 2))
     d = np.ones((1, 1, 4, 4))
-    gw = winograd_grad_weight(dy, d, ts)
+    _, gw = dwm_backward(dy, PLAN3, d, np.zeros((1, 1, 3, 3)))
     np.testing.assert_allclose(gw, np.full((1, 1, 3, 3), 4.0), atol=1e-13)
 
 
@@ -57,25 +59,9 @@ def test_winograd_grads_match_oracle_analytic():
     oh, ow = spec.out_dims(8, 10)
     dy = rng.standard_normal((2, 2, oh, ow))
     want_d, want_w = oracle_grads(d, w, spec, dy)
-    ts = get_transform(3)
-    got_d = winograd_grad_data(dy, w, ts)
-    got_w = winograd_grad_weight(dy, d, ts)
+    got_d, got_w = dwm_backward(dy, PLAN3, d, w)
     assert np.max(np.abs(got_d - want_d)) <= 1e-10
     assert np.max(np.abs(got_w - want_w)) <= 1e-10
-
-
-def test_dwm_backward_degenerate_is_bit_identical_to_winograd_grads():
-    rng = np.random.default_rng(21)
-    spec = ConvSpec(kernel=(3, 3))
-    plan = plan_decomposition(spec)
-    d = rng.standard_normal((1, 2, 8, 8))
-    w = rng.standard_normal((2, 2, 3, 3))
-    oh, ow = spec.out_dims(8, 8)
-    dy = rng.standard_normal((1, 2, oh, ow))
-    gd, gw = dwm_backward(dy, plan, d, w)
-    ts = get_transform(3)
-    assert gd.tobytes() == winograd_grad_data(dy, w, ts).tobytes()
-    assert gw.tobytes() == winograd_grad_weight(dy, d, ts).tobytes()
 
 
 @pytest.mark.parametrize("kernel,stride,pad", [
@@ -91,6 +77,33 @@ def test_dwm_backward_matches_oracle_analytic(kernel, stride, pad):
     w = rng.standard_normal((2, 2, *kernel))
     oh, ow = spec.out_dims(12, 12)
     dy = rng.standard_normal((2, 2, oh, ow))
+    gd, gw = dwm_backward(dy, plan_decomposition(spec), d, w)
+    want_d, want_w = oracle_grads(d, w, spec, dy)
+    assert np.max(np.abs(gd - want_d)) <= 1e-10
+    assert np.max(np.abs(gw - want_w)) <= 1e-10
+
+
+@given(kernel=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+       stride=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       pad=st.tuples(*[st.integers(0, 2)] * 4),
+       extra=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_dwm_forward_and_backward_match_oracle_on_any_geometry(kernel, stride, pad, extra, seed):
+    # rectangular kernels, unequal strides (also stride > taps) and asymmetric pads
+    spec = ConvSpec(kernel=kernel, stride=stride, pad=pad)
+    top, bottom, left, right = pad
+    h = max(1, kernel[0] - top - bottom + extra[0])
+    wd = max(1, kernel[1] - left - right + extra[1])
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((1, 2, h, wd))
+    w = rng.standard_normal((2, 2, *kernel))
+    oh, ow = spec.out_dims(h, wd)
+    dy = rng.standard_normal((1, 2, oh, ow))
+    y = dwm_conv2d(d, w, spec)
+    want_y = oracle_conv(d, w, spec)
+    assert y.shape == want_y.shape
+    assert np.max(np.abs(y - want_y)) <= 1e-10
     gd, gw = dwm_backward(dy, plan_decomposition(spec), d, w)
     want_d, want_w = oracle_grads(d, w, spec, dy)
     assert np.max(np.abs(gd - want_d)) <= 1e-10

@@ -205,6 +205,15 @@ def test_convolve_instrumented_count_matches_flop_model():
     out_d = convolve(d, g3, spec_w, algo="direct")
     assert out_d.flops == out_d.y.shape[2] * out_d.y.shape[3] * 9
 
+    # >= 4 taps: the data and kernel transforms cost multiplies, and the count includes them
+    d_big = rng.standard_normal((1, 2, 29, 33))
+    spec_11 = ConvSpec(kernel=(11, 11))
+    g11 = rng.standard_normal((3, 2, 11, 11))
+    out_11 = convolve(d_big, g11, spec_11, algo="winograd")
+    assert out_11.y.shape[2:] == (19, 23)
+    assert out_11.flops == flops_winograd_classic(
+        spec_11, (19, 23), get_transform(11), get_transform(11)) == 249_704
+
 
 def test_engine_rejects_channel_mismatch():
     d = np.zeros((1, 2, 8, 8))
