@@ -144,7 +144,8 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
 
             for algo, precision in jobs:
                 try:
-                    y = _run_algorithm(algo, data, weights, spec, precision)
+                    y = (reference if (algo, precision) == ("direct", "binary64")
+                         else _run_algorithm(algo, data, weights, spec, precision))
                     err = mse(y, reference)
                     status = "ok"
                 except FloatingPointError:
@@ -156,6 +157,28 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
                     seed=seed, algorithm=algo, precision=precision,
                     status=status, mse=err, log_scaled=log_scaled))
     return AccuracyReport(rows=tuple(rows))
+
+
+def parse_accuracy_config(doc: dict):
+    """(configs, seeds) of an accuracy config document."""
+    if doc.get("schema") != 1:
+        raise ValueError(f"unsupported accuracy config schema {doc.get('schema')!r}")
+    seeds = [int(s) for s in doc.get("seeds", [1])]
+    configs = []
+    for i, entry in enumerate(doc.get("configs", [])):
+        try:
+            configs.append(AccuracyConfig(
+                kernel=as_pair(entry["kernel"]),
+                stride=as_pair(entry.get("stride", 1)),
+                hw=int(entry["hw"]),
+                channels=int(entry["channels"]),
+                filters=int(entry["filters"]),
+                batch=int(entry.get("batch", 1)),
+                precisions=tuple(entry.get("precisions", PRECISIONS)),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed accuracy config entry {i}: {exc}") from exc
+    return configs, seeds
 
 
 def check_accuracy_bands(report: AccuracyReport) -> list[str]:
@@ -202,6 +225,47 @@ def run_flops_suite(configs) -> tuple[list[FlopReport], str]:
     """Multiplication counts for (ConvSpec, out_dims) pairs plus their CSV."""
     reports = speedup_table(configs)
     return reports, reports_to_csv(reports)
+
+
+def parse_flops_config(doc: dict):
+    """(ConvSpec, out_dims, expected) per entry of a flops config document."""
+    if doc.get("schema") != 1:
+        raise ValueError(f"unsupported flops config schema {doc.get('schema')!r}")
+    default_out = tuple(doc.get("out", (14, 14)))
+    entries = []
+    for i, entry in enumerate(doc.get("configs", [])):
+        try:
+            spec = ConvSpec(kernel=as_pair(entry["kernel"]),
+                            stride=as_pair(entry.get("stride", 1)))
+            out = tuple(entry.get("out", default_out))
+            entries.append((spec, out, entry.get("expected")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed flops config entry {i}: {exc}") from exc
+    return entries
+
+
+def check_flops(reports, expectations) -> list[str]:
+    """Mismatches between FLOP reports and the config's expected values."""
+    violations = []
+    for rep, expected in zip(reports, expectations):
+        if not expected:
+            continue
+        label = f"{rep.spec.kernel[0]}x{rep.spec.kernel[1]} s{rep.spec.stride[0]}"
+        for field, actual in (("direct", rep.direct_mults), ("dwm", rep.dwm_mults),
+                              ("winograd", rep.winograd_mults)):
+            if field in expected and expected[field] != actual:
+                violations.append(f"{label}: {field} = {actual}, expected {expected[field]}")
+        for field, actual in (("dwm_speedup", rep.speedup_dwm),
+                              ("winograd_speedup", rep.speedup_winograd)):
+            if field in expected:
+                want = expected[field]
+                if actual is None or want is None:
+                    if actual is not want:
+                        violations.append(f"{label}: {field} = {actual}, expected {want}")
+                elif round(actual, 2) != round(want, 2):
+                    violations.append(
+                        f"{label}: {field} = {actual:.2f}, expected {want:.2f}")
+    return violations
 
 
 @dataclass(frozen=True)

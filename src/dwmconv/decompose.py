@@ -79,8 +79,6 @@ def split_axis_by_stride(taps: int, stride: int) -> list[tuple[int, int, int]]:
     """
     if taps < 1 or stride < 1:
         raise ValueError(f"taps and stride must be positive, got {taps}, {stride}")
-    if stride == 1:
-        return [(0, 1, taps)]
     out = []
     for residue in range(stride):
         residue_taps = -(-(taps - residue) // stride)  # ceil

@@ -12,7 +12,10 @@ Precision notes: every engine runs in the element type of its tensors, so
 the binary32 path rounds after each matrix stage; passing object-dtype
 arrays of ``fractions.Fraction`` runs the same code exactly (test mode).
 Reductions use fixed orders (ascending channel/tap loops, plan order,
-row-major tiles) so results are reproducible run to run.
+row-major tiles) so results are reproducible run to run.  The backward
+pass scatters each part's signal gradient tap by tap in descending tap
+order, so every element still receives its tile contributions in
+row-major tile order.
 """
 
 from dataclasses import dataclass
@@ -54,6 +57,11 @@ def _numeric_for(ts: TransformSet, dtype) -> NumericTransformSet:
     return to_float(ts, np.dtype(dtype))
 
 
+def _require_finite(x: np.ndarray, name: str):
+    if x.dtype != _OBJECT and not np.isfinite(x).all():
+        raise ValueError(f"{name} contains NaN or Inf")
+
+
 def _check_pair(data: np.ndarray, weights: np.ndarray, kernel: tuple[int, int]):
     require_tensor4(data, "data")
     require_tensor4(weights, "weights")
@@ -62,6 +70,8 @@ def _check_pair(data: np.ndarray, weights: np.ndarray, kernel: tuple[int, int]):
             f"channel mismatch: data has {data.shape[1]}, weights have {weights.shape[1]}")
     if tuple(weights.shape[2:]) != kernel:
         raise ValueError(f"weights taps {weights.shape[2:]} do not match kernel {kernel}")
+    _require_finite(data, "data")
+    _require_finite(weights, "weights")
 
 
 def _lmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -73,16 +83,6 @@ def _lmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _rmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """x @ mat.T over x's last axis."""
     return np.tensordot(x, mat, axes=([x.ndim - 1], [1]))
-
-
-def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched matmul with an object-dtype fallback for the exact test mode."""
-    if a.dtype == _OBJECT or b.dtype == _OBJECT:
-        out = np.empty(a.shape[:-2] + (a.shape[-2], b.shape[-1]), dtype=object)
-        for idx in np.ndindex(a.shape[:-2]):
-            out[idx] = np.dot(a[idx], b[idx])
-        return out
-    return a @ b
 
 
 def _to_blocks(x: np.ndarray) -> np.ndarray:
@@ -111,16 +111,19 @@ def _pad_signal(signal: np.ndarray, sh2: int, sw2: int) -> np.ndarray:
     return out
 
 
-def _windows(signal: np.ndarray, lr: int, lc: int) -> np.ndarray:
-    """2x2-advancing lr x lc input windows: (N, C, TH, TW, lr, lc)."""
-    return sliding_window_view(signal, (lr, lc), axis=(2, 3))[:, :, ::2, ::2]
+def _data_transform(signal: np.ndarray, nt_r: NumericTransformSet,
+                    nt_c: NumericTransformSet, sh2: int, sw2: int) -> np.ndarray:
+    """Bt d B over the 2x2-advancing (r+1)-wide windows of the signal
+    zero-padded to sh2 x sw2: (N, C, TH, TW, lr, lc)."""
+    win = sliding_window_view(_pad_signal(signal, sh2, sw2), (nt_r.r + 1, nt_c.r + 1),
+                              axis=(2, 3))[:, :, ::2, ::2]
+    return _rmul(_lmul(nt_r.b_t, win), nt_c.b_t)
 
 
-def _grad_tiles(grad_out: np.ndarray, th: int, tw: int) -> np.ndarray:
-    """Zero-pad (N, F, OH, OW) to the tile grid and view as (N, F, TH, TW, 2, 2)."""
-    n, f, _, _ = grad_out.shape
-    padded = _pad_signal(grad_out, 2 * th, 2 * tw)
-    return padded.reshape(n, f, th, 2, tw, 2).transpose(0, 1, 2, 4, 3, 5)
+def _kernel_transform(weights: np.ndarray, nt_r: NumericTransformSet,
+                      nt_c: NumericTransformSet) -> np.ndarray:
+    """G g Gt: (F, C, lr, lc)."""
+    return _rmul(_lmul(nt_r.g, weights), nt_c.g)
 
 
 def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
@@ -177,15 +180,12 @@ def _winograd_forward(signal: np.ndarray, weights: np.ndarray,
     oh, ow = sh - p_r + 1, sw - p_c + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"signal {sh}x{sw} too small for taps {p_r}x{p_c}")
-    lr, lc = p_r + 1, p_c + 1
     th, tw, sh2, sw2 = _tile_geometry(oh, ow, p_r, p_c)
-    padded = _pad_signal(signal, sh2, sw2)
 
-    win = _windows(padded, lr, lc)                       # (N,C,TH,TW,lr,lc)
-    v = _rmul(_lmul(nt_r.b_t, win), nt_c.b_t)            # Bt d B
-    u = _rmul(_lmul(nt_r.g, weights), nt_c.g)            # G g Gt
-    u_blocks = np.ascontiguousarray(u.transpose(2, 3, 0, 1))      # (lr,lc,F,C)
-    m = _from_blocks(_bmm(u_blocks, _to_blocks(v)), n, th, tw)    # sum over channels
+    v = _data_transform(signal, nt_r, nt_c, sh2, sw2)    # (N,C,TH,TW,lr,lc)
+    u = _kernel_transform(weights, nt_r, nt_c)           # (F,C,lr,lc)
+    u_blocks = np.ascontiguousarray(u.transpose(2, 3, 0, 1))         # (lr,lc,F,C)
+    m = _from_blocks(np.matmul(u_blocks, _to_blocks(v)), n, th, tw)  # sum over channels
     tiles = _rmul(_lmul(nt_r.a_t, m), nt_c.a_t)          # At m A -> (N,F,TH,TW,2,2)
     y = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, f, 2 * th, 2 * tw)
     return np.ascontiguousarray(y[:, :, :oh, :ow])
@@ -239,55 +239,42 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     return check_finite(acc, "dwm_conv2d")
 
 
-def _winograd_backward_data(grad_out: np.ndarray, weights: np.ndarray,
-                            nt_r: NumericTransformSet, nt_c: NumericTransformSet) -> np.ndarray:
-    """Signal gradient of _winograd_forward: B[(A dY At) . (G g Gt)]Bt per tile,
-    scatter-added into the overlapping input windows in row-major tile order."""
-    n, f, oh, ow = grad_out.shape
-    c = weights.shape[1]
-    p_r, p_c = nt_r.r, nt_c.r
-    lr, lc = p_r + 1, p_c + 1
-    th, tw, sh2, sw2 = _tile_geometry(oh, ow, p_r, p_c)
+def _winograd_backward(grad_out: np.ndarray, signal: np.ndarray, weights: np.ndarray,
+                       nt_r: NumericTransformSet, nt_c: NumericTransformSet):
+    """Signal and weight gradients of _winograd_forward from one A dY At per tile.
 
-    tiles = _grad_tiles(grad_out, th, tw)
-    dm = _rmul(_lmul(nt_r.a_t.T, tiles), nt_c.a_t.T)     # A dY At -> (N,F,TH,TW,lr,lc)
-    u = _rmul(_lmul(nt_r.g, weights), nt_c.g)            # (F,C,lr,lc)
-    u_blocks = np.ascontiguousarray(u.transpose(2, 3, 1, 0))      # (lr,lc,C,F)
-    dv = _from_blocks(_bmm(u_blocks, _to_blocks(dm)), n, th, tw)  # sum over filters
-    dwin = _rmul(_lmul(nt_r.b_t.T, dv), nt_c.b_t.T)      # B (.) Bt
-
-    dsig = np.zeros((n, c, sh2, sw2), dtype=grad_out.dtype)
-    for t in range(th):
-        for s in range(tw):
-            dsig[:, :, 2 * t:2 * t + lr, 2 * s:2 * s + lc] += dwin[:, :, t, s]
-    return np.ascontiguousarray(dsig[:, :, :oh + p_r - 1, :ow + p_c - 1])
-
-
-def _winograd_backward_weights(grad_out: np.ndarray, signal: np.ndarray,
-                               nt_r: NumericTransformSet, nt_c: NumericTransformSet) -> np.ndarray:
-    """Weight gradient of _winograd_forward: Gt[(A dY At) . (Bt d B)]G,
-    accumulated over tiles and batch in the transform domain."""
+    Signal gradient: B[(A dY At) . (G g Gt)]Bt per tile, summed over filters
+    in the transform domain, then scatter-added into the overlapping input
+    windows one tap (i, j) at a time with i and j descending, so each
+    element receives its tile contributions in row-major tile order.
+    Weight gradient: Gt[(A dY At) . (Bt d B)]G, accumulated over tiles and
+    batch in the transform domain.
+    """
     n, f, oh, ow = grad_out.shape
     c = signal.shape[1]
     p_r, p_c = nt_r.r, nt_c.r
     lr, lc = p_r + 1, p_c + 1
     th, tw, sh2, sw2 = _tile_geometry(oh, ow, p_r, p_c)
-    if signal.shape[2:] != (oh + p_r - 1, ow + p_c - 1):
-        raise ValueError(
-            f"signal {signal.shape[2:]} does not match output {oh}x{ow} "
-            f"with taps {p_r}x{p_c}")
-
-    padded = _pad_signal(signal, sh2, sw2)
-    v = _rmul(_lmul(nt_r.b_t, _windows(padded, lr, lc)), nt_c.b_t)
-    tiles = _grad_tiles(grad_out, th, tw)
-    dm = _rmul(_lmul(nt_r.a_t.T, tiles), nt_c.a_t.T)
-
+    tiles = _pad_signal(grad_out, 2 * th, 2 * tw).reshape(n, f, th, 2, tw, 2)
+    tiles = tiles.transpose(0, 1, 2, 4, 3, 5)            # (N,F,TH,TW,2,2)
+    dm = _rmul(_lmul(nt_r.a_t.T, tiles), nt_c.a_t.T)     # A dY At
     dm_blocks = _to_blocks(dm)                           # (lr,lc,F,NTT)
-    v_blocks = _to_blocks(v)                             # (lr,lc,C,NTT)
-    du = _bmm(dm_blocks, v_blocks.transpose(0, 1, 3, 2))  # (lr,lc,F,C)
-    du = np.ascontiguousarray(du.transpose(2, 3, 0, 1))   # (F,C,lr,lc)
-    dg = _rmul(_lmul(nt_r.g.T, du), nt_c.g.T)             # Gt (.) G
-    return np.ascontiguousarray(dg)
+
+    u = _kernel_transform(weights, nt_r, nt_c)
+    u_blocks = np.ascontiguousarray(u.transpose(2, 3, 1, 0))          # (lr,lc,C,F)
+    dv = _from_blocks(np.matmul(u_blocks, dm_blocks), n, th, tw)      # sum over filters
+    dwin = _rmul(_lmul(nt_r.b_t.T, dv), nt_c.b_t.T)      # B (.) Bt
+    dsig = np.zeros((n, c, sh2, sw2), dtype=grad_out.dtype)
+    for i in reversed(range(lr)):
+        for j in reversed(range(lc)):
+            dsig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[..., i, j]
+    del u, u_blocks, dv, dwin  # peak memory: free these before the weight gradient's own
+
+    v_blocks = _to_blocks(_data_transform(signal, nt_r, nt_c, sh2, sw2))  # (lr,lc,C,NTT)
+    du = np.matmul(dm_blocks, v_blocks.transpose(0, 1, 3, 2))         # (lr,lc,F,C)
+    du = np.ascontiguousarray(du.transpose(2, 3, 0, 1))  # (F,C,lr,lc)
+    dg = _rmul(_lmul(nt_r.g.T, du), nt_c.g.T)            # Gt (.) G
+    return dsig[:, :, :oh + p_r - 1, :ow + p_c - 1], dg
 
 
 def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray,
@@ -309,6 +296,7 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     f = weights.shape[0]
     if grad_out.shape != (n, f, oh, ow):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, f, oh, ow)}")
+    _require_finite(grad_out, "grad_out")
 
     dt = _resolve_dtype(grad_out, precision)
     gout = grad_out.astype(dt, copy=False)
@@ -319,10 +307,10 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     grad_w = np.zeros_like(w)
 
     for nt_r, nt_c, ksel, isel in _part_loop(plan, dt, (oh, ow)):
-        view = slice_strided(grad_pad, *isel)
-        view += _winograd_backward_data(gout, slice_strided(w, *ksel), nt_r, nt_c)
-        slice_strided(grad_w, *ksel)[...] = \
-            _winograd_backward_weights(gout, slice_strided(dpad, *isel), nt_r, nt_c)
+        g_sig, g_w = _winograd_backward(gout, slice_strided(dpad, *isel),
+                                        slice_strided(w, *ksel), nt_r, nt_c)
+        slice_strided(grad_pad, *isel)[...] += g_sig
+        slice_strided(grad_w, *ksel)[...] = g_w
 
     top, _, left, _ = spec.pad
     h, wd = data.shape[2], data.shape[3]
@@ -347,6 +335,7 @@ def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
             raise ValueError(
                 f"classic Winograd supports at most {len(POINT_SEQUENCE)} taps per axis, "
                 f"got kernel {spec.kernel}; use --algo dwm for larger kernels")
+        _check_pair(data, weights, spec.kernel)
         dt = _resolve_dtype(data, precision)
         dpad = pad_input(data.astype(dt, copy=False), spec.pad)
         ts_r, ts_c = get_transform(spec.kernel[0]), get_transform(spec.kernel[1])

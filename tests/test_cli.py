@@ -106,6 +106,19 @@ def test_conv_malformed_geometry_flag_is_one_error_line(tmp_path, flag, value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("algo", ["direct", "winograd", "dwm"])
+def test_conv_float32_overflow_is_one_error_line(tmp_path, algo):
+    din, win = tmp_path / "in.dwm", tmp_path / "w.dwm"
+    tensorfile.write_tensor(din, np.full((1, 1, 8, 8), 3e38, dtype=np.float32))
+    tensorfile.write_tensor(win, np.full((1, 1, 3, 3), 10, dtype=np.float32))
+    proc = subprocess.run([sys.executable, "-m", "dwmconv.cli", "conv", "--algo", algo,
+                           "--in", str(din), "--weights", str(win)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 @pytest.mark.parametrize("taps", [(16, 16), (3, 14)])
 def test_conv_winograd_tap_limit_errors_toward_dwm(tmp_path, capsys, taps):
     din, win, _, _ = _write_fixture(tmp_path, (1, 1, 20, 20), (1, 1, *taps))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,22 @@ def test_dwm_forward_and_backward_match_oracle_on_any_geometry(kernel, stride, p
     want_d, want_w = oracle_grads(d, w, spec, dy)
     assert np.max(np.abs(gd - want_d)) <= 1e-10
     assert np.max(np.abs(gw - want_w)) <= 1e-10
+
+
+def test_dwm_backward_exact_rational_mode_equals_oracle():
+    # multiples of 1/4 keep every product and sum of the binary64 oracle exact
+    spec = ConvSpec(kernel=(5, 4), stride=(2, 3), pad=(1, 2, 0, 3))
+    rng = np.random.default_rng(7)
+    d = rng.integers(-8, 9, (2, 2, 10, 13)) / 4
+    w = rng.integers(-8, 9, (3, 2, 5, 4)) / 4
+    oh, ow = spec.out_dims(10, 13)  # 5x5: odd extents leave partial tiles
+    dy = rng.integers(-8, 9, (2, 3, oh, ow)) / 4
+    exact = np.vectorize(Fraction, otypes=[object])
+    gd, gw = dwm_backward(exact(dy), plan_decomposition(spec), exact(d), exact(w))
+    want_d, want_w = oracle_grads(d, w, spec, dy)
+    assert gd.dtype == gw.dtype == np.dtype(object)
+    assert gd.tolist() == exact(want_d).tolist()
+    assert gw.tolist() == exact(want_w).tolist()
 
 
 def test_oracle_analytic_agrees_with_finite_differences():

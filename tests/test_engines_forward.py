@@ -5,7 +5,7 @@ import pytest
 
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
-from dwmconv.engines import (convolve, direct_conv2d, dwm_conv2d, winograd_conv2d)
+from dwmconv.engines import convolve, direct_conv2d, dwm_backward, dwm_conv2d, winograd_conv2d
 from dwmconv.flops import flops_dwm, flops_winograd_classic
 from dwmconv.tensor import pad_input
 from dwmconv.transforms import cook_toom, get_transform
@@ -227,3 +227,26 @@ def test_engine_rejects_nonfinite():
     g = np.full((1, 1, 3, 3), 1e308)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         direct_conv2d(d, g, ConvSpec(kernel=(3, 3)))
+
+
+SPEC_PAD1 = ConvSpec(kernel=(3, 3), pad=(1, 1, 1, 1))
+NAMED_INPUT_ENGINES = {
+    "direct_conv2d": lambda d, w, dy: direct_conv2d(d, w, SPEC_PAD1),
+    "dwm_conv2d": lambda d, w, dy: dwm_conv2d(d, w, SPEC_PAD1),
+    "convolve-direct": lambda d, w, dy: convolve(d, w, SPEC_PAD1, algo="direct"),
+    "convolve-winograd": lambda d, w, dy: convolve(d, w, SPEC_PAD1, algo="winograd"),
+    "convolve-dwm": lambda d, w, dy: convolve(d, w, SPEC_PAD1, algo="dwm"),
+    "dwm_backward": lambda d, w, dy: dwm_backward(dy, plan_decomposition(SPEC_PAD1), d, w),
+}
+
+
+@pytest.mark.parametrize("engine,arg", [
+    *((engine, arg) for engine in NAMED_INPUT_ENGINES for arg in ("data", "weights")),
+    ("dwm_backward", "grad_out"),
+])
+def test_nonfinite_input_is_named_before_padding(engine, arg):
+    inputs = {"data": np.ones((1, 2, 6, 6)), "weights": np.ones((2, 2, 3, 3)),
+              "grad_out": np.ones((1, 2, 6, 6))}
+    inputs[arg][0, 1, 2, 2] = np.inf if arg == "weights" else np.nan
+    with pytest.raises(ValueError, match=f"^{arg} contains NaN or Inf"):
+        NAMED_INPUT_ENGINES[engine](inputs["data"], inputs["weights"], inputs["grad_out"])
