@@ -8,20 +8,27 @@ splitting (strided gathers of kernel and padded input), transformation,
 elementwise calculation with channel summation in the transform domain,
 detransformation, and aggregation of the part outputs in plan order.
 
+Every Winograd stage reads and writes the layout of the transform-domain
+GEMM (Lavin & Gray, arXiv:1509.09308): (lr, lc, K, N*TH*TW), window point
+first, then channel or filter, then every tile of the batch.  Each
+transform is two small matmuls over the two leading axes (``_axes2``).
+
 Precision notes: every engine runs in the element type of its tensors, so
 the binary32 path rounds after each matrix stage; passing object-dtype
 arrays of ``fractions.Fraction`` runs the same code exactly (test mode).
-Reductions use fixed orders (ascending channel/tap loops, plan order,
-row-major tiles) so results are reproducible run to run.  The backward
-pass scatters each part's signal gradient tap by tap in descending tap
-order, so every element still receives its tile contributions in
-row-major tile order.
+A transformed element is a row sum of at most four products, each exact
+because F(2, <=3) entries are 0, +-1 or +-1/2, then a column sum, both in
+ascending order; a layout that keeps that order keeps the bits, while one
+Kronecker product (nine products in one sum) would not.  Reductions use
+fixed orders (ascending channel/tap loops, plan order, row-major tiles) so
+results are reproducible run to run.  The backward pass scatters each
+part's signal gradient tap by tap in descending tap order, so every
+element still receives its tile contributions in row-major tile order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .convspec import ConvSpec
 from .decompose import DecompositionPlan, input_region_for_part, plan_decomposition
@@ -62,6 +69,18 @@ def _require_finite(x: np.ndarray, name: str):
         raise ValueError(f"{name} contains NaN or Inf")
 
 
+def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
+    """``x`` in element type ``dt``; the inputs are finite by then, so a
+    non-finite value after the cast is a value beyond ``dt``'s range."""
+    if x.dtype == dt:
+        return x
+    with np.errstate(over="ignore"):
+        y = x.astype(dt)
+    if y.dtype != _OBJECT and not np.isfinite(y).all():
+        raise ValueError(f"{name} does not fit in {y.dtype}")
+    return y
+
+
 def _check_pair(data: np.ndarray, weights: np.ndarray, kernel: tuple[int, int]):
     require_tensor4(data, "data")
     require_tensor4(weights, "weights")
@@ -74,68 +93,48 @@ def _check_pair(data: np.ndarray, weights: np.ndarray, kernel: tuple[int, int]):
     _require_finite(weights, "weights")
 
 
-def _lmul(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat @ x over x's second-to-last axis."""
-    moved = np.tensordot(x, mat, axes=([x.ndim - 2], [1]))
-    return np.moveaxis(moved, -1, -2)
+def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat_r over axis 0 of x, then mat_c over axis 1: (a, b, ...) -> (p, q, ...)."""
+    a, b, *rest = x.shape
+    p, q = mat_r.shape[0], mat_c.shape[0]
+    rows = np.matmul(mat_r, x.reshape(a, -1)).reshape(p, b, -1)
+    return np.matmul(mat_c, rows).reshape(p, q, *rest)
 
 
-def _rmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat.T over x's last axis."""
-    return np.tensordot(x, mat, axes=([x.ndim - 1], [1]))
-
-
-def _to_blocks(x: np.ndarray) -> np.ndarray:
-    """(N, K, TH, TW, lr, lc) -> (lr, lc, K, N*TH*TW) for per-point matmuls."""
-    n, k, th, tw, lr, lc = x.shape
-    return np.ascontiguousarray(x.transpose(4, 5, 1, 0, 2, 3)).reshape(lr, lc, k, n * th * tw)
-
-
-def _from_blocks(x: np.ndarray, n: int, th: int, tw: int) -> np.ndarray:
-    """(lr, lc, K, N*TH*TW) -> (N, K, TH, TW, lr, lc)."""
-    lr, lc, k, _ = x.shape
-    return np.ascontiguousarray(x.reshape(lr, lc, k, n, th, tw).transpose(3, 2, 4, 5, 0, 1))
-
-
-def _tile_geometry(oh: int, ow: int, p_r: int, p_c: int):
-    th, tw = -(-oh // 2), -(-ow // 2)
-    return th, tw, 2 * th + p_r - 1, 2 * tw + p_c - 1
-
-
-def _pad_signal(signal: np.ndarray, sh2: int, sw2: int) -> np.ndarray:
-    n, c, sh, sw = signal.shape
-    if (sh, sw) == (sh2, sw2):
-        return signal
-    out = np.zeros((n, c, sh2, sw2), dtype=signal.dtype)
-    out[:, :, :sh, :sw] = signal
-    return out
+def _taps(x: np.ndarray, lr: int, lc: int, th: int, tw: int) -> np.ndarray:
+    """(N, K, H, W) -> (lr, lc, K, N*TH*TW): tap (i, j) of every window
+    advancing 2x2 over x, one strided slice copy per tap; taps past x's
+    edge are zero."""
+    n, k = x.shape[:2]
+    xt = x.transpose(1, 0, 2, 3)
+    out = np.zeros((lr, lc, k, n, th, tw), dtype=x.dtype)
+    for i in range(lr):
+        for j in range(lc):
+            tap = xt[:, :, i:i + 2 * th:2, j:j + 2 * tw:2]
+            out[i, j, :, :, :tap.shape[2], :tap.shape[3]] = tap
+    return out.reshape(lr, lc, k, n * th * tw)
 
 
 def _data_transform(signal: np.ndarray, nt_r: NumericTransformSet,
-                    nt_c: NumericTransformSet, sh2: int, sw2: int) -> np.ndarray:
+                    nt_c: NumericTransformSet, th: int, tw: int) -> np.ndarray:
     """Bt d B over the 2x2-advancing (r+1)-wide windows of the signal
-    zero-padded to sh2 x sw2: (N, C, TH, TW, lr, lc)."""
-    win = sliding_window_view(_pad_signal(signal, sh2, sw2), (nt_r.r + 1, nt_c.r + 1),
-                              axis=(2, 3))[:, :, ::2, ::2]
-    return _rmul(_lmul(nt_r.b_t, win), nt_c.b_t)
-
-
-def _kernel_transform(weights: np.ndarray, nt_r: NumericTransformSet,
-                      nt_c: NumericTransformSet) -> np.ndarray:
-    """G g Gt: (F, C, lr, lc)."""
-    return _rmul(_lmul(nt_r.g, weights), nt_c.g)
+    zero-padded to whole tiles: (lr, lc, C, N*TH*TW)."""
+    return _axes2(nt_r.b_t, nt_c.b_t, _taps(signal, nt_r.r + 1, nt_c.r + 1, th, tw))
 
 
 def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
     """Walk the plan once: per part, its numeric row and column transforms,
-    then its kernel sub-block and its padded-input region, both as
-    ``slice_strided`` (origin, step, count) arguments."""
-    for part in plan.parts:
+    its kernel sub-block and its padded-input region, both as
+    ``slice_strided`` (origin, step, count) arguments, and a label naming
+    the part by index and kernel taps for error messages."""
+    for index, part in enumerate(plan.parts):
         row, col = part.row, part.col
         (ro, rs, rc), (co, cs, cc) = input_region_for_part(plan, part, out_dims)
+        taps = [",".join(str(a.origin + a.step * t) for t in range(a.count)) for a in (row, col)]
         yield (_numeric_for(part.transform_rows, dt), _numeric_for(part.transform_cols, dt),
                ((row.origin, col.origin), (row.step, col.step), (row.count, col.count)),
-               ((ro, co), (rs, cs), (rc, cc)))
+               ((ro, co), (rs, cs), (rc, cc)),
+               f"part {index} (kernel rows {taps[0]}; cols {taps[1]})")
 
 
 def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
@@ -147,8 +146,7 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     """
     _check_pair(data, weights, spec.kernel)
     dt = _resolve_dtype(data, precision)
-    d = data.astype(dt, copy=False)
-    w = weights.astype(dt, copy=False)
+    d, w = _cast(data, dt, "data"), _cast(weights, dt, "weights")
     dpad = pad_input(d, spec.pad)
     n, c, _, _ = d.shape
     f = w.shape[0]
@@ -156,11 +154,12 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     s_h, s_w = spec.stride
     oh, ow = spec.out_dims(d.shape[2], d.shape[3])
     y = np.zeros((n, f, oh, ow), dtype=dt)
-    for ci in range(c):
-        for ky in range(r_h):
-            for kx in range(r_w):
-                window = dpad[:, ci, ky:ky + s_h * oh:s_h, kx:kx + s_w * ow:s_w]
-                y += w[:, ci, ky, kx][None, :, None, None] * window[:, None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
+        for ci in range(c):
+            for ky in range(r_h):
+                for kx in range(r_w):
+                    window = dpad[:, ci, ky:ky + s_h * oh:s_h, kx:kx + s_w * ow:s_w]
+                    y += w[:, ci, ky, kx][None, :, None, None] * window[:, None, :, :]
     return check_finite(y, "direct_conv2d")
 
 
@@ -180,15 +179,13 @@ def _winograd_forward(signal: np.ndarray, weights: np.ndarray,
     oh, ow = sh - p_r + 1, sw - p_c + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"signal {sh}x{sw} too small for taps {p_r}x{p_c}")
-    th, tw, sh2, sw2 = _tile_geometry(oh, ow, p_r, p_c)
+    th, tw = -(-oh // 2), -(-ow // 2)
 
-    v = _data_transform(signal, nt_r, nt_c, sh2, sw2)    # (N,C,TH,TW,lr,lc)
-    u = _kernel_transform(weights, nt_r, nt_c)           # (F,C,lr,lc)
-    u_blocks = np.ascontiguousarray(u.transpose(2, 3, 0, 1))         # (lr,lc,F,C)
-    m = _from_blocks(np.matmul(u_blocks, _to_blocks(v)), n, th, tw)  # sum over channels
-    tiles = _rmul(_lmul(nt_r.a_t, m), nt_c.a_t)          # At m A -> (N,F,TH,TW,2,2)
-    y = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, f, 2 * th, 2 * tw)
-    return np.ascontiguousarray(y[:, :, :oh, :ow])
+    v = _data_transform(signal, nt_r, nt_c, th, tw)                 # (lr,lc,C,NTT)
+    u = _axes2(nt_r.g, nt_c.g, weights.transpose(2, 3, 0, 1))       # G g Gt: (lr,lc,F,C)
+    tiles = _axes2(nt_r.a_t, nt_c.a_t, np.matmul(u, v))             # At m A: (2,2,F,NTT)
+    y = tiles.reshape(2, 2, f, n, th, tw).transpose(3, 2, 4, 0, 5, 1)
+    return np.ascontiguousarray(y.reshape(n, f, 2 * th, 2 * tw)[:, :, :oh, :ow])
 
 
 def winograd_conv2d(data: np.ndarray, weights: np.ndarray, ts: TransformSet,
@@ -205,8 +202,9 @@ def winograd_conv2d(data: np.ndarray, weights: np.ndarray, ts: TransformSet,
     if ts.m != 2 or tsc.m != 2:
         raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
     dt = _resolve_dtype(data, precision)
-    y = _winograd_forward(data.astype(dt, copy=False), weights.astype(dt, copy=False),
-                          _numeric_for(ts, dt), _numeric_for(tsc, dt))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
+        y = _winograd_forward(_cast(data, dt, "data"), _cast(weights, dt, "weights"),
+                              _numeric_for(ts, dt), _numeric_for(tsc, dt))
     return check_finite(y, "winograd_conv2d")
 
 
@@ -226,17 +224,18 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     elif plan.spec != spec:
         raise ValueError("plan was built for a different ConvSpec")
     dt = _resolve_dtype(data, precision)
-    d = data.astype(dt, copy=False)
-    w = weights.astype(dt, copy=False)
-    dpad = pad_input(d, spec.pad)
-    oh, ow = spec.out_dims(d.shape[2], d.shape[3])
+    w = _cast(weights, dt, "weights")
+    dpad = pad_input(_cast(data, dt, "data"), spec.pad)
+    oh, ow = spec.out_dims(data.shape[2], data.shape[3])
 
     acc = None
-    for nt_r, nt_c, ksel, isel in _part_loop(plan, dt, (oh, ow)):
-        y_part = _winograd_forward(slice_strided(dpad, *isel), slice_strided(w, *ksel),
-                                   nt_r, nt_c)
-        acc = y_part if acc is None else accumulate(acc, y_part)
-    return check_finite(acc, "dwm_conv2d")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
+        for nt_r, nt_c, ksel, isel, label in _part_loop(plan, dt, (oh, ow)):
+            y_part = _winograd_forward(slice_strided(dpad, *isel), slice_strided(w, *ksel),
+                                       nt_r, nt_c)
+            check_finite(y_part, f"dwm_conv2d {label}")
+            acc = y_part if acc is None else accumulate(acc, y_part)
+    return acc
 
 
 def _winograd_backward(grad_out: np.ndarray, signal: np.ndarray, weights: np.ndarray,
@@ -250,31 +249,27 @@ def _winograd_backward(grad_out: np.ndarray, signal: np.ndarray, weights: np.nda
     Weight gradient: Gt[(A dY At) . (Bt d B)]G, accumulated over tiles and
     batch in the transform domain.
     """
-    n, f, oh, ow = grad_out.shape
+    n, _, oh, ow = grad_out.shape
     c = signal.shape[1]
     p_r, p_c = nt_r.r, nt_c.r
     lr, lc = p_r + 1, p_c + 1
-    th, tw, sh2, sw2 = _tile_geometry(oh, ow, p_r, p_c)
-    tiles = _pad_signal(grad_out, 2 * th, 2 * tw).reshape(n, f, th, 2, tw, 2)
-    tiles = tiles.transpose(0, 1, 2, 4, 3, 5)            # (N,F,TH,TW,2,2)
-    dm = _rmul(_lmul(nt_r.a_t.T, tiles), nt_c.a_t.T)     # A dY At
-    dm_blocks = _to_blocks(dm)                           # (lr,lc,F,NTT)
+    th, tw = -(-oh // 2), -(-ow // 2)
+    dy = _taps(grad_out, 2, 2, th, tw)                                 # (2,2,F,NTT)
+    dm = _axes2(nt_r.a_t.T, nt_c.a_t.T, dy)                           # A dY At: (lr,lc,F,NTT)
 
-    u = _kernel_transform(weights, nt_r, nt_c)
-    u_blocks = np.ascontiguousarray(u.transpose(2, 3, 1, 0))          # (lr,lc,C,F)
-    dv = _from_blocks(np.matmul(u_blocks, dm_blocks), n, th, tw)      # sum over filters
-    dwin = _rmul(_lmul(nt_r.b_t.T, dv), nt_c.b_t.T)      # B (.) Bt
-    dsig = np.zeros((n, c, sh2, sw2), dtype=grad_out.dtype)
+    u = _axes2(nt_r.g, nt_c.g, weights.transpose(2, 3, 1, 0))         # G g Gt: (lr,lc,C,F)
+    dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T, np.matmul(u, dm))           # B (.) Bt: (lr,lc,C,NTT)
+    dwin = dwin.reshape(lr, lc, c, n, th, tw)
+    dsig = np.zeros((c, n, 2 * th + p_r - 1, 2 * tw + p_c - 1), dtype=grad_out.dtype)
     for i in reversed(range(lr)):
         for j in reversed(range(lc)):
-            dsig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[..., i, j]
-    del u, u_blocks, dv, dwin  # peak memory: free these before the weight gradient's own
+            dsig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[i, j]
+    del u, dwin  # peak memory: free these before the weight gradient's own
 
-    v_blocks = _to_blocks(_data_transform(signal, nt_r, nt_c, sh2, sw2))  # (lr,lc,C,NTT)
-    du = np.matmul(dm_blocks, v_blocks.transpose(0, 1, 3, 2))         # (lr,lc,F,C)
-    du = np.ascontiguousarray(du.transpose(2, 3, 0, 1))  # (F,C,lr,lc)
-    dg = _rmul(_lmul(nt_r.g.T, du), nt_c.g.T)            # Gt (.) G
-    return dsig[:, :, :oh + p_r - 1, :ow + p_c - 1], dg
+    v = _data_transform(signal, nt_r, nt_c, th, tw)                   # (lr,lc,C,NTT)
+    dg = _axes2(nt_r.g.T, nt_c.g.T, np.matmul(dm, v.transpose(0, 1, 3, 2)))  # Gt (.) G
+    dsig = dsig.transpose(1, 0, 2, 3)[:, :, :oh + p_r - 1, :ow + p_c - 1]
+    return dsig, dg.transpose(2, 3, 0, 1)
 
 
 def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray,
@@ -299,25 +294,25 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     _require_finite(grad_out, "grad_out")
 
     dt = _resolve_dtype(grad_out, precision)
-    gout = grad_out.astype(dt, copy=False)
-    d = data.astype(dt, copy=False)
-    w = weights.astype(dt, copy=False)
-    dpad = pad_input(d, spec.pad)
+    gout = _cast(grad_out, dt, "grad_out")
+    w = _cast(weights, dt, "weights")
+    dpad = pad_input(_cast(data, dt, "data"), spec.pad)
     grad_pad = np.zeros_like(dpad)
     grad_w = np.zeros_like(w)
 
-    for nt_r, nt_c, ksel, isel in _part_loop(plan, dt, (oh, ow)):
-        g_sig, g_w = _winograd_backward(gout, slice_strided(dpad, *isel),
-                                        slice_strided(w, *ksel), nt_r, nt_c)
-        slice_strided(grad_pad, *isel)[...] += g_sig
-        slice_strided(grad_w, *ksel)[...] = g_w
+    with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
+        for nt_r, nt_c, ksel, isel, label in _part_loop(plan, dt, (oh, ow)):
+            g_sig, g_w = _winograd_backward(gout, slice_strided(dpad, *isel),
+                                            slice_strided(w, *ksel), nt_r, nt_c)
+            check_finite(g_sig, f"dwm_backward {label} data gradient")
+            check_finite(g_w, f"dwm_backward {label} weight gradient")
+            slice_strided(grad_pad, *isel)[...] += g_sig
+            slice_strided(grad_w, *ksel)[...] = g_w
 
     top, _, left, _ = spec.pad
     h, wd = data.shape[2], data.shape[3]
     grad_d = np.ascontiguousarray(grad_pad[:, :, top:top + h, left:left + wd])
-    check_finite(grad_d, "dwm_backward")
-    check_finite(grad_w, "dwm_backward")
-    return grad_d, grad_w
+    return check_finite(grad_d, "dwm_backward"), grad_w
 
 
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
@@ -337,7 +332,7 @@ def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
                 f"got kernel {spec.kernel}; use --algo dwm for larger kernels")
         _check_pair(data, weights, spec.kernel)
         dt = _resolve_dtype(data, precision)
-        dpad = pad_input(data.astype(dt, copy=False), spec.pad)
+        dpad = pad_input(_cast(data, dt, "data"), spec.pad)
         ts_r, ts_c = get_transform(spec.kernel[0]), get_transform(spec.kernel[1])
         y = winograd_conv2d(dpad, weights, ts_r, ts_c)
         return ConvOutput(y=y, flops=flops_winograd_classic(spec, y.shape[2:], ts_r, ts_c))

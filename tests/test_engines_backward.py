@@ -89,19 +89,23 @@ def test_dwm_backward_matches_oracle_analytic(kernel, stride, pad):
        stride=st.tuples(st.integers(1, 4), st.integers(1, 4)),
        pad=st.tuples(*[st.integers(0, 2)] * 4),
        extra=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+       dims=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)),
        seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
-def test_dwm_forward_and_backward_match_oracle_on_any_geometry(kernel, stride, pad, extra, seed):
-    # rectangular kernels, unequal strides (also stride > taps) and asymmetric pads
+def test_dwm_forward_and_backward_match_oracle_on_any_geometry(kernel, stride, pad, extra,
+                                                               dims, seed):
+    # rectangular kernels, unequal strides (also stride > taps) and asymmetric pads;
+    # batch, channels and filters drawn independently, so a swapped axis shows
     spec = ConvSpec(kernel=kernel, stride=stride, pad=pad)
+    n, c, f = dims
     top, bottom, left, right = pad
     h = max(1, kernel[0] - top - bottom + extra[0])
     wd = max(1, kernel[1] - left - right + extra[1])
     rng = np.random.default_rng(seed)
-    d = rng.standard_normal((1, 2, h, wd))
-    w = rng.standard_normal((2, 2, *kernel))
+    d = rng.standard_normal((n, c, h, wd))
+    w = rng.standard_normal((f, c, *kernel))
     oh, ow = spec.out_dims(h, wd)
-    dy = rng.standard_normal((1, 2, oh, ow))
+    dy = rng.standard_normal((n, f, oh, ow))
     y = dwm_conv2d(d, w, spec)
     want_y = oracle_conv(d, w, spec)
     assert y.shape == want_y.shape

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -176,6 +177,19 @@ def test_dwm_exact_rational_mode_equals_direct():
     assert (exact_direct == exact_dwm).all()
 
 
+def test_dwm_exact_rational_mode_equals_oracle_on_batched_strided_geometry():
+    # multiples of 1/4 keep every product and sum of the binary64 oracle exact;
+    # batch 2 and C != F make a swapped batch, channel or filter axis show
+    spec = ConvSpec(kernel=(5, 4), stride=(2, 3), pad=(1, 2, 0, 3))
+    rng = np.random.default_rng(11)
+    d = rng.integers(-8, 9, (2, 3, 10, 13)) / 4
+    w = rng.integers(-8, 9, (2, 3, 5, 4)) / 4
+    exact = np.vectorize(F, otypes=[object])
+    y = dwm_conv2d(exact(d), exact(w), spec)
+    assert y.dtype == np.dtype(object)
+    assert y.tolist() == exact(oracle_conv(d, w, spec)).tolist()
+
+
 def test_dwm_linearity_exact_in_rational_mode():
     a, b = F(2, 3), F(-5, 7)
     d1 = np.array([[[[F(i + j, 4) for j in range(7)] for i in range(7)]]], dtype=object)
@@ -231,22 +245,85 @@ def test_engine_rejects_nonfinite():
 
 SPEC_PAD1 = ConvSpec(kernel=(3, 3), pad=(1, 1, 1, 1))
 NAMED_INPUT_ENGINES = {
-    "direct_conv2d": lambda d, w, dy: direct_conv2d(d, w, SPEC_PAD1),
-    "dwm_conv2d": lambda d, w, dy: dwm_conv2d(d, w, SPEC_PAD1),
-    "convolve-direct": lambda d, w, dy: convolve(d, w, SPEC_PAD1, algo="direct"),
-    "convolve-winograd": lambda d, w, dy: convolve(d, w, SPEC_PAD1, algo="winograd"),
-    "convolve-dwm": lambda d, w, dy: convolve(d, w, SPEC_PAD1, algo="dwm"),
-    "dwm_backward": lambda d, w, dy: dwm_backward(dy, plan_decomposition(SPEC_PAD1), d, w),
+    "direct_conv2d": lambda d, w, dy, **kw: direct_conv2d(d, w, SPEC_PAD1, **kw),
+    "dwm_conv2d": lambda d, w, dy, **kw: dwm_conv2d(d, w, SPEC_PAD1, **kw),
+    "convolve-direct": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="direct", **kw),
+    "convolve-winograd": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="winograd",
+                                                         **kw),
+    "convolve-dwm": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="dwm", **kw),
+    "dwm_backward": lambda d, w, dy, **kw: dwm_backward(dy, plan_decomposition(SPEC_PAD1),
+                                                        d, w, **kw),
+}
+NAMED_INPUTS = [
+    *((engine, arg) for engine in NAMED_INPUT_ENGINES for arg in ("data", "weights")),
+    ("dwm_backward", "grad_out"),
+]
+
+
+def _named_inputs(arg, value):
+    inputs = {"data": np.ones((1, 2, 6, 6)), "weights": np.ones((2, 2, 3, 3)),
+              "grad_out": np.ones((1, 2, 6, 6))}
+    inputs[arg][0, 1, 2, 2] = value
+    return inputs["data"], inputs["weights"], inputs["grad_out"]
+
+
+@pytest.mark.parametrize("engine,arg", NAMED_INPUTS)
+def test_nonfinite_input_is_named_before_padding(engine, arg):
+    inputs = _named_inputs(arg, np.inf if arg == "weights" else np.nan)
+    with pytest.raises(ValueError, match=f"^{arg} contains NaN or Inf"):
+        NAMED_INPUT_ENGINES[engine](*inputs)
+
+
+@pytest.mark.parametrize("engine,arg", NAMED_INPUTS)
+def test_input_beyond_float32_is_named_by_the_cast(engine, arg):
+    inputs = _named_inputs(arg, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{arg} does not fit in float32$"):
+            NAMED_INPUT_ENGINES[engine](*inputs, precision=np.float32)
+
+
+def _f32(shape, value):
+    return np.full(shape, value, dtype=np.float32)
+
+
+SPEC_5 = ConvSpec(kernel=(5, 5))
+SPEC_11S4 = ConvSpec(kernel=(11, 11), stride=(4, 4))
+ONE_TAP = np.zeros((1, 1, 11, 11), dtype=np.float32)
+ONE_TAP[0, 0, 0, 1] = 10  # only part 1 of the 11x11 stride-4 plan sees it
+OVERFLOW_CASES = {
+    # the first part of the 5x5 plan already overflows: it is named, not the aggregation
+    "dwm_conv2d": (lambda: dwm_conv2d(_f32((1, 1, 9, 9), 3e38), _f32((1, 1, 5, 5), 10), SPEC_5),
+                   r"dwm_conv2d part 0 \(kernel rows 0,1,2; cols 0,1,2\)"),
+    "dwm_conv2d-strided": (lambda: dwm_conv2d(_f32((1, 1, 11, 11), 5e37), ONE_TAP, SPEC_11S4),
+                           r"dwm_conv2d part 1 \(kernel rows 0,4,8; cols 1,5,9\)"),
+    "dwm_backward-weights": (lambda: dwm_backward(
+        _f32((1, 1, 5, 5), 1), plan_decomposition(SPEC_5), _f32((1, 1, 9, 9), 3e38),
+        _f32((1, 1, 5, 5), 10)),
+        r"dwm_backward part 0 \(kernel rows 0,1,2; cols 0,1,2\) weight gradient"),
+    "dwm_backward-data": (lambda: dwm_backward(
+        _f32((1, 1, 5, 5), 3e38), plan_decomposition(SPEC_5), _f32((1, 1, 9, 9), 1),
+        _f32((1, 1, 5, 5), 10)),
+        r"dwm_backward part 0 \(kernel rows 0,1,2; cols 0,1,2\) data gradient"),
+    "direct_conv2d": (lambda: direct_conv2d(_f32((1, 1, 9, 9), 3e38), _f32((1, 1, 5, 5), 10),
+                                            SPEC_5), "direct_conv2d"),
 }
 
 
-@pytest.mark.parametrize("engine,arg", [
-    *((engine, arg) for engine in NAMED_INPUT_ENGINES for arg in ("data", "weights")),
-    ("dwm_backward", "grad_out"),
-])
-def test_nonfinite_input_is_named_before_padding(engine, arg):
-    inputs = {"data": np.ones((1, 2, 6, 6)), "weights": np.ones((2, 2, 3, 3)),
-              "grad_out": np.ones((1, 2, 6, 6))}
-    inputs[arg][0, 1, 2, 2] = np.inf if arg == "weights" else np.nan
-    with pytest.raises(ValueError, match=f"^{arg} contains NaN or Inf"):
-        NAMED_INPUT_ENGINES[engine](inputs["data"], inputs["weights"], inputs["grad_out"])
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_float32_overflow_names_the_part_and_warns_nothing(case):
+    run, name = OVERFLOW_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=f"^{name} produced non-finite values$"):
+            run()
+
+
+def test_float32_overflow_of_finite_parts_is_named_by_the_aggregation():
+    # a 1x4 kernel is a 3-tap part plus a 1-tap part; each part output is finite
+    d = np.ones((1, 1, 1, 4), dtype=np.float32)
+    w = np.array([[[[6e37, 6e37, 6e37, 2e38]]]], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^accumulate produced non-finite values$"):
+            dwm_conv2d(d, w, ConvSpec(kernel=(1, 4)))
