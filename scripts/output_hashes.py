@@ -7,6 +7,11 @@ and compares the two listings:
     PYTHONPATH=src python3 scripts/output_hashes.py > after.txt
     diff before.txt after.txt
 
+A change that also changes a public signature this script calls runs each
+side's own script on its own source instead:
+
+    (cd old && PYTHONPATH=src python3 scripts/output_hashes.py) > before.txt
+
 Each line is ``<sha1>  <engine> <geometry> <precision>``.  Engines:
 ``dwm_conv2d`` (with and without a prebuilt plan), both ``dwm_backward``
 gradients, ``direct_conv2d``, ``winograd_conv2d`` (stride-1 kernels of at
@@ -24,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from dwmconv import (ConvSpec, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
-                     get_transform, pad_input, plan_decomposition, winograd_conv2d)
+                     plan_decomposition, winograd_conv2d)
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
 GEOMETRIES = (
@@ -79,8 +84,7 @@ def outputs(spec: ConvSpec, data, weights, grad_out):
     yield "direct_conv2d", direct_conv2d(data, weights, spec)
     algos = ["direct", "dwm"]
     if spec.stride == (1, 1) and max(spec.kernel) <= 13:
-        ts_r, ts_c = get_transform(spec.kernel[0]), get_transform(spec.kernel[1])
-        yield "winograd_conv2d", winograd_conv2d(pad_input(data, spec.pad), weights, ts_r, ts_c)
+        yield "winograd_conv2d", winograd_conv2d(data, weights, spec)
         algos.append("winograd")
     for algo in algos:
         out = convolve(data, weights, spec, algo=algo)

@@ -11,7 +11,7 @@ function of (config, seed).  Non-finite algorithm outputs become
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,11 +20,10 @@ from .decompose import plan_decomposition
 from .engines import direct_conv2d, dwm_conv2d, winograd_conv2d
 from .flops import (FlopReport, flops_direct, flops_dwm, flops_winograd_classic,
                     reports_to_csv, speedup_table)
-from .tensor import mse, pad_input
+from .tensor import mse
 from .transforms import get_baseline_transform
 
 PRECISIONS = ("binary32", "binary64")
-_DT = {"binary32": np.float32, "binary64": np.float64}
 
 
 def as_pair(value) -> tuple[int, int]:
@@ -89,15 +88,7 @@ class AccuracyReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> list[dict]:
-        return [
-            {
-                "kernel": list(r.kernel), "stride": list(r.stride), "hw": r.hw,
-                "channels": r.channels, "filters": r.filters, "batch": r.batch,
-                "seed": r.seed, "algorithm": r.algorithm, "precision": r.precision,
-                "status": r.status, "mse": r.mse, "log_scaled": r.log_scaled,
-            }
-            for r in self.rows
-        ]
+        return [asdict(r) for r in self.rows]
 
 
 def _draw(cfg: AccuracyConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,17 +101,14 @@ def _draw(cfg: AccuracyConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_algorithm(algo: str, data, weights, spec: ConvSpec, precision: str):
-    dt = _DT[precision]
     if algo == "direct":
-        return direct_conv2d(data, weights, spec, precision=dt)
+        return direct_conv2d(data, weights, spec, precision=precision)
     if algo == "winograd":
         # the naive one-shot F(2, r) baseline, not the accuracy-tuned engine
-        dpad = pad_input(data.astype(dt), spec.pad)
-        return winograd_conv2d(dpad, weights.astype(dt),
-                               get_baseline_transform(spec.kernel[0]),
-                               get_baseline_transform(spec.kernel[1]))
+        return winograd_conv2d(data, weights, spec, get_baseline_transform(spec.kernel[0]),
+                               get_baseline_transform(spec.kernel[1]), precision=precision)
     if algo == "dwm":
-        return dwm_conv2d(data, weights, spec, precision=dt)
+        return dwm_conv2d(data, weights, spec, precision=precision)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -159,25 +147,58 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
     return AccuracyReport(rows=tuple(rows))
 
 
+def _parse_entries(doc, kind: str, key: str, build) -> list:
+    """[build(index, entry)] over the ``key`` list of a schema-1 ``kind`` document.
+
+    An error names the document, the list or the entry (by index, and by
+    its "name" where it has one) that is at fault.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {type(doc).__name__}")
+    if doc.get("schema") != 1:
+        raise ValueError(f"unsupported {kind} schema {doc.get('schema')!r}")
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{kind} {key!r} must be a list, got {type(entries).__name__}")
+    built = []
+    for i, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, dict):
+                raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+            built.append(build(i, entry))
+        except (KeyError, TypeError, ValueError) as exc:
+            name = f" {entry['name']!r}" if isinstance(entry, dict) and "name" in entry else ""
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"malformed {kind} entry {i}{name}: {detail}") from exc
+    return built
+
+
+def _accuracy_entry(_, entry: dict) -> AccuracyConfig:
+    cfg = AccuracyConfig(
+        kernel=as_pair(entry["kernel"]),
+        stride=as_pair(entry.get("stride", 1)),
+        hw=int(entry["hw"]),
+        channels=int(entry["channels"]),
+        filters=int(entry["filters"]),
+        batch=int(entry.get("batch", 1)),
+        precisions=tuple(entry.get("precisions", PRECISIONS)),
+    )
+    if min(cfg.channels, cfg.filters, cfg.batch) < 1:
+        raise ValueError("channels, filters and batch must be positive")
+    unknown = [p for p in cfg.precisions if p not in PRECISIONS]
+    if unknown:
+        raise ValueError(f"unknown precisions {unknown}; expected {' or '.join(PRECISIONS)}")
+    cfg.spec().out_dims(cfg.hw, cfg.hw)
+    return cfg
+
+
 def parse_accuracy_config(doc: dict):
     """(configs, seeds) of an accuracy config document."""
-    if doc.get("schema") != 1:
-        raise ValueError(f"unsupported accuracy config schema {doc.get('schema')!r}")
-    seeds = [int(s) for s in doc.get("seeds", [1])]
-    configs = []
-    for i, entry in enumerate(doc.get("configs", [])):
-        try:
-            configs.append(AccuracyConfig(
-                kernel=as_pair(entry["kernel"]),
-                stride=as_pair(entry.get("stride", 1)),
-                hw=int(entry["hw"]),
-                channels=int(entry["channels"]),
-                filters=int(entry["filters"]),
-                batch=int(entry.get("batch", 1)),
-                precisions=tuple(entry.get("precisions", PRECISIONS)),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed accuracy config entry {i}: {exc}") from exc
+    configs = _parse_entries(doc, "accuracy config", "configs", _accuracy_entry)
+    try:
+        seeds = [int(s) for s in doc.get("seeds", [1])]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"accuracy config 'seeds' must be a list of integers: {exc}") from exc
     return configs, seeds
 
 
@@ -229,19 +250,18 @@ def run_flops_suite(configs) -> tuple[list[FlopReport], str]:
 
 def parse_flops_config(doc: dict):
     """(ConvSpec, out_dims, expected) per entry of a flops config document."""
-    if doc.get("schema") != 1:
-        raise ValueError(f"unsupported flops config schema {doc.get('schema')!r}")
-    default_out = tuple(doc.get("out", (14, 14)))
-    entries = []
-    for i, entry in enumerate(doc.get("configs", [])):
-        try:
-            spec = ConvSpec(kernel=as_pair(entry["kernel"]),
-                            stride=as_pair(entry.get("stride", 1)))
-            out = tuple(entry.get("out", default_out))
-            entries.append((spec, out, entry.get("expected")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed flops config entry {i}: {exc}") from exc
-    return entries
+
+    def build(_, entry):
+        spec = ConvSpec(kernel=as_pair(entry["kernel"]), stride=as_pair(entry.get("stride", 1)))
+        out = as_pair(entry.get("out", doc.get("out", 14)))
+        if min(out) < 1:
+            raise ValueError(f"out must be two positive integers, got {out}")
+        expected = entry.get("expected")
+        if not isinstance(expected, (dict, type(None))):
+            raise TypeError(f"expected must be a JSON object, got {type(expected).__name__}")
+        return spec, out, expected
+
+    return _parse_entries(doc, "flops config", "configs", build)
 
 
 def check_flops(reports, expectations) -> list[str]:
@@ -301,25 +321,23 @@ class LayerReport:
     dwm: int
 
 
+def _layer_entry(i: int, entry: dict) -> LayerSpec:
+    layer = LayerSpec(
+        name=entry.get("name", f"layer{i}"),
+        in_channels=int(entry["in_channels"]),
+        out_channels=int(entry["out_channels"]),
+        kernel=as_pair(entry["kernel"]),
+        stride=as_pair(entry.get("stride", 1)),
+        pad=tuple(int(p) for p in entry.get("pad", (0, 0, 0, 0))),
+        input_hw=as_pair(entry["input"]),
+    )
+    layer.spec()
+    return layer
+
+
 def load_network(doc: dict) -> NetworkSpec:
     """Parse a network JSON document, naming the offending layer on errors."""
-    if doc.get("schema") != 1:
-        raise ValueError(f"unsupported network schema {doc.get('schema')!r}")
-    layers = []
-    for entry in doc.get("layers", []):
-        name = entry.get("name", f"layer{len(layers)}")
-        try:
-            layers.append(LayerSpec(
-                name=name,
-                in_channels=int(entry["in_channels"]),
-                out_channels=int(entry["out_channels"]),
-                kernel=as_pair(entry["kernel"]),
-                stride=as_pair(entry.get("stride", 1)),
-                pad=tuple(int(p) for p in entry.get("pad", (0, 0, 0, 0))),
-                input_hw=as_pair(entry["input"]),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed layer {name!r}: {exc}") from exc
+    layers = _parse_entries(doc, "network", "layers", _layer_entry)
     return NetworkSpec(name=doc.get("name", "network"), layers=tuple(layers))
 
 

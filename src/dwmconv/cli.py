@@ -8,6 +8,7 @@ byte-identical outputs.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -50,9 +51,15 @@ def _resolve_config(path_text: str) -> Path:
     raise FileNotFoundError(f"config {path_text!r} not found (not a path or bundled name)")
 
 
-def _load_json(path: Path) -> dict:
+def _load_config(path_text: str, parse):
+    """``parse`` of the JSON document at a path or bundled name; an error
+    in the JSON or in its contents names the file."""
+    path = _resolve_config(path_text)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return parse(json.load(fh))
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise ValueError(f"{path_text}: {exc}") from exc
 
 
 def cmd_gen_transforms(args) -> int:
@@ -98,10 +105,9 @@ def cmd_conv(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    precision = {"f32": np.float32, "f64": np.float64, None: None}[args.precision]
     try:
-        out = convolve(data, weights, spec, algo=args.algo, precision=precision)
-        reference = (direct_conv2d(data, weights, spec, precision=precision or data.dtype)
+        out = convolve(data, weights, spec, algo=args.algo, precision=args.precision)
+        reference = (direct_conv2d(data, weights, spec, precision=args.precision)
                      if args.verify else None)
     except (ValueError, FloatingPointError) as exc:
         return _fail(str(exc))
@@ -129,30 +135,23 @@ def _emit(csv_text: str, json_doc, out_base: str | None) -> None:
 
 
 def cmd_bench(args) -> int:
+    parse = bench.parse_flops_config if args.suite == "flops" else bench.parse_accuracy_config
     try:
-        doc = _load_json(_resolve_config(args.config))
+        parsed = _load_config(args.config, parse)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
     if args.suite == "flops":
-        try:
-            entries = bench.parse_flops_config(doc)
-        except ValueError as exc:
-            return _fail(str(exc))
-        reports, csv_text = bench.run_flops_suite([(spec, out) for spec, out, _ in entries])
+        reports, csv_text = bench.run_flops_suite([(spec, out) for spec, out, _ in parsed])
         _emit(csv_text, flops.reports_to_json(reports), args.out)
         if args.check:
-            violations = bench.check_flops(reports, [exp for _, _, exp in entries])
+            violations = bench.check_flops(reports, [exp for _, _, exp in parsed])
             for v in violations:
                 print(f"check failed: {v}", file=sys.stderr)
             return 1 if violations else 0
         return 0
 
-    try:
-        configs, seeds = bench.parse_accuracy_config(doc)
-    except ValueError as exc:
-        return _fail(str(exc))
-    report = bench.run_accuracy_suite(configs, seeds)
+    report = bench.run_accuracy_suite(*parsed)
     _emit(report.to_csv(), report.to_json(), args.out)
     if args.check:
         violations = bench.check_accuracy_bands(report)
@@ -164,24 +163,13 @@ def cmd_bench(args) -> int:
 
 def cmd_analyze(args) -> int:
     try:
-        net = bench.load_network(_load_json(_resolve_config(args.network)))
+        net = _load_config(args.network, bench.load_network)
         layer_reports, totals = bench.analyze_network(net)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    csv_text = bench.network_report_csv(net, layer_reports, totals)
-    json_doc = {
-        "network": net.name,
-        "layers": [
-            {
-                "name": rep.name, "kernel": list(rep.kernel), "stride": list(rep.stride),
-                "out": list(rep.out), "direct": rep.direct,
-                "winograd": rep.winograd, "dwm": rep.dwm,
-            }
-            for rep in layer_reports
-        ],
-        "totals": totals,
-    }
-    _emit(csv_text, json_doc, args.out)
+    json_doc = {"network": net.name, "layers": [dataclasses.asdict(r) for r in layer_reports],
+                "totals": totals}
+    _emit(bench.network_report_csv(net, layer_reports, totals), json_doc, args.out)
     return 0
 
 

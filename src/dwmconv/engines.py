@@ -52,12 +52,6 @@ class ConvOutput:
     flops: int
 
 
-def _resolve_dtype(data: np.ndarray, precision):
-    if precision is None:
-        return data.dtype
-    return precision_dtype(precision)
-
-
 def _numeric_for(ts: TransformSet, dtype) -> NumericTransformSet:
     if np.dtype(dtype) == _OBJECT:
         return to_exact_arrays(ts)
@@ -81,16 +75,30 @@ def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
     return y
 
 
-def _check_pair(data: np.ndarray, weights: np.ndarray, kernel: tuple[int, int]):
+def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, precision,
+                    default_dtype=None):
+    """The prologue every engine shares: check data and weights against
+    ``spec`` and name a non-finite one, resolve the element type (from
+    ``precision``, else ``default_dtype``, else data's), cast, pad.
+
+    Returns (padded data, weights, element type, output extents).
+    """
     require_tensor4(data, "data")
     require_tensor4(weights, "weights")
     if data.shape[1] != weights.shape[1]:
         raise ValueError(
             f"channel mismatch: data has {data.shape[1]}, weights have {weights.shape[1]}")
-    if tuple(weights.shape[2:]) != kernel:
-        raise ValueError(f"weights taps {weights.shape[2:]} do not match kernel {kernel}")
+    if tuple(weights.shape[2:]) != spec.kernel:
+        raise ValueError(f"weights taps {weights.shape[2:]} do not match kernel {spec.kernel}")
+    out_dims = spec.out_dims(data.shape[2], data.shape[3])
     _require_finite(data, "data")
     _require_finite(weights, "weights")
+    if precision is not None:
+        dt = precision_dtype(precision)
+    else:
+        dt = data.dtype if default_dtype is None else default_dtype
+    w = _cast(weights, dt, "weights")
+    return pad_input(_cast(data, dt, "data"), spec.pad), w, dt, out_dims
 
 
 def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -144,15 +152,11 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     Each output element accumulates in a fixed order: channel ascending,
     then kernel row, then kernel column.
     """
-    _check_pair(data, weights, spec.kernel)
-    dt = _resolve_dtype(data, precision)
-    d, w = _cast(data, dt, "data"), _cast(weights, dt, "weights")
-    dpad = pad_input(d, spec.pad)
-    n, c, _, _ = d.shape
+    dpad, w, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision)
+    n, c = dpad.shape[:2]
     f = w.shape[0]
     r_h, r_w = spec.kernel
     s_h, s_w = spec.stride
-    oh, ow = spec.out_dims(d.shape[2], d.shape[3])
     y = np.zeros((n, f, oh, ow), dtype=dt)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for ci in range(c):
@@ -177,8 +181,6 @@ def _winograd_forward(signal: np.ndarray, weights: np.ndarray,
     f = weights.shape[0]
     p_r, p_c = nt_r.r, nt_c.r
     oh, ow = sh - p_r + 1, sw - p_c + 1
-    if oh < 1 or ow < 1:
-        raise ValueError(f"signal {sh}x{sw} too small for taps {p_r}x{p_c}")
     th, tw = -(-oh // 2), -(-ow // 2)
 
     v = _data_transform(signal, nt_r, nt_c, th, tw)                 # (lr,lc,C,NTT)
@@ -188,23 +190,31 @@ def _winograd_forward(signal: np.ndarray, weights: np.ndarray,
     return np.ascontiguousarray(y.reshape(n, f, 2 * th, 2 * tw)[:, :, :oh, :ow])
 
 
-def winograd_conv2d(data: np.ndarray, weights: np.ndarray, ts: TransformSet,
-                    ts_cols: TransformSet | None = None, precision=None) -> np.ndarray:
-    """Classic tiled Winograd correlation, stride 1 only.
+def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
+                    ts_rows: TransformSet | None = None, ts_cols: TransformSet | None = None,
+                    precision=None) -> np.ndarray:
+    """Classic tiled Winograd correlation: one F(2, r) per axis, stride 1 only.
 
-    ``data`` must already carry any zero padding.  Rectangular kernels use
-    separate row/column transforms (``ts_cols`` defaults to ``ts``).
-    Strided convolutions are out of this engine's reach; decompose them
-    with a plan and use dwm_conv2d.
+    The row and column transforms default to ``get_transform`` of each
+    axis's taps.  Strided convolutions and kernels beyond the point
+    sequence are out of this engine's reach; dwm_conv2d runs them.
     """
-    tsc = ts_cols if ts_cols is not None else ts
-    _check_pair(data, weights, (ts.r, tsc.r))
-    if ts.m != 2 or tsc.m != 2:
+    if spec.stride != (1, 1):
+        raise ValueError(
+            "classic Winograd is stride-1 only; use --algo dwm for strided convolutions")
+    if max(spec.kernel) > len(POINT_SEQUENCE):
+        raise ValueError(
+            f"classic Winograd supports at most {len(POINT_SEQUENCE)} taps per axis, "
+            f"got kernel {spec.kernel}; use --algo dwm for larger kernels")
+    ts_r = ts_rows if ts_rows is not None else get_transform(spec.kernel[0])
+    ts_c = ts_cols if ts_cols is not None else get_transform(spec.kernel[1])
+    if (ts_r.r, ts_c.r) != spec.kernel:
+        raise ValueError(f"transform taps {(ts_r.r, ts_c.r)} do not match kernel {spec.kernel}")
+    if ts_r.m != 2 or ts_c.m != 2:
         raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
-    dt = _resolve_dtype(data, precision)
+    dpad, w, dt, _ = _checked_inputs(data, weights, spec, precision)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
-        y = _winograd_forward(_cast(data, dt, "data"), _cast(weights, dt, "weights"),
-                              _numeric_for(ts, dt), _numeric_for(tsc, dt))
+        y = _winograd_forward(dpad, w, _numeric_for(ts_r, dt), _numeric_for(ts_c, dt))
     return check_finite(y, "winograd_conv2d")
 
 
@@ -218,19 +228,15 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     order.  Equals direct_conv2d up to float rounding (exactly, in the
     object-dtype test mode).
     """
-    _check_pair(data, weights, spec.kernel)
     if plan is None:
         plan = plan_decomposition(spec)
     elif plan.spec != spec:
         raise ValueError("plan was built for a different ConvSpec")
-    dt = _resolve_dtype(data, precision)
-    w = _cast(weights, dt, "weights")
-    dpad = pad_input(_cast(data, dt, "data"), spec.pad)
-    oh, ow = spec.out_dims(data.shape[2], data.shape[3])
+    dpad, w, dt, out_dims = _checked_inputs(data, weights, spec, precision)
 
     acc = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for nt_r, nt_c, ksel, isel, label in _part_loop(plan, dt, (oh, ow)):
+        for nt_r, nt_c, ksel, isel, label in _part_loop(plan, dt, out_dims):
             y_part = _winograd_forward(slice_strided(dpad, *isel), slice_strided(w, *ksel),
                                        nt_r, nt_c)
             check_finite(y_part, f"dwm_conv2d {label}")
@@ -284,24 +290,18 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     domain; nothing Winograd-transformed persists between calls.
     """
     spec = plan.spec
-    _check_pair(data, weights, spec.kernel)
     require_tensor4(grad_out, "grad_out")
-    oh, ow = spec.out_dims(data.shape[2], data.shape[3])
-    n, _, _, _ = data.shape
-    f = weights.shape[0]
-    if grad_out.shape != (n, f, oh, ow):
-        raise ValueError(f"grad_out shape {grad_out.shape} != {(n, f, oh, ow)}")
+    dpad, w, dt, out_dims = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
+    want = (data.shape[0], weights.shape[0], *out_dims)
+    if grad_out.shape != want:
+        raise ValueError(f"grad_out shape {grad_out.shape} != {want}")
     _require_finite(grad_out, "grad_out")
-
-    dt = _resolve_dtype(grad_out, precision)
     gout = _cast(grad_out, dt, "grad_out")
-    w = _cast(weights, dt, "weights")
-    dpad = pad_input(_cast(data, dt, "data"), spec.pad)
     grad_pad = np.zeros_like(dpad)
     grad_w = np.zeros_like(w)
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for nt_r, nt_c, ksel, isel, label in _part_loop(plan, dt, (oh, ow)):
+        for nt_r, nt_c, ksel, isel, label in _part_loop(plan, dt, out_dims):
             g_sig, g_w = _winograd_backward(gout, slice_strided(dpad, *isel),
                                             slice_strided(w, *ksel), nt_r, nt_c)
             check_finite(g_sig, f"dwm_backward {label} data gradient")
@@ -323,18 +323,8 @@ def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
         y = direct_conv2d(data, weights, spec, precision=precision)
         return ConvOutput(y=y, flops=flops_direct(spec, y.shape[2:]))
     if algo == "winograd":
-        if spec.stride != (1, 1):
-            raise ValueError(
-                "classic Winograd is stride-1 only; use --algo dwm for strided convolutions")
-        if max(spec.kernel) > len(POINT_SEQUENCE):
-            raise ValueError(
-                f"classic Winograd supports at most {len(POINT_SEQUENCE)} taps per axis, "
-                f"got kernel {spec.kernel}; use --algo dwm for larger kernels")
-        _check_pair(data, weights, spec.kernel)
-        dt = _resolve_dtype(data, precision)
-        dpad = pad_input(_cast(data, dt, "data"), spec.pad)
+        y = winograd_conv2d(data, weights, spec, precision=precision)
         ts_r, ts_c = get_transform(spec.kernel[0]), get_transform(spec.kernel[1])
-        y = winograd_conv2d(dpad, weights, ts_r, ts_c)
         return ConvOutput(y=y, flops=flops_winograd_classic(spec, y.shape[2:], ts_r, ts_c))
     if algo == "dwm":
         if plan is None:

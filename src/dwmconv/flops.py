@@ -78,12 +78,13 @@ def flops_direct(spec: ConvSpec, out: tuple[int, int]) -> int:
     return oh * ow * spec.kernel[0] * spec.kernel[1]
 
 
-def _transform_cost(ts_r: TransformSet, ts_c: TransformSet, tiles: int) -> int:
-    """Non-shift-free multiplies of the data and kernel transforms."""
+def _part_cost(ts_r: TransformSet, ts_c: TransformSet, tiles: int) -> int:
+    """One tiled F(2, r_r) x F(2, r_c) correlation: the elementwise products
+    plus the non-shift-free multiplies of the data and kernel transforms."""
     lr, lc = ts_r.alpha, ts_c.alpha
     data_cost = tiles * (count_non_shift_free(ts_r.b_t) * lc + lr * count_non_shift_free(ts_c.b_t))
     kernel_cost = count_non_shift_free(ts_r.g) * ts_c.r + lr * count_non_shift_free(ts_c.g)
-    return data_cost + kernel_cost
+    return tiles * lr * lc + data_cost + kernel_cost
 
 
 def flops_winograd_classic(spec: ConvSpec, out: tuple[int, int],
@@ -99,9 +100,7 @@ def flops_winograd_classic(spec: ConvSpec, out: tuple[int, int],
         return None
     ts_r = ts_rows if ts_rows is not None else get_baseline_transform(spec.kernel[0])
     ts_c = ts_cols if ts_cols is not None else get_baseline_transform(spec.kernel[1])
-    tiles = _tiles(out)
-    elementwise = tiles * ts_r.alpha * ts_c.alpha
-    return elementwise + _transform_cost(ts_r, ts_c, tiles)
+    return _part_cost(ts_r, ts_c, _tiles(out))
 
 
 def flops_dwm(plan: DecompositionPlan, out: tuple[int, int]) -> int:
@@ -112,11 +111,7 @@ def flops_dwm(plan: DecompositionPlan, out: tuple[int, int]) -> int:
     shift-free, so the term is zero (computed, not assumed).
     """
     tiles = _tiles(out)
-    total = 0
-    for part in plan.parts:
-        total += tiles * part.transform_rows.alpha * part.transform_cols.alpha
-        total += _transform_cost(part.transform_rows, part.transform_cols, tiles)
-    return total
+    return sum(_part_cost(part.transform_rows, part.transform_cols, tiles) for part in plan.parts)
 
 
 def speedup_table(configs) -> list[FlopReport]:

@@ -173,12 +173,47 @@ def test_bench_missing_config_fails_cleanly(capsys):
     assert "not found" in err
 
 
-def test_bench_malformed_entry_is_identified(tmp_path, capsys):
+def _acc(**entry):
+    return {"schema": 1, "configs": [{"kernel": 3, "hw": 8, "channels": 2, "filters": 2,
+                                      **entry}]}
+
+
+def _net(**layer):
+    return {"schema": 1, "layers": [{"name": "conv1", "in_channels": 1, "out_channels": 1,
+                                     "kernel": 3, "input": 8, **layer}]}
+
+
+FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "accuracy"), \
+    ("analyze",)
+
+
+@pytest.mark.parametrize("command,doc,named", [
+    (FLOPS, {"schema": 1, "configs": [{"stride": 1}]}, "entry 0: missing key 'kernel'"),
+    (FLOPS, [], "bad.json"),
+    (ACCURACY, [], "bad.json"),
+    (ANALYZE, [], "bad.json"),
+    (FLOPS, {"schema": 1, "configs": 5}, "'configs'"),
+    (ACCURACY, _acc(stride=0), "entry 0"),
+    (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "out": [0, 14]}]}, "entry 0"),
+    (ANALYZE, _net(pad=[1, 1]), "'conv1'"),
+    (ACCURACY, {**_acc(), "seeds": ["x"]}, "'seeds'"),
+    (ACCURACY, _acc(precisions=["binary16"]), "entry 0"),
+    (ACCURACY, _acc(channels=-1), "entry 0"),
+    (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "expected": 5}]}, "entry 0"),
+    (ACCURACY, "{not json", "bad.json"),
+], ids=["flops-missing-kernel", "flops-array", "accuracy-array", "network-array",
+        "configs-not-a-list", "accuracy-stride-0", "flops-out-0", "layer-pad-pair",
+        "seeds-not-integers", "unknown-precision", "negative-channels",
+        "expected-not-an-object", "bad-json"])
+def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, named):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"schema": 1, "configs": [{"stride": 1}]}))
-    code, _, err = run_cli(capsys, "bench", "--suite", "flops", "--config", str(cfg))
-    assert code != 0
-    assert "entry 0" in err
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    flag = "--network" if command == ANALYZE else "--config"
+    code, out, err = run_cli(capsys, *command, flag, str(cfg))
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0], err
+    assert "Traceback" not in err and out == ""
 
 
 def test_analyze_bundled_alexnet(capsys):

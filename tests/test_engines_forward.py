@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -8,7 +9,6 @@ from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
 from dwmconv.engines import convolve, direct_conv2d, dwm_backward, dwm_conv2d, winograd_conv2d
 from dwmconv.flops import flops_dwm, flops_winograd_classic
-from dwmconv.tensor import pad_input
 from dwmconv.transforms import cook_toom, get_transform
 
 from reference import oracle_conv
@@ -60,14 +60,14 @@ def test_winograd_1d_delta_filter_passes_signal_through():
     # row axis is a pass-through F(2,1), column axis F(2,3)
     d = np.arange(4, dtype=np.float64).reshape(1, 1, 1, 4) + 1.0
     g = np.array([1.0, 0.0, 0.0]).reshape(1, 1, 1, 3)
-    y = winograd_conv2d(d, g, cook_toom(2, 1, []), get_transform(3))
+    y = winograd_conv2d(d, g, ConvSpec(kernel=(1, 3)), cook_toom(2, 1, []), get_transform(3))
     np.testing.assert_allclose(y, [[[[1.0, 2.0]]]], atol=1e-14)
 
 
 def test_winograd_1d_box_filter():
     d = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4)
     g = np.ones((1, 1, 1, 3))
-    y = winograd_conv2d(d, g, cook_toom(2, 1, []), get_transform(3))
+    y = winograd_conv2d(d, g, ConvSpec(kernel=(1, 3)), cook_toom(2, 1, []), get_transform(3))
     np.testing.assert_allclose(y, [[[[6.0, 9.0]]]], atol=1e-14)
 
 
@@ -75,7 +75,7 @@ def test_winograd_single_tile_matches_direct():
     rng = np.random.default_rng(2)
     d = rng.standard_normal((1, 1, 4, 4))
     g = rng.standard_normal((1, 1, 3, 3))
-    y = winograd_conv2d(d, g, get_transform(3))
+    y = winograd_conv2d(d, g, ConvSpec(kernel=(3, 3)), get_transform(3))
     want = direct_conv2d(d, g, ConvSpec(kernel=(3, 3)))
     assert np.max(np.abs(y - want)) <= 1e-13
 
@@ -85,7 +85,7 @@ def test_winograd_multi_tile_multichannel_matches_oracle():
     spec = ConvSpec(kernel=(3, 3))
     d = rng.standard_normal((2, 3, 10, 12))
     g = rng.standard_normal((4, 3, 3, 3))
-    y = winograd_conv2d(d, g, get_transform(3))
+    y = winograd_conv2d(d, g, spec, get_transform(3))
     np.testing.assert_allclose(y, oracle_conv(d, g, spec), atol=1e-12)
 
 
@@ -93,7 +93,7 @@ def test_winograd_truncates_odd_output_extent():
     rng = np.random.default_rng(4)
     d = rng.standard_normal((1, 2, 7, 9))  # outputs 5 x 7, both odd
     g = rng.standard_normal((2, 2, 3, 3))
-    y = winograd_conv2d(d, g, get_transform(3))
+    y = winograd_conv2d(d, g, ConvSpec(kernel=(3, 3)), get_transform(3))
     assert y.shape == (1, 2, 5, 7)
     np.testing.assert_allclose(y, oracle_conv(d, g, ConvSpec(kernel=(3, 3))), atol=1e-12)
 
@@ -113,7 +113,7 @@ def test_dwm_degenerate_3x3_is_bit_identical_to_winograd():
         d = rng.standard_normal((2, 3, 14, 14)).astype(dtype)
         g = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
         via_dwm = dwm_conv2d(d, g, spec)
-        via_winograd = winograd_conv2d(pad_input(d, spec.pad), g, get_transform(3))
+        via_winograd = winograd_conv2d(d, g, spec, get_transform(3))
         assert via_dwm.tobytes() == via_winograd.tobytes()
 
 
@@ -246,6 +246,7 @@ def test_engine_rejects_nonfinite():
 SPEC_PAD1 = ConvSpec(kernel=(3, 3), pad=(1, 1, 1, 1))
 NAMED_INPUT_ENGINES = {
     "direct_conv2d": lambda d, w, dy, **kw: direct_conv2d(d, w, SPEC_PAD1, **kw),
+    "winograd_conv2d": lambda d, w, dy, **kw: winograd_conv2d(d, w, SPEC_PAD1, **kw),
     "dwm_conv2d": lambda d, w, dy, **kw: dwm_conv2d(d, w, SPEC_PAD1, **kw),
     "convolve-direct": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="direct", **kw),
     "convolve-winograd": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="winograd",
@@ -281,6 +282,36 @@ def test_input_beyond_float32_is_named_by_the_cast(engine, arg):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{arg} does not fit in float32$"):
             NAMED_INPUT_ENGINES[engine](*inputs, precision=np.float32)
+
+
+ENTRY_MISUSE = {
+    "channels": ((1, 2, 6, 6), (2, 3, 3, 3), "channel mismatch: data has 2, weights have 3"),
+    "taps": ((1, 2, 6, 6), (2, 2, 5, 5), "weights taps (5, 5) do not match kernel (3, 3)"),
+    "3d-data": ((2, 6, 6), (2, 2, 3, 3), "data must have 4 axes (N,C,H,W), got shape (2, 6, 6)"),
+}
+
+
+@pytest.mark.parametrize("misuse", ENTRY_MISUSE)
+@pytest.mark.parametrize("engine", NAMED_INPUT_ENGINES)
+def test_every_entry_checks_its_inputs_with_one_message(engine, misuse):
+    data_shape, weights_shape, message = ENTRY_MISUSE[misuse]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NAMED_INPUT_ENGINES[engine](np.ones(data_shape), np.ones(weights_shape),
+                                    np.ones((1, 2, 6, 6)))
+
+
+@pytest.mark.parametrize("spec,transforms,message", [
+    (ConvSpec(kernel=(3, 3), stride=(2, 2), pad=(1, 1, 1, 1)), (), "stride-1 only"),
+    (ConvSpec(kernel=(14, 3)), (), "at most 13 taps per axis"),
+    (SPEC_PAD1, (get_transform(5),), r"transform taps \(5, 3\) do not match kernel \(3, 3\)"),
+    (SPEC_PAD1, (get_transform(3), get_transform(2)),
+     r"transform taps \(3, 2\) do not match kernel \(3, 3\)"),
+    (SPEC_PAD1, (cook_toom(3, 3),), "m == 2"),
+])
+def test_winograd_rejects_what_it_cannot_run(spec, transforms, message):
+    d, w = np.ones((1, 2, 16, 16)), np.ones((2, 2, *spec.kernel))
+    with pytest.raises(ValueError, match=message):
+        winograd_conv2d(d, w, spec, *transforms)
 
 
 def _f32(shape, value):
