@@ -16,8 +16,10 @@ Each line is ``<sha1>  <engine> <geometry> <precision>``.  Engines:
 ``dwm_conv2d`` (with and without a prebuilt plan), both ``dwm_backward``
 gradients, ``direct_conv2d``, ``winograd_conv2d`` (stride-1 kernels of at
 most 13 taps per axis) and ``convolve`` ``y``/``flops`` for every algorithm
-the geometry admits.  Precisions: binary32, binary64 and exact ``Fraction``
-(object arrays; reduced extents, since exact arithmetic is slow).  Inputs
+the geometry admits; the ``gemm_conv2d`` lines come after all of those, so
+the lines before them compare with a listing from a tree without that
+engine.  Precisions: binary32, binary64 and exact ``Fraction`` (object
+arrays; reduced extents, since exact arithmetic is slow).  Inputs
 are drawn from a fixed seed per geometry; the Fraction inputs are multiples
 of 1/4.  Floats hash their dtype, shape and bytes; Fractions hash the
 ``p/q`` text of every element.
@@ -29,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from dwmconv import (ConvSpec, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
-                     plan_decomposition, winograd_conv2d)
+                     gemm_conv2d, plan_decomposition, winograd_conv2d)
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
 GEOMETRIES = (
@@ -92,14 +94,22 @@ def outputs(spec: ConvSpec, data, weights, grad_out):
         yield f"convolve[{algo}].flops", out.flops
 
 
-def main():
+def cases():
+    """(name, precision, spec, (data, weights, grad_out)) per geometry and precision."""
     for seed, (name, kernel, stride, pad, dims, extent, exact_extent) in enumerate(GEOMETRIES):
         spec = ConvSpec(kernel=kernel, stride=stride, pad=pad)
         for precision in PRECISIONS:
             ext = exact_extent if precision == "fraction" else extent
-            data, weights, grad_out = inputs(seed, spec, dims, ext, precision)
-            for label, out in outputs(spec, data, weights, grad_out):
-                print(f"{digest(out)}  {label} {name} {precision}", flush=True)
+            yield name, precision, spec, inputs(seed, spec, dims, ext, precision)
+
+
+def main():
+    for name, precision, spec, (data, weights, grad_out) in cases():
+        for label, out in outputs(spec, data, weights, grad_out):
+            print(f"{digest(out)}  {label} {name} {precision}", flush=True)
+    for name, precision, spec, (data, weights, _) in cases():
+        print(f"{digest(gemm_conv2d(data, weights, spec))}  gemm_conv2d {name} {precision}",
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from .decompose import (AxisPart, DecompositionPlan, KernelPart,
                         input_region_for_part, plan_decomposition, plan_to_json,
                         split_axis_by_stride, split_by_size)
 from .engines import (ConvOutput, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
-                      winograd_conv2d)
+                      gemm_conv2d, winograd_conv2d)
 from .flops import (FlopReport, flops_direct, flops_dwm, flops_winograd_classic,
                     is_shift_free, reports_to_csv, reports_to_json, speedup_table)
 from .tensor import accumulate, mse, pad_input, slice_strided

@@ -2,12 +2,14 @@
 
 Accuracy methodology: draw inputs and weights from a standard normal
 distribution, run each algorithm in binary32 (and the decomposed path in
-binary64 as a sanity row), and report the mean squared error against the
-binary64 direct result.  Randomness comes from numpy's PCG64 generator
-with ``standard_normal`` (ziggurat method); the stream is seeded from the
-user seed plus the configuration fields, so every row is a deterministic
-function of (config, seed).  Non-finite algorithm outputs become
-"overflow" rows instead of crashes.
+binary64 as a sanity row), and report the mean squared error against a
+binary64 reference computed as an im2col GEMM (``gemm_conv2d``); the
+``direct/binary64`` row is that reference, so its error is exactly 0.
+Randomness comes from numpy's PCG64 generator with ``standard_normal``
+(ziggurat method); the stream is seeded from the user seed plus the
+configuration fields, so every row is a deterministic function of
+(config, seed).  Non-finite algorithm outputs become "overflow" rows
+instead of crashes.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from .convspec import ConvSpec
 from .decompose import plan_decomposition
-from .engines import direct_conv2d, dwm_conv2d, winograd_conv2d
+from .engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
 from .flops import (FlopReport, flops_direct, flops_dwm, flops_winograd_classic,
                     reports_to_csv, speedup_table)
 from .tensor import mse
@@ -26,12 +28,19 @@ from .transforms import get_baseline_transform
 PRECISIONS = ("binary32", "binary64")
 
 
-def as_pair(value) -> tuple[int, int]:
-    """Normalize a scalar or 2-sequence config field to an (h, w) pair."""
+def _integer(value, key: str) -> int:
+    """A JSON integer config field; floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def as_pair(value, key: str) -> tuple[int, int]:
+    """Normalize a scalar or 2-sequence integer config field to an (h, w) pair."""
     if isinstance(value, (list, tuple)):
         a, b = value
-        return int(a), int(b)
-    return int(value), int(value)
+        return _integer(a, key), _integer(b, key)
+    return _integer(value, key), _integer(value, key)
 
 
 @dataclass(frozen=True)
@@ -113,13 +122,13 @@ def _run_algorithm(algo: str, data, weights, spec: ConvSpec, precision: str):
 
 
 def run_accuracy_suite(configs, seeds) -> AccuracyReport:
-    """MSE of each algorithm/precision against the binary64 direct result."""
+    """MSE of each algorithm/precision against the binary64 im2col GEMM reference."""
     rows = []
     for cfg in configs:
         spec = cfg.spec()
         for seed in seeds:
             data, weights = _draw(cfg, seed)
-            reference = direct_conv2d(data, weights, spec, precision=np.float64)
+            reference = gemm_conv2d(data, weights, spec, precision=np.float64)
 
             jobs = [("direct", "binary64")]
             if "binary32" in cfg.precisions:
@@ -175,12 +184,12 @@ def _parse_entries(doc, kind: str, key: str, build) -> list:
 
 def _accuracy_entry(_, entry: dict) -> AccuracyConfig:
     cfg = AccuracyConfig(
-        kernel=as_pair(entry["kernel"]),
-        stride=as_pair(entry.get("stride", 1)),
-        hw=int(entry["hw"]),
-        channels=int(entry["channels"]),
-        filters=int(entry["filters"]),
-        batch=int(entry.get("batch", 1)),
+        kernel=as_pair(entry["kernel"], "kernel"),
+        stride=as_pair(entry.get("stride", 1), "stride"),
+        hw=_integer(entry["hw"], "hw"),
+        channels=_integer(entry["channels"], "channels"),
+        filters=_integer(entry["filters"], "filters"),
+        batch=_integer(entry.get("batch", 1), "batch"),
         precisions=tuple(entry.get("precisions", PRECISIONS)),
     )
     if min(cfg.channels, cfg.filters, cfg.batch) < 1:
@@ -196,8 +205,8 @@ def parse_accuracy_config(doc: dict):
     """(configs, seeds) of an accuracy config document."""
     configs = _parse_entries(doc, "accuracy config", "configs", _accuracy_entry)
     try:
-        seeds = [int(s) for s in doc.get("seeds", [1])]
-    except (TypeError, ValueError) as exc:
+        seeds = [_integer(s, "seeds") for s in doc.get("seeds", [1])]
+    except TypeError as exc:
         raise ValueError(f"accuracy config 'seeds' must be a list of integers: {exc}") from exc
     return configs, seeds
 
@@ -252,8 +261,9 @@ def parse_flops_config(doc: dict):
     """(ConvSpec, out_dims, expected) per entry of a flops config document."""
 
     def build(_, entry):
-        spec = ConvSpec(kernel=as_pair(entry["kernel"]), stride=as_pair(entry.get("stride", 1)))
-        out = as_pair(entry.get("out", doc.get("out", 14)))
+        spec = ConvSpec(kernel=as_pair(entry["kernel"], "kernel"),
+                        stride=as_pair(entry.get("stride", 1), "stride"))
+        out = as_pair(entry.get("out", doc.get("out", 14)), "out")
         if min(out) < 1:
             raise ValueError(f"out must be two positive integers, got {out}")
         expected = entry.get("expected")
@@ -324,12 +334,12 @@ class LayerReport:
 def _layer_entry(i: int, entry: dict) -> LayerSpec:
     layer = LayerSpec(
         name=entry.get("name", f"layer{i}"),
-        in_channels=int(entry["in_channels"]),
-        out_channels=int(entry["out_channels"]),
-        kernel=as_pair(entry["kernel"]),
-        stride=as_pair(entry.get("stride", 1)),
-        pad=tuple(int(p) for p in entry.get("pad", (0, 0, 0, 0))),
-        input_hw=as_pair(entry["input"]),
+        in_channels=_integer(entry["in_channels"], "in_channels"),
+        out_channels=_integer(entry["out_channels"], "out_channels"),
+        kernel=as_pair(entry["kernel"], "kernel"),
+        stride=as_pair(entry.get("stride", 1), "stride"),
+        pad=tuple(_integer(p, "pad") for p in entry.get("pad", (0, 0, 0, 0))),
+        input_hw=as_pair(entry["input"], "input"),
     )
     layer.spec()
     return layer

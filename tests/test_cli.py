@@ -201,10 +201,17 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
     (ACCURACY, _acc(channels=-1), "entry 0"),
     (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "expected": 5}]}, "entry 0"),
     (ACCURACY, "{not json", "bad.json"),
+    (ACCURACY, _acc(kernel=3.7), "entry 0: 'kernel' must be an integer, got 3.7"),
+    (ACCURACY, _acc(hw=8.9), "entry 0: 'hw' must be an integer, got 8.9"),
+    (ACCURACY, {**_acc(), "seeds": [1.9]}, "'seeds' must be a list of integers"),
+    (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "out": [14, 14.5]}]},
+     "entry 0: 'out' must be an integer, got 14.5"),
+    (ANALYZE, _net(in_channels=True), "'conv1': 'in_channels' must be an integer, got True"),
 ], ids=["flops-missing-kernel", "flops-array", "accuracy-array", "network-array",
         "configs-not-a-list", "accuracy-stride-0", "flops-out-0", "layer-pad-pair",
         "seeds-not-integers", "unknown-precision", "negative-channels",
-        "expected-not-an-object", "bad-json"])
+        "expected-not-an-object", "bad-json", "kernel-not-integer", "hw-not-integer",
+        "seed-not-integer", "out-not-integer", "channels-bool"])
 def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, named):
     cfg = tmp_path / "bad.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -7,7 +7,8 @@ import pytest
 
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
-from dwmconv.engines import convolve, direct_conv2d, dwm_backward, dwm_conv2d, winograd_conv2d
+from dwmconv.engines import (convolve, direct_conv2d, dwm_backward, dwm_conv2d, gemm_conv2d,
+                             winograd_conv2d)
 from dwmconv.flops import flops_dwm, flops_winograd_classic
 from dwmconv.transforms import cook_toom, get_transform
 
@@ -177,7 +178,8 @@ def test_dwm_exact_rational_mode_equals_direct():
     assert (exact_direct == exact_dwm).all()
 
 
-def test_dwm_exact_rational_mode_equals_oracle_on_batched_strided_geometry():
+@pytest.mark.parametrize("engine", [dwm_conv2d, gemm_conv2d], ids=lambda e: e.__name__)
+def test_exact_mode_equals_oracle_on_batched_strided_geometry(engine):
     # multiples of 1/4 keep every product and sum of the binary64 oracle exact;
     # batch 2 and C != F make a swapped batch, channel or filter axis show
     spec = ConvSpec(kernel=(5, 4), stride=(2, 3), pad=(1, 2, 0, 3))
@@ -185,9 +187,21 @@ def test_dwm_exact_rational_mode_equals_oracle_on_batched_strided_geometry():
     d = rng.integers(-8, 9, (2, 3, 10, 13)) / 4
     w = rng.integers(-8, 9, (2, 3, 5, 4)) / 4
     exact = np.vectorize(F, otypes=[object])
-    y = dwm_conv2d(exact(d), exact(w), spec)
+    y = engine(exact(d), exact(w), spec)
     assert y.dtype == np.dtype(object)
     assert y.tolist() == exact(oracle_conv(d, w, spec)).tolist()
+
+
+@pytest.mark.parametrize("r", [3, 7, 11])
+def test_gemm_binary64_agrees_with_direct_to_rounding(r):
+    # the paper14 shapes with fewer channels; only the summation order differs
+    spec = ConvSpec(kernel=(r, r), pad=((r - 1) // 2, r // 2) * 2)
+    rng = np.random.default_rng(r)
+    d = rng.standard_normal((1, 32, 14, 14))
+    w = rng.standard_normal((16, 32, r, r))
+    y = gemm_conv2d(d, w, spec)
+    assert y.shape == (1, 16, 14, 14) and y.dtype == np.float64
+    assert np.mean((y - direct_conv2d(d, w, spec)) ** 2) <= 1e-24
 
 
 def test_dwm_linearity_exact_in_rational_mode():
@@ -246,6 +260,7 @@ def test_engine_rejects_nonfinite():
 SPEC_PAD1 = ConvSpec(kernel=(3, 3), pad=(1, 1, 1, 1))
 NAMED_INPUT_ENGINES = {
     "direct_conv2d": lambda d, w, dy, **kw: direct_conv2d(d, w, SPEC_PAD1, **kw),
+    "gemm_conv2d": lambda d, w, dy, **kw: gemm_conv2d(d, w, SPEC_PAD1, **kw),
     "winograd_conv2d": lambda d, w, dy, **kw: winograd_conv2d(d, w, SPEC_PAD1, **kw),
     "dwm_conv2d": lambda d, w, dy, **kw: dwm_conv2d(d, w, SPEC_PAD1, **kw),
     "convolve-direct": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="direct", **kw),
@@ -338,6 +353,8 @@ OVERFLOW_CASES = {
         r"dwm_backward part 0 \(kernel rows 0,1,2; cols 0,1,2\) data gradient"),
     "direct_conv2d": (lambda: direct_conv2d(_f32((1, 1, 9, 9), 3e38), _f32((1, 1, 5, 5), 10),
                                             SPEC_5), "direct_conv2d"),
+    "gemm_conv2d": (lambda: gemm_conv2d(_f32((1, 1, 9, 9), 3e38), _f32((1, 1, 5, 5), 10),
+                                        SPEC_5), "gemm_conv2d"),
 }
 
 
