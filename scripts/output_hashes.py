@@ -18,7 +18,10 @@ gradients, ``direct_conv2d``, ``winograd_conv2d`` (stride-1 kernels of at
 most 13 taps per axis) and ``convolve`` ``y``/``flops`` for every algorithm
 the geometry admits; the ``gemm_conv2d`` lines come after all of those, so
 the lines before them compare with a listing from a tree without that
-engine.  Precisions: binary32, binary64 and exact ``Fraction`` (object
+engine.  Last come the full-width lines: binary32 ``dwm_conv2d`` and both
+``dwm_backward`` gradients at real layer widths (the paper's 11x11
+256->256 shape, forward only, and AlexNet conv1 and conv4), whose
+256-channel GEMMs are large enough for BLAS to block them.  Precisions: binary32, binary64 and exact ``Fraction`` (object
 arrays; reduced extents, since exact arithmetic is slow).  Inputs
 are drawn from a fixed seed per geometry; the Fraction inputs are multiples
 of 1/4.  Floats hash their dtype, shape and bytes; Fractions hash the
@@ -50,6 +53,13 @@ GEOMETRIES = (
 )
 
 PRECISIONS = ("binary32", "binary64", "fraction")
+
+# name, kernel, stride, pad, (N, C, F), input (H, W), with gradients?
+FULL_WIDTH = (
+    ("paper14-11x11-full", (11, 11), (1, 1), (5, 5, 5, 5), (1, 256, 256), (14, 14), False),
+    ("alexnet-conv1-full", (11, 11), (4, 4), (2, 2, 2, 2), (1, 3, 64), (224, 224), True),
+    ("alexnet-conv4-full", (3, 3), (1, 1), (1, 1, 1, 1), (1, 384, 256), (13, 13), True),
+)
 
 
 def digest(x) -> str:
@@ -110,6 +120,15 @@ def main():
     for name, precision, spec, (data, weights, _) in cases():
         print(f"{digest(gemm_conv2d(data, weights, spec))}  gemm_conv2d {name} {precision}",
               flush=True)
+    for seed, (name, kernel, stride, pad, dims, extent, grads) in enumerate(FULL_WIDTH, 100):
+        spec = ConvSpec(kernel=kernel, stride=stride, pad=pad)
+        data, weights, grad_out = inputs(seed, spec, dims, extent, "binary32")
+        print(f"{digest(dwm_conv2d(data, weights, spec))}  dwm_conv2d {name} binary32",
+              flush=True)
+        if grads:
+            grad_d, grad_w = dwm_backward(grad_out, plan_decomposition(spec), data, weights)
+            print(f"{digest(grad_d)}  dwm_backward[data] {name} binary32", flush=True)
+            print(f"{digest(grad_w)}  dwm_backward[weights] {name} binary32", flush=True)
 
 
 if __name__ == "__main__":

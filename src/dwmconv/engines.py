@@ -5,14 +5,32 @@ All engines compute cross-correlation (no kernel flip) over N,C,H,W data
 with F,C,r_h,r_w weights and agree with each other up to float rounding.
 
 The decomposed path (``dwm_conv2d``) runs five steps per kernel part:
-splitting (strided gathers of kernel and padded input), transformation,
-elementwise calculation with channel summation in the transform domain,
-detransformation, and aggregation of the part outputs in plan order.
+splitting (a view of the kernel sub-block, a strided gather of the padded
+input), transformation, elementwise calculation with channel summation in
+the transform domain, detransformation, and aggregation of the part
+outputs in plan order.
 
 Every Winograd stage reads and writes the layout of the transform-domain
 GEMM (Lavin & Gray, arXiv:1509.09308): (lr, lc, K, N*TH*TW), window point
 first, then channel or filter, then every tile of the batch.  Each
 transform is two small matmuls over the two leading axes (``_axes2``).
+Work that does not depend on the part is done once per call:
+
+* the weights are copied once to tap-major (r_h, r_w, F, C) order, so a
+  part's kernel sub-block is a view that the kernel transform reads
+  directly (for stride-1 columns, one BLAS operand with no copy);
+* every part has the same output tile grid, so the forward sums the
+  parts' detransformed (2, 2, F, N*TH*TW) tiles and untiles and crops the
+  sum once;
+* the backward builds the taps of dY once, and A dY At once per distinct
+  (row, col) transform pair, for all the parts that share it; each part
+  writes its weight gradient over its own sub-block of the tap-major
+  copy, which is transposed back once.
+
+None of this changes a bit of any result: every matrix product sums the
+same values in the same order as with per-part gathers (only the
+operands' memory layout differs), and the aggregation adds are
+elementwise, in plan order, whatever the layout.
 
 Precision notes: every engine runs in the element type of its tensors, so
 the binary32 path rounds after each matrix stage; passing object-dtype
@@ -103,12 +121,21 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     return pad_input(_cast(data, dt, "data"), spec.pad), w, dt, out_dims
 
 
-def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat_r over axis 0 of x, then mat_c over axis 1: (a, b, ...) -> (p, q, ...)."""
+def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """mat_r over axis 0 of x, then mat_c over axis 1: (a, b, ...) -> (p, q, ...).
+
+    With ``out``, the result is written there; its axes after the first two
+    must merge into one without a copy (as in any slice of the first two
+    axes of a contiguous array), so that the reshape below is a view.
+    """
     a, b, *rest = x.shape
     p, q = mat_r.shape[0], mat_c.shape[0]
     rows = np.matmul(mat_r, x.reshape(a, -1)).reshape(p, b, -1)
-    return np.matmul(mat_c, rows).reshape(p, q, *rest)
+    if out is None:
+        return np.matmul(mat_c, rows).reshape(p, q, *rest)
+    np.matmul(mat_c, rows, out=out.reshape(p, q, -1))
+    return out
 
 
 def _taps(x: np.ndarray, lr: int, lc: int, th: int, tw: int) -> np.ndarray:
@@ -132,19 +159,36 @@ def _data_transform(signal: np.ndarray, nt_r: NumericTransformSet,
     return _axes2(nt_r.b_t, nt_c.b_t, _taps(signal, nt_r.r + 1, nt_c.r + 1, th, tw))
 
 
+def _tap_major(w: np.ndarray) -> np.ndarray:
+    """(F, C, r_h, r_w) weights -> contiguous tap-major (r_h, r_w, F, C),
+    copied one filter at a time: for 256->256 11x11 weights that takes less
+    than half the time of one transposed copy of the whole tensor."""
+    wt = np.empty((*w.shape[2:], *w.shape[:2]), dtype=w.dtype)
+    for fi in range(w.shape[0]):
+        wt[:, :, fi] = w[fi].transpose(1, 2, 0)
+    return wt
+
+
 def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
-    """Walk the plan once: per part, its numeric row and column transforms,
-    its kernel sub-block and its padded-input region, both as
-    ``slice_strided`` (origin, step, count) arguments, and a label naming
-    the part by index and kernel taps for error messages."""
+    """Walk the plan once: per part, its index and the part itself, its
+    numeric row and column transforms, its kernel sub-block as a pair of
+    slices of the tap-major weights, and its padded-input region as
+    ``slice_strided`` (origin, step, count) arguments."""
     for index, part in enumerate(plan.parts):
-        row, col = part.row, part.col
         (ro, rs, rc), (co, cs, cc) = input_region_for_part(plan, part, out_dims)
-        taps = [",".join(str(a.origin + a.step * t) for t in range(a.count)) for a in (row, col)]
-        yield (_numeric_for(part.transform_rows, dt), _numeric_for(part.transform_cols, dt),
-               ((row.origin, col.origin), (row.step, col.step), (row.count, col.count)),
-               ((ro, co), (rs, cs), (rc, cc)),
-               f"part {index} (kernel rows {taps[0]}; cols {taps[1]})")
+        ksel = tuple(slice(a.origin, a.origin + a.step * a.count, a.step)
+                     for a in (part.row, part.col))
+        yield (index, part, _numeric_for(part.transform_rows, dt),
+               _numeric_for(part.transform_cols, dt), ksel, ((ro, co), (rs, cs), (rc, cc)))
+
+
+def _check_part(x: np.ndarray, engine: str, index: int, part, result: str = "") -> None:
+    """check_finite on one part's result, naming the part by index and
+    kernel taps; the label is formatted only when the check fails."""
+    if x.dtype != _OBJECT and not np.isfinite(x).all():
+        taps = [",".join(str(a.origin + a.step * t) for t in range(a.count))
+                for a in (part.row, part.col)]
+        check_finite(x, f"{engine} part {index} (kernel rows {taps[0]}; cols {taps[1]}){result}")
 
 
 def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
@@ -209,25 +253,41 @@ def gemm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     return check_finite(np.ascontiguousarray(y), "gemm_conv2d")
 
 
-def _winograd_forward(signal: np.ndarray, weights: np.ndarray,
-                      nt_r: NumericTransformSet, nt_c: NumericTransformSet) -> np.ndarray:
-    """Tiled F(2, r) correlation of a stride-1 signal.
+def _winograd_tiles(signal: np.ndarray, wt: np.ndarray, nt_r: NumericTransformSet,
+                    nt_c: NumericTransformSet, th: int, tw: int) -> np.ndarray:
+    """Tiled F(2, r) correlation of a stride-1 signal with tap-major weights
+    ``wt`` (r_r, r_c, F, C), left in the GEMM's tile layout (2, 2, F, N*TH*TW).
 
-    Output is cut into 2x2 tiles, each computed from an (r+1) x (r+1)
-    window advancing by 2; channel contributions are summed in the
-    transform domain, then one detransform runs per tile.  Odd output
-    extents are handled by zero-padding the signal to the next even
-    extent and truncating the result.
+    Output is cut into TH x TW tiles of 2x2, each computed from an
+    (r+1) x (r+1) window advancing by 2; channel contributions are summed
+    in the transform domain, then one detransform runs per tile.  Windows
+    past the signal's edge read zeros (``_untile`` crops what they feed).
     """
-    n, c, sh, sw = signal.shape
-    f = weights.shape[0]
-    p_r, p_c = nt_r.r, nt_c.r
-    oh, ow = sh - p_r + 1, sw - p_c + 1
-    th, tw = -(-oh // 2), -(-ow // 2)
-
     v = _data_transform(signal, nt_r, nt_c, th, tw)                 # (lr,lc,C,NTT)
-    u = _axes2(nt_r.g, nt_c.g, weights.transpose(2, 3, 0, 1))       # G g Gt: (lr,lc,F,C)
-    tiles = _axes2(nt_r.a_t, nt_c.a_t, np.matmul(u, v))             # At m A: (2,2,F,NTT)
+    u = _axes2(nt_r.g, nt_c.g, wt)                                  # G g Gt: (lr,lc,F,C)
+    return _axes2(nt_r.a_t, nt_c.a_t, np.matmul(u, v))              # At m A: (2,2,F,NTT)
+
+
+def _tile_dims(oh: int, ow: int) -> tuple[int, int]:
+    """Tiles per axis, TH x TW, of an oh x ow output cut into 2x2 tiles."""
+    return -(-oh // 2), -(-ow // 2)
+
+
+def _zero_cropped(tiles: np.ndarray, n: int, oh: int, ow: int) -> None:
+    """Zero, in place, the entries of (2, 2, F, N*TH*TW) tiles that
+    ``_untile`` crops off an odd oh or ow."""
+    th, tw = _tile_dims(oh, ow)
+    grid = tiles.reshape(2, 2, -1, n, th, tw)
+    if oh % 2:
+        grid[1, :, :, :, th - 1] = 0
+    if ow % 2:
+        grid[:, 1, :, :, :, tw - 1] = 0
+
+
+def _untile(tiles: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
+    """(2, 2, F, N*TH*TW) tiles -> (N, F, oh, ow), cropping odd extents."""
+    th, tw = _tile_dims(oh, ow)
+    f = tiles.shape[2]
     y = tiles.reshape(2, 2, f, n, th, tw).transpose(3, 2, 4, 0, 5, 1)
     return np.ascontiguousarray(y.reshape(n, f, 2 * th, 2 * tw)[:, :, :oh, :ow])
 
@@ -254,70 +314,77 @@ def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
         raise ValueError(f"transform taps {(ts_r.r, ts_c.r)} do not match kernel {spec.kernel}")
     if ts_r.m != 2 or ts_c.m != 2:
         raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
-    dpad, w, dt, _ = _checked_inputs(data, weights, spec, precision)
+    dpad, w, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
-        y = _winograd_forward(dpad, w, _numeric_for(ts_r, dt), _numeric_for(ts_c, dt))
-    return check_finite(y, "winograd_conv2d")
+        # a transposed view: _axes2 gathers it transiently, keeping no tap-major copy
+        tiles = _winograd_tiles(dpad, w.transpose(2, 3, 0, 1), _numeric_for(ts_r, dt),
+                                _numeric_for(ts_c, dt), *_tile_dims(oh, ow))
+    return check_finite(_untile(tiles, dpad.shape[0], oh, ow), "winograd_conv2d")
 
 
 def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
                plan: DecompositionPlan | None = None, precision=None) -> np.ndarray:
     """Decomposed Winograd convolution for any kernel size and stride.
 
-    Pads the input once, then for each plan part gathers the kernel
-    sub-block and the matching strided input slice, runs the tiled
-    Winograd engine at stride 1, and aggregates part outputs in plan
-    order.  Equals direct_conv2d up to float rounding (exactly, in the
-    object-dtype test mode).
+    Pads the input once and copies the weights once to tap-major order;
+    each plan part then runs the tiled Winograd engine at stride 1 on a view
+    of its kernel sub-block and its strided input slice.  The parts' tiles
+    are summed in plan order in the tile layout, and the sum is untiled and
+    cropped once.  Equals direct_conv2d up to float rounding (exactly, in
+    the object-dtype test mode).
     """
     if plan is None:
         plan = plan_decomposition(spec)
     elif plan.spec != spec:
         raise ValueError("plan was built for a different ConvSpec")
-    dpad, w, dt, out_dims = _checked_inputs(data, weights, spec, precision)
+    dpad, w, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision)
+    n = dpad.shape[0]
+    th, tw = _tile_dims(oh, ow)
+    wt = _tap_major(w)
 
     acc = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for nt_r, nt_c, ksel, isel, label in _part_loop(plan, dt, out_dims):
-            y_part = _winograd_forward(slice_strided(dpad, *isel), slice_strided(w, *ksel),
-                                       nt_r, nt_c)
-            check_finite(y_part, f"dwm_conv2d {label}")
-            acc = y_part if acc is None else accumulate(acc, y_part)
-    return acc
+        for index, part, nt_r, nt_c, ksel, isel in _part_loop(plan, dt, (oh, ow)):
+            tiles = _winograd_tiles(slice_strided(dpad, *isel), wt[ksel], nt_r, nt_c, th, tw)
+            _zero_cropped(tiles, n, oh, ow)  # so that what the crop drops raises nothing
+            _check_part(tiles, "dwm_conv2d", index, part)
+            acc = tiles if acc is None else accumulate(acc, tiles)
+    return _untile(acc, n, oh, ow)
 
 
-def _winograd_backward(grad_out: np.ndarray, signal: np.ndarray, weights: np.ndarray,
-                       nt_r: NumericTransformSet, nt_c: NumericTransformSet):
-    """Signal and weight gradients of _winograd_forward from one A dY At per tile.
+def _winograd_backward(dm: np.ndarray, signal: np.ndarray, wt: np.ndarray,
+                       nt_r: NumericTransformSet, nt_c: NumericTransformSet,
+                       oh: int, ow: int):
+    """Signal and weight gradients of _winograd_tiles, given A dY At.
 
-    Signal gradient: B[(A dY At) . (G g Gt)]Bt per tile, summed over filters
-    in the transform domain, then scatter-added into the overlapping input
-    windows one tap (i, j) at a time with i and j descending, so each
-    element receives its tile contributions in row-major tile order.
-    Weight gradient: Gt[(A dY At) . (Bt d B)]G, accumulated over tiles and
-    batch in the transform domain.
+    ``dm`` is A dY At per tile, (lr, lc, F, N*TH*TW); ``wt`` the part's
+    tap-major weights (r_r, r_c, F, C), which the weight gradient then
+    overwrites.  Signal gradient: B[(A dY At) . (G g Gt)]Bt per tile,
+    summed over filters in the transform domain, then scatter-added into
+    the overlapping input windows one tap (i, j) at a time with i and j
+    descending, so each element receives its tile contributions in
+    row-major tile order.  Weight gradient: Gt[(A dY At) . (Bt d B)]G,
+    accumulated over tiles and batch in the transform domain.
     """
-    n, _, oh, ow = grad_out.shape
-    c = signal.shape[1]
+    n, c = signal.shape[:2]
     p_r, p_c = nt_r.r, nt_c.r
     lr, lc = p_r + 1, p_c + 1
-    th, tw = -(-oh // 2), -(-ow // 2)
-    dy = _taps(grad_out, 2, 2, th, tw)                                 # (2,2,F,NTT)
-    dm = _axes2(nt_r.a_t.T, nt_c.a_t.T, dy)                           # A dY At: (lr,lc,F,NTT)
+    th, tw = _tile_dims(oh, ow)
 
-    u = _axes2(nt_r.g, nt_c.g, weights.transpose(2, 3, 1, 0))         # G g Gt: (lr,lc,C,F)
-    dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T, np.matmul(u, dm))           # B (.) Bt: (lr,lc,C,NTT)
+    u = _axes2(nt_r.g, nt_c.g, wt)                                    # G g Gt: (lr,lc,F,C)
+    dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T,
+                  np.matmul(u.transpose(0, 1, 3, 2), dm))             # B (.) Bt: (lr,lc,C,NTT)
     dwin = dwin.reshape(lr, lc, c, n, th, tw)
-    dsig = np.zeros((c, n, 2 * th + p_r - 1, 2 * tw + p_c - 1), dtype=grad_out.dtype)
+    dsig = np.zeros((c, n, 2 * th + p_r - 1, 2 * tw + p_c - 1), dtype=dm.dtype)
     for i in reversed(range(lr)):
         for j in reversed(range(lc)):
             dsig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[i, j]
     del u, dwin  # peak memory: free these before the weight gradient's own
 
     v = _data_transform(signal, nt_r, nt_c, th, tw)                   # (lr,lc,C,NTT)
-    dg = _axes2(nt_r.g.T, nt_c.g.T, np.matmul(dm, v.transpose(0, 1, 3, 2)))  # Gt (.) G
+    dg = _axes2(nt_r.g.T, nt_c.g.T, np.matmul(dm, v.transpose(0, 1, 3, 2)), out=wt)  # Gt (.) G
     dsig = dsig.transpose(1, 0, 2, 3)[:, :, :oh + p_r - 1, :ow + p_c - 1]
-    return dsig, dg.transpose(2, 3, 0, 1)
+    return dsig, dg
 
 
 def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray,
@@ -325,36 +392,47 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     """Gradients of dwm_conv2d w.r.t. data and weights.
 
     Aggregation is a plain sum, so every part receives the whole ``grad_out``
-    unchanged; no per-part outputs need to be stored.  Per-part data
-    gradients scatter back through each part's strided input slice and sum;
-    per-part weight gradients land in disjoint kernel sub-blocks, so the
-    weight gradient is assembled by placement.  Weights stay in the spatial
-    domain; nothing Winograd-transformed persists between calls.
+    unchanged; no per-part outputs need to be stored.  The taps of
+    ``grad_out`` are built once per call, and A dY At once per distinct
+    (row, col) transform pair.  Per-part data gradients scatter back
+    through each part's strided input slice and sum.  The parts' kernel
+    sub-blocks partition the tap-major copy of the weights, and each part
+    overwrites its sub-block with its weight gradient once its kernel
+    transform has read it, so the copy ends as the whole weight gradient
+    and is transposed back once.  Weights stay in the spatial domain;
+    nothing Winograd-transformed persists between calls.
     """
     spec = plan.spec
     require_tensor4(grad_out, "grad_out")
-    dpad, w, dt, out_dims = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
-    want = (data.shape[0], weights.shape[0], *out_dims)
+    dpad, w, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
+    want = (data.shape[0], weights.shape[0], oh, ow)
     if grad_out.shape != want:
         raise ValueError(f"grad_out shape {grad_out.shape} != {want}")
     _require_finite(grad_out, "grad_out")
-    gout = _cast(grad_out, dt, "grad_out")
+    dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, *_tile_dims(oh, ow))  # (2,2,F,NTT)
+    wt = _tap_major(w)
     grad_pad = np.zeros_like(dpad)
-    grad_w = np.zeros_like(w)
+    dms = {}  # A dY At per (row, col) transform pair, until its last part
+    pair = lambda part: (id(part.transform_rows), id(part.transform_cols))
+    last = {pair(part): index for index, part in enumerate(plan.parts)}
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for nt_r, nt_c, ksel, isel, label in _part_loop(plan, dt, out_dims):
-            g_sig, g_w = _winograd_backward(gout, slice_strided(dpad, *isel),
-                                            slice_strided(w, *ksel), nt_r, nt_c)
-            check_finite(g_sig, f"dwm_backward {label} data gradient")
-            check_finite(g_w, f"dwm_backward {label} weight gradient")
+        for index, part, nt_r, nt_c, ksel, isel in _part_loop(plan, dt, (oh, ow)):
+            key = pair(part)
+            if key not in dms:
+                dms[key] = _axes2(nt_r.a_t.T, nt_c.a_t.T, dy)       # (lr,lc,F,NTT)
+            dm = dms.pop(key) if last[key] == index else dms[key]
+            g_sig, g_w = _winograd_backward(dm, slice_strided(dpad, *isel), wt[ksel],
+                                            nt_r, nt_c, oh, ow)
+            del dm
+            _check_part(g_sig, "dwm_backward", index, part, " data gradient")
+            _check_part(g_w, "dwm_backward", index, part, " weight gradient")
             slice_strided(grad_pad, *isel)[...] += g_sig
-            slice_strided(grad_w, *ksel)[...] = g_w
 
     top, _, left, _ = spec.pad
     h, wd = data.shape[2], data.shape[3]
     grad_d = np.ascontiguousarray(grad_pad[:, :, top:top + h, left:left + wd])
-    return check_finite(grad_d, "dwm_backward"), grad_w
+    return check_finite(grad_d, "dwm_backward"), np.ascontiguousarray(wt.transpose(2, 3, 0, 1))
 
 
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,

@@ -67,9 +67,11 @@ def slice_strided(d: np.ndarray, origin: tuple[int, int], step: tuple[int, int],
 
 
 def accumulate(acc: np.ndarray, addend: np.ndarray) -> np.ndarray:
-    """Element-wise sum of two tensors with identical dims and precision.
+    """Element-wise sum of two 4-D arrays with identical shape and precision.
 
-    Accumulation runs in the operands' own precision.  Callers chaining
+    The axes need not be N,C,H,W: ``dwm_conv2d`` sums its parts' outputs
+    in the Winograd tile layout (2, 2, F, N*TH*TW) and untiles the total
+    once.  Accumulation runs in the operands' own precision.  Callers chaining
     several accumulations must fold left-to-right so float results are
     bit-reproducible run to run.
     """

@@ -174,3 +174,59 @@ def test_dwm_backward_rejects_bad_grad_shape():
     w = np.zeros((1, 1, 3, 3))
     with pytest.raises(ValueError, match="grad_out"):
         dwm_backward(np.zeros((1, 1, 2, 2)), plan, d, w)
+
+
+def _embedded(x):
+    """x's values as a strided slice of a larger array."""
+    big = np.full(tuple(2 * s + 1 for s in x.shape), x.flat[0], dtype=x.dtype)
+    view = big[1::2, 1::2, 1::2, 1::2]
+    view[...] = x
+    return view
+
+
+LAYOUTS = {
+    "slice": _embedded,
+    "fortran": np.asfortranarray,
+    "reversed": lambda x: np.flip(np.flip(x).copy()),  # negative strides on every axis
+}
+# strided kernel rows with stride-1 columns, and the other way round: the
+# parts' kernel sub-blocks are views with either kind of column step
+LAYOUT_SPECS = (ConvSpec(kernel=(5, 4), stride=(2, 1), pad=(1, 2, 0, 1)),
+                ConvSpec(kernel=(4, 5), stride=(1, 3), pad=(0, 1, 2, 2)))
+
+
+def _dwm_results(spec, data, weights, grad_out):
+    return (dwm_conv2d(data, weights, spec),
+            *dwm_backward(grad_out, plan_decomposition(spec), data, weights))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("arg", ["data", "weights", "grad_out"])
+@pytest.mark.parametrize("exact", [False, True], ids=["binary32", "fraction"])
+def test_input_strides_do_not_change_any_bit(exact, arg, layout):
+    rng = np.random.default_rng(11)
+    for spec in LAYOUT_SPECS:
+        oh, ow = spec.out_dims(9, 8)  # odd extents leave partial tiles
+        shapes = {"data": (2, 3, 9, 8), "weights": (2, 3, *spec.kernel),
+                  "grad_out": (2, 2, oh, ow)}
+        draw = {k: rng.integers(-8, 9, s) / 4 for k, s in shapes.items()}
+        if exact:
+            args = {k: np.vectorize(Fraction, otypes=[object])(v) for k, v in draw.items()}
+        else:
+            args = {k: v.astype(np.float32) for k, v in draw.items()}
+        want = _dwm_results(spec, **args)
+        strided = dict(args, **{arg: LAYOUTS[layout](args[arg])})
+        assert not strided[arg].flags.c_contiguous
+        held = {k: v.copy() for k, v in strided.items()}
+        owner = strided[arg] if strided[arg].base is None else strided[arg].base
+        owner_held = owner.copy()
+        got = _dwm_results(spec, **strided)
+        for w, g in zip(want, got):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            if exact:
+                assert g.tolist() == w.tolist()
+            else:
+                assert g.tobytes() == w.tobytes()
+        for k, v in strided.items():  # no input, nor the array it views, is written
+            assert held[k].tolist() == v.tolist()
+        assert owner.tolist() == owner_held.tolist()

@@ -375,3 +375,19 @@ def test_float32_overflow_of_finite_parts_is_named_by_the_aggregation():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="^accumulate produced non-finite values$"):
             dwm_conv2d(d, w, ConvSpec(kernel=(1, 4)))
+
+
+@pytest.mark.parametrize("axis", [2, 3])
+def test_float32_overflow_in_cropped_tile_entries_raises_nothing(axis):
+    # 5 samples and 3 taps give 3 outputs, so the second 2-output tile has one
+    # entry past the edge: 2 * 3e38 overflows there, and the crop drops it
+    shape = [1, 1, 1, 1]
+    shape[axis] = 5
+    d = np.zeros(shape, dtype=np.float32)
+    d.reshape(-1)[4] = 3e38
+    shape[axis] = 3
+    w = np.array([0, 2, 0], dtype=np.float32).reshape(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = dwm_conv2d(d, w, ConvSpec(kernel=tuple(shape[2:])))
+    np.testing.assert_array_equal(y, np.zeros((1, 1, *shape[2:]), dtype=np.float32))
