@@ -1,16 +1,22 @@
 """Print one SHA-1 line per engine output over a fixed set of geometries.
 
-A refactor that must keep every bit runs this on the old and the new source
-and compares the two listings:
+A refactor that must keep every bit compares this tree's listing with the
+listing of the tree it changes:
+
+    PYTHONPATH=src python3 scripts/output_hashes.py --against ../old
+
+``--against DIR`` runs DIR's own ``scripts/output_hashes.py`` with
+``PYTHONPATH=DIR/src`` in a subprocess, so each listing comes from its own
+script and source, even across a change to a public signature the script
+calls.  Every line of DIR's listing must appear unchanged at the same
+position in this tree's listing; this tree may only append lines (new
+engines or geometries go at the end).  The lines that differ are printed,
+and the exit code is 1 if there are any, 0 if there are none.  Without
+``--against`` the script prints this tree's listing, for a diff by hand:
 
     PYTHONPATH=old/src python3 scripts/output_hashes.py > before.txt
     PYTHONPATH=src python3 scripts/output_hashes.py > after.txt
     diff before.txt after.txt
-
-A change that also changes a public signature this script calls runs each
-side's own script on its own source instead:
-
-    (cd old && PYTHONPATH=src python3 scripts/output_hashes.py) > before.txt
 
 Each line is ``<sha1>  <engine> <geometry> <precision>``.  Engines:
 ``dwm_conv2d`` (with and without a prebuilt plan), both ``dwm_backward``
@@ -21,15 +27,20 @@ the lines before them compare with a listing from a tree without that
 engine.  Last come the full-width lines: binary32 ``dwm_conv2d`` and both
 ``dwm_backward`` gradients at real layer widths (the paper's 11x11
 256->256 shape, forward only, and AlexNet conv1 and conv4), whose
-256-channel GEMMs are large enough for BLAS to block them.  Precisions: binary32, binary64 and exact ``Fraction`` (object
-arrays; reduced extents, since exact arithmetic is slow).  Inputs
-are drawn from a fixed seed per geometry; the Fraction inputs are multiples
-of 1/4.  Floats hash their dtype, shape and bytes; Fractions hash the
+256-channel GEMMs are large enough for BLAS to block them.  Precisions:
+binary32, binary64 and exact ``Fraction`` (object arrays; reduced extents,
+since exact arithmetic is slow).  Inputs are drawn from a fixed seed per
+geometry; the Fraction inputs are multiples of 1/4.  Floats hash their dtype, shape and bytes; Fractions hash the
 ``p/q`` text of every element.
 """
 
+import argparse
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -113,23 +124,66 @@ def cases():
             yield name, precision, spec, inputs(seed, spec, dims, ext, precision)
 
 
-def main():
+def listing():
+    """The lines of this tree's listing, in order."""
     for name, precision, spec, (data, weights, grad_out) in cases():
         for label, out in outputs(spec, data, weights, grad_out):
-            print(f"{digest(out)}  {label} {name} {precision}", flush=True)
+            yield f"{digest(out)}  {label} {name} {precision}"
     for name, precision, spec, (data, weights, _) in cases():
-        print(f"{digest(gemm_conv2d(data, weights, spec))}  gemm_conv2d {name} {precision}",
-              flush=True)
+        yield f"{digest(gemm_conv2d(data, weights, spec))}  gemm_conv2d {name} {precision}"
     for seed, (name, kernel, stride, pad, dims, extent, grads) in enumerate(FULL_WIDTH, 100):
         spec = ConvSpec(kernel=kernel, stride=stride, pad=pad)
         data, weights, grad_out = inputs(seed, spec, dims, extent, "binary32")
-        print(f"{digest(dwm_conv2d(data, weights, spec))}  dwm_conv2d {name} binary32",
-              flush=True)
+        yield f"{digest(dwm_conv2d(data, weights, spec))}  dwm_conv2d {name} binary32"
         if grads:
             grad_d, grad_w = dwm_backward(grad_out, plan_decomposition(spec), data, weights)
-            print(f"{digest(grad_d)}  dwm_backward[data] {name} binary32", flush=True)
-            print(f"{digest(grad_w)}  dwm_backward[weights] {name} binary32", flush=True)
+            yield f"{digest(grad_d)}  dwm_backward[data] {name} binary32"
+            yield f"{digest(grad_w)}  dwm_backward[weights] {name} binary32"
+
+
+def compare(old: list[str], new: list[str]) -> list[str]:
+    """One report per line of ``old`` that ``new`` does not repeat at the
+    same position; lines that ``new`` appends after ``old``'s end are fine."""
+    problems = []
+    for i, line in enumerate(old):
+        got = new[i] if i < len(new) else "(no line)"
+        if got != line:
+            problems.append(f"line {i + 1}:\n  - {line}\n  + {got}")
+    return problems
+
+
+def against(tree: Path) -> int:
+    """Compare ``tree``'s listing, from its own script and source, with this one's."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # the other tree's listing runs while this one is computed
+    proc = subprocess.Popen([sys.executable, str(tree / "scripts" / "output_hashes.py")],
+                            cwd=tree, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    new = list(listing())
+    out, err = proc.communicate()
+    if proc.returncode != 0:
+        print(f"error: {tree}'s output_hashes.py failed:\n{err}", file=sys.stderr)
+        return 2
+    old = out.splitlines()
+    problems = compare(old, new)
+    for problem in problems:
+        print(problem)
+    print(f"{len(old) - len(problems)} of {len(old)} lines of {tree} identical, "
+          f"{max(0, len(new) - len(old))} appended")
+    return 1 if problems else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="compare with the listing of the source tree DIR")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against.resolve())
+    for line in listing():
+        print(line, flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,11 +19,12 @@ import numpy as np
 
 from .convspec import ConvSpec
 from .decompose import plan_decomposition
-from .engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
+from .engines import (_cast_padded, _check_inputs, _direct, _dwm, _gemm, _winograd,
+                      _winograd_transforms)
 from .flops import (FlopReport, flops_direct, flops_dwm, flops_winograd_classic,
                     reports_to_csv, speedup_table)
 from .tensor import mse
-from .transforms import get_baseline_transform
+from .transforms import get_baseline_transform, precision_dtype
 
 PRECISIONS = ("binary32", "binary64")
 
@@ -109,26 +110,37 @@ def _draw(cfg: AccuracyConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return data, weights
 
 
-def _run_algorithm(algo: str, data, weights, spec: ConvSpec, precision: str):
+def _run_algorithm(algo: str, dpad, w, spec: ConvSpec, out_dims):
+    """One row's engine body on inputs that the suite checked, cast and
+    padded once for every row of its precision."""
     if algo == "direct":
-        return direct_conv2d(data, weights, spec, precision=precision)
+        return _direct(dpad, w, spec, out_dims)
     if algo == "winograd":
         # the naive one-shot F(2, r) baseline, not the accuracy-tuned engine
-        return winograd_conv2d(data, weights, spec, get_baseline_transform(spec.kernel[0]),
-                               get_baseline_transform(spec.kernel[1]), precision=precision)
+        ts_r, ts_c = _winograd_transforms(spec, get_baseline_transform(spec.kernel[0]),
+                                          get_baseline_transform(spec.kernel[1]))
+        return _winograd(dpad, w, ts_r, ts_c, out_dims)
     if algo == "dwm":
-        return dwm_conv2d(data, weights, spec, precision=precision)
+        return _dwm(dpad, w, plan_decomposition(spec), out_dims)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def run_accuracy_suite(configs, seeds) -> AccuracyReport:
-    """MSE of each algorithm/precision against the binary64 im2col GEMM reference."""
+    """MSE of each algorithm/precision against the binary64 im2col GEMM reference.
+
+    Each (config, seed) draw is checked once, and cast and padded once per
+    precision; every row then runs its engine's body on those inputs, with
+    the same results as the public engine.
+    """
     rows = []
     for cfg in configs:
         spec = cfg.spec()
         for seed in seeds:
             data, weights = _draw(cfg, seed)
-            reference = gemm_conv2d(data, weights, spec, precision=np.float64)
+            out_dims = _check_inputs(data, weights, spec)
+            inputs = {p: _cast_padded(data, weights, spec, precision_dtype(p))
+                      for p in {"binary64", *cfg.precisions}}
+            reference = _gemm(*inputs["binary64"], spec, out_dims)
 
             jobs = [("direct", "binary64")]
             if "binary32" in cfg.precisions:
@@ -142,7 +154,7 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
             for algo, precision in jobs:
                 try:
                     y = (reference if (algo, precision) == ("direct", "binary64")
-                         else _run_algorithm(algo, data, weights, spec, precision))
+                         else _run_algorithm(algo, *inputs[precision], spec, out_dims))
                     err = mse(y, reference)
                     status = "ok"
                 except FloatingPointError:

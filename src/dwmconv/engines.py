@@ -3,6 +3,10 @@ F(2, r), and decomposed Winograd.
 
 All engines compute cross-correlation (no kernel flip) over N,C,H,W data
 with F,C,r_h,r_w weights and agree with each other up to float rounding.
+Each public forward engine is one checked prologue (``_checked_inputs``)
+followed by a private body (``_direct``, ``_gemm``, ``_winograd``,
+``_dwm``) on checked, cast and padded inputs; the accuracy suite prepares
+each draw once and calls the bodies.
 
 The decomposed path (``dwm_conv2d``) runs five steps per kernel part:
 splitting (a view of the kernel sub-block, a strided gather of the padded
@@ -95,14 +99,9 @@ def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
     return y
 
 
-def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, precision,
-                    default_dtype=None):
-    """The prologue every engine shares: check data and weights against
-    ``spec`` and name a non-finite one, resolve the element type (from
-    ``precision``, else ``default_dtype``, else data's), cast, pad.
-
-    Returns (padded data, weights, element type, output extents).
-    """
+def _check_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec) -> tuple[int, int]:
+    """Check data and weights against ``spec`` and name a non-finite one;
+    returns the output extents."""
     require_tensor4(data, "data")
     require_tensor4(weights, "weights")
     if data.shape[1] != weights.shape[1]:
@@ -113,12 +112,30 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     out_dims = spec.out_dims(data.shape[2], data.shape[3])
     _require_finite(data, "data")
     _require_finite(weights, "weights")
+    return out_dims
+
+
+def _cast_padded(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, dt):
+    """(padded data, weights), both cast to element type ``dt``; the engine
+    bodies take these, with the output extents, after ``_check_inputs``."""
+    w = _cast(weights, dt, "weights")
+    return pad_input(_cast(data, dt, "data"), spec.pad), w
+
+
+def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, precision,
+                    default_dtype=None):
+    """The prologue every engine shares: check data and weights, resolve the
+    element type (from ``precision``, else ``default_dtype``, else data's),
+    cast, pad.
+
+    Returns (padded data, weights, output extents).
+    """
+    out_dims = _check_inputs(data, weights, spec)
     if precision is not None:
         dt = precision_dtype(precision)
     else:
         dt = data.dtype if default_dtype is None else default_dtype
-    w = _cast(weights, dt, "weights")
-    return pad_input(_cast(data, dt, "data"), spec.pad), w, dt, out_dims
+    return *_cast_padded(data, weights, spec, dt), out_dims
 
 
 def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
@@ -196,23 +213,52 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     """Plain strided correlation; the in-package baseline for everything else.
 
     Each output element accumulates in a fixed order: channel ascending,
-    then kernel row, then kernel column.  The sum is kept filters-last,
-    (N, oh, ow, F), so each of the C*r_h*r_w passes runs its inner loop
-    over the filters; the layout changes no operation or its order.
+    then kernel row, then kernel column, one product and one add per tap
+    in the element type.  The layout is chosen so that both ufuncs of a
+    tap run over whole output rows of ow*F contiguous elements:
+
+    * the running sum (and one product buffer) is (N, oh, ow*F), filters
+      last;
+    * per input channel, the padded channel image is copied, repeated over
+      the filters, into one buffer per column phase q = kx mod s_w,
+      (N, H_pad, ceil(W_pad / s_w), F), so that the window of tap (ky, kx)
+      is a view whose rows are ow*F contiguous elements;
+    * per kernel row, the weights are repeated over ow, (r_w, ow, F).
+
+    The layout changes no operation or its order.  The data buffer holds
+    about N*H_pad*W_pad*F elements: 590 kB for the 11x11 256->256 14x14
+    sweep shape in binary32, 13 MB for AlexNet conv1 (224x224, 64 filters).
     """
-    dpad, w, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision)
-    n, c = dpad.shape[:2]
+    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
+    return _direct(dpad, w, spec, out_dims)
+
+
+def _direct(dpad: np.ndarray, w: np.ndarray, spec: ConvSpec, out_dims) -> np.ndarray:
+    """direct_conv2d's body, on checked, cast and padded inputs."""
+    n, c, h_pad, w_pad = dpad.shape
+    f = w.shape[0]
+    oh, ow = out_dims
     r_h, r_w = spec.kernel
     s_h, s_w = spec.stride
-    y = np.zeros((n, oh, ow, w.shape[0]), dtype=dt)
+    phases = min(s_w, r_w)  # a stride beyond the kernel leaves column phases unused
+    xb = np.empty((phases, n, h_pad, -(-w_pad // s_w), f), dtype=dpad.dtype)
+    y = np.zeros((n, oh, ow * f), dtype=dpad.dtype)
+    prod = np.empty_like(y)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for ci in range(c):
-            wc = np.ascontiguousarray(w[:, ci].transpose(1, 2, 0))  # (r_h, r_w, F)
+            for q in range(phases):
+                cols = dpad[:, ci, :, q::s_w]
+                xb[q, :, :, :cols.shape[2]] = cols[..., None]
             for ky in range(r_h):
+                wb = np.repeat(w[:, ci, ky].T[:, None], ow, axis=1)  # (r_w, ow, F)
+                rows = xb[:, :, ky:ky + s_h * oh:s_h]
                 for kx in range(r_w):
-                    window = dpad[:, ci, ky:ky + s_h * oh:s_h, kx:kx + s_w * ow:s_w]
-                    y += window[..., None] * wc[ky, kx]
-    return check_finite(np.ascontiguousarray(y.transpose(0, 3, 1, 2)), "direct_conv2d")
+                    k0 = kx // s_w
+                    win = rows[kx % s_w, :, :, k0:k0 + ow].reshape(n, oh, ow * f)  # a view
+                    np.multiply(win, wb[kx].reshape(-1), out=prod)
+                    np.add(y, prod, out=y)
+    y = y.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
+    return check_finite(np.ascontiguousarray(y), "direct_conv2d")
 
 
 # im2col columns per channel block.  Blocks of 4 MB raised the peak RSS of
@@ -232,13 +278,20 @@ def gemm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     order.  The summation order within a block is BLAS's, so results agree
     with direct_conv2d up to rounding (exactly, in the object-dtype mode).
     """
-    dpad, w, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision)
+    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
+    return _gemm(dpad, w, spec, out_dims)
+
+
+def _gemm(dpad: np.ndarray, w: np.ndarray, spec: ConvSpec, out_dims) -> np.ndarray:
+    """gemm_conv2d's body, on checked, cast and padded inputs."""
     n, c = dpad.shape[:2]
     f = w.shape[0]
+    oh, ow = out_dims
     r_h, r_w = spec.kernel
     s_h, s_w = spec.stride
+    dt = dpad.dtype
     xt = dpad.transpose(1, 0, 2, 3)
-    block = max(1, _GEMM_BLOCK_BYTES // (r_h * r_w * n * oh * ow * dt.itemsize))
+    block = max(1, _GEMM_BLOCK_BYTES // max(1, r_h * r_w * n * oh * ow * dt.itemsize))
     y = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for c0 in range(0, c, block):
@@ -247,8 +300,11 @@ def gemm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
             for ky in range(r_h):
                 for kx in range(r_w):
                     cols[:, ky, kx] = xt[c0:c1, :, ky:ky + s_h * oh:s_h, kx:kx + s_w * ow:s_w]
-            part = np.matmul(w[:, c0:c1].reshape(f, -1), cols.reshape(-1, n * oh * ow))
+            k = (c1 - c0) * r_h * r_w
+            part = np.matmul(w[:, c0:c1].reshape(f, k), cols.reshape(k, n * oh * ow))
             y = part if y is None else np.add(y, part, out=y)
+    if y is None:  # no input channels: the empty sum
+        y = np.zeros((f, n * oh * ow), dtype=dt)
     y = y.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
     return check_finite(np.ascontiguousarray(y), "gemm_conv2d")
 
@@ -277,7 +333,7 @@ def _zero_cropped(tiles: np.ndarray, n: int, oh: int, ow: int) -> None:
     """Zero, in place, the entries of (2, 2, F, N*TH*TW) tiles that
     ``_untile`` crops off an odd oh or ow."""
     th, tw = _tile_dims(oh, ow)
-    grid = tiles.reshape(2, 2, -1, n, th, tw)
+    grid = tiles.reshape(2, 2, tiles.shape[2], n, th, tw)
     if oh % 2:
         grid[1, :, :, :, th - 1] = 0
     if ow % 2:
@@ -301,6 +357,15 @@ def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     axis's taps.  Strided convolutions and kernels beyond the point
     sequence are out of this engine's reach; dwm_conv2d runs them.
     """
+    ts_r, ts_c = _winograd_transforms(spec, ts_rows, ts_cols)
+    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
+    return _winograd(dpad, w, ts_r, ts_c, out_dims)
+
+
+def _winograd_transforms(spec: ConvSpec, ts_rows: TransformSet | None,
+                         ts_cols: TransformSet | None) -> tuple[TransformSet, TransformSet]:
+    """winograd_conv2d's checks of ``spec`` and the transforms it is given,
+    and the default transforms; returns (row, column) transforms."""
     if spec.stride != (1, 1):
         raise ValueError(
             "classic Winograd is stride-1 only; use --algo dwm for strided convolutions")
@@ -314,7 +379,15 @@ def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
         raise ValueError(f"transform taps {(ts_r.r, ts_c.r)} do not match kernel {spec.kernel}")
     if ts_r.m != 2 or ts_c.m != 2:
         raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
-    dpad, w, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision)
+    return ts_r, ts_c
+
+
+def _winograd(dpad: np.ndarray, w: np.ndarray, ts_r: TransformSet, ts_c: TransformSet,
+              out_dims) -> np.ndarray:
+    """winograd_conv2d's body, on checked, cast and padded inputs and
+    checked transforms."""
+    oh, ow = out_dims
+    dt = dpad.dtype
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         # a transposed view: _axes2 gathers it transiently, keeping no tap-major copy
         tiles = _winograd_tiles(dpad, w.transpose(2, 3, 0, 1), _numeric_for(ts_r, dt),
@@ -337,14 +410,21 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
         plan = plan_decomposition(spec)
     elif plan.spec != spec:
         raise ValueError("plan was built for a different ConvSpec")
-    dpad, w, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision)
+    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
+    return _dwm(dpad, w, plan, out_dims)
+
+
+def _dwm(dpad: np.ndarray, w: np.ndarray, plan: DecompositionPlan, out_dims) -> np.ndarray:
+    """dwm_conv2d's body, on checked, cast and padded inputs and a plan
+    for their ConvSpec."""
     n = dpad.shape[0]
+    oh, ow = out_dims
     th, tw = _tile_dims(oh, ow)
     wt = _tap_major(w)
 
     acc = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for index, part, nt_r, nt_c, ksel, isel in _part_loop(plan, dt, (oh, ow)):
+        for index, part, nt_r, nt_c, ksel, isel in _part_loop(plan, dpad.dtype, out_dims):
             tiles = _winograd_tiles(slice_strided(dpad, *isel), wt[ksel], nt_r, nt_c, th, tw)
             _zero_cropped(tiles, n, oh, ow)  # so that what the crop drops raises nothing
             _check_part(tiles, "dwm_conv2d", index, part)
@@ -404,7 +484,8 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     """
     spec = plan.spec
     require_tensor4(grad_out, "grad_out")
-    dpad, w, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
+    dpad, w, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
+    dt = dpad.dtype
     want = (data.shape[0], weights.shape[0], oh, ow)
     if grad_out.shape != want:
         raise ValueError(f"grad_out shape {grad_out.shape} != {want}")

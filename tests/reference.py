@@ -39,6 +39,35 @@ def oracle_conv(data, weights, spec):
     return out
 
 
+def oracle_conv_f32(data, weights, spec):
+    """oracle_conv in binary32: the same loops and summation order, with
+    every product and every add rounded to binary32 (numpy float32
+    scalars), as the engines' binary32 path does."""
+    n, c, h, w = data.shape
+    f = weights.shape[0]
+    r_h, r_w = spec.kernel
+    s_h, s_w = spec.stride
+    top, bottom, left, right = spec.pad
+    oh = (h + top + bottom - r_h) // s_h + 1
+    ow = (w + left + right - r_w) // s_w + 1
+    out = np.zeros((n, f, oh, ow), dtype=np.float32)
+    for ni in range(n):
+        for fi in range(f):
+            for oy in range(oh):
+                for ox in range(ow):
+                    acc = np.float32(0.0)
+                    for ci in range(c):
+                        for ky in range(r_h):
+                            for kx in range(r_w):
+                                iy = oy * s_h + ky - top
+                                ix = ox * s_w + kx - left
+                                if 0 <= iy < h and 0 <= ix < w:
+                                    acc += (np.float32(weights[fi, ci, ky, kx])
+                                            * np.float32(data[ni, ci, iy, ix]))
+                    out[ni, fi, oy, ox] = acc
+    return out
+
+
 def oracle_conv1d(filt, data):
     """1-D sliding correlation: y[k] = sum_i filt[i] * data[k+i]."""
     m = len(data) - len(filt) + 1

@@ -3,11 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dwmconv.bench import (AccuracyConfig, AccuracyRow, AccuracyReport,
+from dwmconv.bench import (AccuracyConfig, AccuracyRow, AccuracyReport, _draw,
                            analyze_network, check_accuracy_bands, load_network,
                            network_report_csv, run_accuracy_suite, run_flops_suite)
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
+from dwmconv.engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
+from dwmconv.tensor import mse
+from dwmconv.transforms import get_baseline_transform
 from dwmconv.flops import flops_direct, flops_dwm, flops_winograd_classic
 
 SMALL = [AccuracyConfig(kernel=(3, 3), stride=(1, 1), hw=8, channels=4, filters=4),
@@ -37,6 +40,31 @@ def test_accuracy_suite_is_deterministic():
     b = run_accuracy_suite(SMALL, seeds=[1, 2])
     assert a == b
     assert a.to_csv() == b.to_csv()
+
+
+def test_accuracy_suite_rows_equal_the_public_engines():
+    # the suite checks and casts its inputs once and runs the engine bodies;
+    # every row must equal the checked public engine's on the same draw
+    configs = SMALL + [AccuracyConfig(kernel=(4, 2), stride=(1, 1), hw=7, channels=3,
+                                      filters=2, batch=2)]
+    report = run_accuracy_suite(configs, seeds=[3])
+    rows = iter(report.rows)
+    for cfg in configs:
+        spec = cfg.spec()
+        data, weights = _draw(cfg, 3)
+        reference = gemm_conv2d(data, weights, spec, precision="binary64")
+        public = {("direct", "binary64"): reference,
+                  ("direct", "binary32"): direct_conv2d(data, weights, spec, "binary32"),
+                  ("dwm", "binary32"): dwm_conv2d(data, weights, spec, precision="binary32"),
+                  ("dwm", "binary64"): dwm_conv2d(data, weights, spec, precision="binary64")}
+        if spec.stride == (1, 1):
+            public["winograd", "binary32"] = winograd_conv2d(
+                data, weights, spec, get_baseline_transform(cfg.kernel[0]),
+                get_baseline_transform(cfg.kernel[1]), precision="binary32")
+        for _ in public:
+            row = next(rows)
+            assert row.mse == mse(public[row.algorithm, row.precision], reference)
+    assert next(rows, None) is None
 
 
 def test_accuracy_same_padding_keeps_extent():

@@ -119,6 +119,21 @@ def test_conv_float32_overflow_is_one_error_line(tmp_path, algo):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize("algo,taps,stride", [
+    ("direct", 5, 2), ("winograd", 3, 1), ("dwm", 5, 2), ("dwm", 3, 1),
+])
+def test_conv_on_zero_images_writes_an_empty_output(tmp_path, capsys, algo, taps, stride):
+    din, win, _, _ = _write_fixture(tmp_path, (0, 2, 9, 9), (3, 2, taps, taps))
+    out_path = tmp_path / "out.dwm"
+    code, out, err = run_cli(capsys, "conv", "--algo", algo, "--in", str(din),
+                             "--weights", str(win), "--stride", str(stride),
+                             "--pad", "1,1,1,1", "--verify", "--out", str(out_path))
+    assert code == 0, err
+    side = (9 + 2 - taps) // stride + 1
+    assert f"out={side}x{side}" in out and "max_abs_diff_vs_direct=0.000000E+00" in out
+    assert tensorfile.read_tensor(out_path).shape == (0, 3, side, side)
+
+
 @pytest.mark.parametrize("taps", [(16, 16), (3, 14)])
 def test_conv_winograd_tap_limit_errors_toward_dwm(tmp_path, capsys, taps):
     din, win, _, _ = _write_fixture(tmp_path, (1, 1, 20, 20), (1, 1, *taps))

@@ -12,7 +12,7 @@ from dwmconv.engines import (convolve, direct_conv2d, dwm_backward, dwm_conv2d, 
 from dwmconv.flops import flops_dwm, flops_winograd_classic
 from dwmconv.transforms import cook_toom, get_transform
 
-from reference import oracle_conv
+from reference import oracle_conv, oracle_conv_f32
 
 
 def test_direct_identity_kernel():
@@ -55,6 +55,86 @@ def test_direct_5x5_stride2_matches_oracle_exactly():
     d = rng.standard_normal((2, 3, 8, 8))
     g = rng.standard_normal((4, 3, 5, 5))
     np.testing.assert_array_equal(direct_conv2d(d, g, spec), oracle_conv(d, g, spec))
+
+
+def _random_geometries(rng, count):
+    """(spec, N, C, F, H, W) with kernels up to 5x5 and strides up to 6, so
+    that some strides exceed the kernel (a column phase is unused)."""
+    for _ in range(count):
+        r_h, r_w = (int(v) for v in rng.integers(1, 6, size=2))
+        s_h, s_w = (int(v) for v in rng.integers(1, 7, size=2))
+        pad = tuple(int(p) for p in rng.integers(0, 3, size=4))
+        h = r_h + int(rng.integers(0, 2 * s_h + 2))
+        w = r_w + int(rng.integers(0, 2 * s_w + 2))
+        n, c, f = (int(v) for v in rng.integers(1, 4, size=3))
+        yield ConvSpec(kernel=(r_h, r_w), stride=(s_h, s_w), pad=pad), min(n, 2), c, f, h, w
+
+
+def test_direct_binary32_matches_float32_oracle_bit_for_bit():
+    rng = np.random.default_rng(21)
+    covered = set()
+    for spec, n, c, f, h, w in _random_geometries(rng, 100):
+        d = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        g = rng.standard_normal((f, c, *spec.kernel)).astype(np.float32)
+        y = direct_conv2d(d, g, spec)
+        assert y.dtype == np.float32
+        # same products and adds in the same order, each rounded to binary32
+        assert y.tobytes() == oracle_conv_f32(d, g, spec).tobytes(), spec
+        (s_h, s_w), (r_h, r_w) = spec.stride, spec.kernel
+        covered |= {name for name, hit in (("stride > kernel", s_h > r_h or s_w > r_w),
+                                           ("s_h != s_w", s_h != s_w), ("batch 2", n == 2),
+                                           ("padding", any(spec.pad))) if hit}
+    assert covered == {"stride > kernel", "s_h != s_w", "batch 2", "padding"}
+
+
+def test_direct_binary32_cast_matches_float32_oracle():
+    # float64 inputs with precision=binary32: cast once, then the binary32 order
+    rng = np.random.default_rng(22)
+    spec = ConvSpec(kernel=(4, 3), stride=(3, 2), pad=(1, 2, 2, 0))
+    d = rng.standard_normal((2, 3, 11, 9))
+    g = rng.standard_normal((3, 3, 4, 3))
+    y = direct_conv2d(d, g, spec, precision="binary32")
+    assert y.tobytes() == oracle_conv_f32(d.astype(np.float32), g.astype(np.float32),
+                                          spec).tobytes()
+
+
+@pytest.mark.parametrize("kernel,stride,pad", [
+    ((2, 3), (3, 4), (1, 0, 2, 1)),   # stride beyond the kernel on both axes
+    ((3, 5), (2, 1), (0, 1, 2, 2)),   # s_h != s_w
+    ((5, 2), (1, 3), (2, 2, 0, 0)),
+    ((1, 1), (2, 2), (0, 0, 0, 0)),
+], ids=["2x3s3,4", "3x5s2,1", "5x2s1,3", "1x1s2,2"])
+def test_direct_exact_mode_equals_oracle_on_strided_geometries(kernel, stride, pad):
+    # multiples of 1/4 keep every product and sum of the binary64 oracle exact
+    spec = ConvSpec(kernel=kernel, stride=stride, pad=pad)
+    rng = np.random.default_rng(sum(kernel) + 7 * sum(stride))
+    d = rng.integers(-8, 9, (2, 2, 9, 10)) / 4
+    w = rng.integers(-8, 9, (3, 2, *kernel)) / 4
+    exact = np.vectorize(F, otypes=[object])
+    y = direct_conv2d(exact(d), exact(w), spec)
+    assert y.dtype == np.dtype(object)
+    assert y.tolist() == exact(oracle_conv(d, w, spec)).tolist()
+
+
+_SAME_3X3 = ConvSpec(kernel=(3, 3), pad=(1, 1, 1, 1))
+_STRIDED_5X4 = ConvSpec(kernel=(5, 4), stride=(2, 3), pad=(1, 2, 0, 3))
+
+
+@pytest.mark.parametrize("dims", [(0, 3, 4), (2, 0, 4), (2, 3, 0)], ids=["N0", "C0", "F0"])
+@pytest.mark.parametrize("engine,spec", [
+    (gemm_conv2d, _SAME_3X3), (gemm_conv2d, _STRIDED_5X4), (winograd_conv2d, _SAME_3X3),
+    (dwm_conv2d, _SAME_3X3), (dwm_conv2d, _STRIDED_5X4),
+], ids=lambda v: v.__name__ if callable(v) else "x".join(map(str, v.kernel + v.stride)))
+def test_empty_extents_give_what_direct_gives(engine, spec, dims):
+    n, c, f = dims
+    rng = np.random.default_rng(23)
+    d = rng.standard_normal((n, c, 9, 10)).astype(np.float32)
+    w = rng.standard_normal((f, c, *spec.kernel)).astype(np.float32)
+    want = direct_conv2d(d, w, spec)
+    assert want.shape == (n, f, *spec.out_dims(9, 10)) and not want.any()
+    y = engine(d, w, spec)
+    assert y.dtype == want.dtype and y.shape == want.shape
+    assert y.tobytes() == want.tobytes()
 
 
 def test_winograd_1d_delta_filter_passes_signal_through():
@@ -178,7 +258,8 @@ def test_dwm_exact_rational_mode_equals_direct():
     assert (exact_direct == exact_dwm).all()
 
 
-@pytest.mark.parametrize("engine", [dwm_conv2d, gemm_conv2d], ids=lambda e: e.__name__)
+@pytest.mark.parametrize("engine", [dwm_conv2d, gemm_conv2d, direct_conv2d],
+                         ids=lambda e: e.__name__)
 def test_exact_mode_equals_oracle_on_batched_strided_geometry(engine):
     # multiples of 1/4 keep every product and sum of the binary64 oracle exact;
     # batch 2 and C != F make a swapped batch, channel or filter axis show
