@@ -27,7 +27,9 @@ the lines before them compare with a listing from a tree without that
 engine.  Last come the full-width lines: binary32 ``dwm_conv2d`` and both
 ``dwm_backward`` gradients at real layer widths (the paper's 11x11
 256->256 shape, forward only, and AlexNet conv1 and conv4), whose
-256-channel GEMMs are large enough for BLAS to block them.  Precisions:
+256-channel GEMMs are large enough for BLAS to block them, then binary32
+``winograd_conv2d`` on the paper's 7x7 256->256 shape, with the default
+and with the baseline transforms.  Precisions:
 binary32, binary64 and exact ``Fraction`` (object arrays; reduced extents,
 since exact arithmetic is slow).  Inputs are drawn from a fixed seed per
 geometry; the Fraction inputs are multiples of 1/4.  Floats hash their dtype, shape and bytes; Fractions hash the
@@ -45,7 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from dwmconv import (ConvSpec, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
-                     gemm_conv2d, plan_decomposition, winograd_conv2d)
+                     gemm_conv2d, get_baseline_transform, plan_decomposition,
+                     winograd_conv2d)
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
 GEOMETRIES = (
@@ -71,6 +74,9 @@ FULL_WIDTH = (
     ("alexnet-conv1-full", (11, 11), (4, 4), (2, 2, 2, 2), (1, 3, 64), (224, 224), True),
     ("alexnet-conv4-full", (3, 3), (1, 1), (1, 1, 1, 1), (1, 384, 256), (13, 13), True),
 )
+
+# classic winograd_conv2d at full width: name, kernel, pad, (N, C, F), input (H, W)
+CLASSIC_FULL_WIDTH = ("paper14-7x7-full", (7, 7), (3, 3, 3, 3), (1, 256, 256), (14, 14))
 
 
 def digest(x) -> str:
@@ -139,6 +145,14 @@ def listing():
             grad_d, grad_w = dwm_backward(grad_out, plan_decomposition(spec), data, weights)
             yield f"{digest(grad_d)}  dwm_backward[data] {name} binary32"
             yield f"{digest(grad_w)}  dwm_backward[weights] {name} binary32"
+    name, kernel, pad, dims, extent = CLASSIC_FULL_WIDTH
+    spec = ConvSpec(kernel=kernel, pad=pad)
+    data, weights, _ = inputs(100 + len(FULL_WIDTH), spec, dims, extent, "binary32")
+    baseline = get_baseline_transform(kernel[0]), get_baseline_transform(kernel[1])
+    for label, transforms in (("winograd_conv2d", (None, None)),
+                              ("winograd_conv2d[baseline]", baseline)):
+        y = winograd_conv2d(data, weights, spec, *transforms)
+        yield f"{digest(y)}  {label} {name} binary32"
 
 
 def compare(old: list[str], new: list[str]) -> list[str]:

@@ -220,6 +220,9 @@ def parse_accuracy_config(doc: dict):
         seeds = [_integer(s, "seeds") for s in doc.get("seeds", [1])]
     except TypeError as exc:
         raise ValueError(f"accuracy config 'seeds' must be a list of integers: {exc}") from exc
+    negative = [s for s in seeds if s < 0]
+    if negative:  # numpy's generators take non-negative seeds only
+        raise ValueError(f"accuracy config 'seeds' must be non-negative, got {negative}")
     return configs, seeds
 
 

@@ -29,6 +29,10 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    return _fail(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
+
+
 def _parse_ints(text: str, name: str, count: int) -> tuple[int, ...]:
     """``count`` comma-separated integers, or one integer repeated ``count`` times."""
     try:
@@ -81,7 +85,10 @@ def cmd_gen_transforms(args) -> int:
             f"filt={filt} data={data} expected={want} got={got}", 2)
     doc = json.dumps(transform_to_json(ts), indent=2)
     if args.out:
-        Path(args.out).write_text(doc + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(doc + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
         print(f"wrote F({args.m},{args.r}) transforms to {args.out} "
               f"(verified, {result.trials} trials)")
     else:
@@ -122,16 +129,25 @@ def cmd_conv(args) -> int:
     if args.dump_plan:
         print(json.dumps(plan_to_json(plan_decomposition(spec)), indent=2))
     if args.out:
-        tensorfile.write_tensor(args.out, out.y)
+        try:
+            tensorfile.write_tensor(args.out, out.y)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     return 0
 
 
-def _emit(csv_text: str, json_doc, out_base: str | None) -> None:
+def _emit(csv_text: str, json_doc, out_base: str | None) -> int:
+    """Write the .csv and .json reports under ``out_base`` and print the CSV;
+    returns 1, after an error line, if a report cannot be written, else 0."""
     if out_base:
-        Path(out_base + ".csv").write_text(csv_text, encoding="utf-8")
-        Path(out_base + ".json").write_text(
-            json.dumps(json_doc, indent=2) + "\n", encoding="utf-8")
+        try:
+            Path(out_base + ".csv").write_text(csv_text, encoding="utf-8")
+            Path(out_base + ".json").write_text(
+                json.dumps(json_doc, indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _cannot_write(out_base, exc)
     print(csv_text, end="")
+    return 0
 
 
 def cmd_bench(args) -> int:
@@ -143,7 +159,8 @@ def cmd_bench(args) -> int:
 
     if args.suite == "flops":
         reports, csv_text = bench.run_flops_suite([(spec, out) for spec, out, _ in parsed])
-        _emit(csv_text, flops.reports_to_json(reports), args.out)
+        if _emit(csv_text, flops.reports_to_json(reports), args.out):
+            return 1
         if args.check:
             violations = bench.check_flops(reports, [exp for _, _, exp in parsed])
             for v in violations:
@@ -152,7 +169,8 @@ def cmd_bench(args) -> int:
         return 0
 
     report = bench.run_accuracy_suite(*parsed)
-    _emit(report.to_csv(), report.to_json(), args.out)
+    if _emit(report.to_csv(), report.to_json(), args.out):
+        return 1
     if args.check:
         violations = bench.check_accuracy_bands(report)
         for v in violations:
@@ -169,8 +187,7 @@ def cmd_analyze(args) -> int:
         return _fail(str(exc))
     json_doc = {"network": net.name, "layers": [dataclasses.asdict(r) for r in layer_reports],
                 "totals": totals}
-    _emit(bench.network_report_csv(net, layer_reports, totals), json_doc, args.out)
-    return 0
+    return _emit(bench.network_report_csv(net, layer_reports, totals), json_doc, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

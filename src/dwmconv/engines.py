@@ -18,6 +18,15 @@ Every Winograd stage reads and writes the layout of the transform-domain
 GEMM (Lavin & Gray, arXiv:1509.09308): (lr, lc, K, N*TH*TW), window point
 first, then channel or filter, then every tile of the batch.  Each
 transform is two small matmuls over the two leading axes (``_axes2``).
+The transform that follows a transform-domain GEMM (At . A in the
+forward, B . Bt and Gt . G in the backward) is streamed with it
+(``_axes2_product``): one column of window points at a time, that
+column's per-point GEMMs run and the row transform maps their results
+while they are still in cache; the column transform then runs once.  So
+the whole (lr, lc, K, N*TH*TW) product, 3.2 MB per part for AlexNet conv1
+in binary32 (more than a 2 MB L2), is never written out and read back.
+Only a GEMM whose per-point result is one element runs in one shot (see
+``_axes2_product``).
 Work that does not depend on the part is done once per call:
 
 * the weights are copied once to tap-major (r_h, r_w, F, C) order, so a
@@ -32,9 +41,10 @@ Work that does not depend on the part is done once per call:
   copy, which is transposed back once.
 
 None of this changes a bit of any result: every matrix product sums the
-same values in the same order as with per-part gathers (only the
-operands' memory layout differs), and the aggregation adds are
-elementwise, in plan order, whatever the layout.
+same values in the same order as with per-part gathers and the one-shot
+GEMM (only the operands' memory layout and the calls' grouping differ),
+and the aggregation adds are elementwise, in plan order, whatever the
+layout.
 
 Precision notes: every engine runs in the element type of its tensors, so
 the binary32 path rounds after each matrix stage; passing object-dtype
@@ -152,6 +162,38 @@ def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
     if out is None:
         return np.matmul(mat_c, rows).reshape(p, q, *rest)
     np.matmul(mat_c, rows, out=out.reshape(p, q, -1))
+    return out
+
+
+def _axes2_product(mat_r: np.ndarray, mat_c: np.ndarray, a: np.ndarray, b: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``_axes2(mat_r, mat_c, np.matmul(a, b), out)`` without the whole product.
+
+    ``a`` (lr, lc, M, K) and ``b`` (lr, lc, K, N) may be transposed views.
+    One column j of window points at a time, the lr per-point GEMMs run as
+    one stacked matmul (the same GEMMs, on the same operands, as one
+    matmul over every point), and ``mat_r`` maps their (lr, M, N) result
+    into row buffer column j while it is still in cache; ``mat_c`` then
+    runs once over the (p, lc, M*N) row buffer.  Each BLAS call sums the
+    same values in the same order as in the one-shot form, so the bits are
+    the same, except when M*N == 1: numpy would then run the per-column
+    ``mat_r`` stage as a gemv, whose order differs, so that case runs the
+    one-shot form.
+    """
+    lr, lc, m, _ = a.shape
+    n = b.shape[3]
+    if m * n == 1:
+        return _axes2(mat_r, mat_c, np.matmul(a, b), out)
+    dt = np.result_type(a, b)
+    p = mat_r.shape[0]
+    part = np.empty((lr, m, n), dtype=dt)
+    rows = np.empty((p, lc, m * n), dtype=dt)
+    for j in range(lc):
+        np.matmul(a[:, j], b[:, j], out=part)
+        np.matmul(mat_r, part.reshape(lr, -1), out=rows[:, j])
+    if out is None:
+        return np.matmul(mat_c, rows).reshape(p, mat_c.shape[0], m, n)
+    np.matmul(mat_c, rows, out=out.reshape(p, mat_c.shape[0], -1))
     return out
 
 
@@ -316,12 +358,14 @@ def _winograd_tiles(signal: np.ndarray, wt: np.ndarray, nt_r: NumericTransformSe
 
     Output is cut into TH x TW tiles of 2x2, each computed from an
     (r+1) x (r+1) window advancing by 2; channel contributions are summed
-    in the transform domain, then one detransform runs per tile.  Windows
-    past the signal's edge read zeros (``_untile`` crops what they feed).
+    in the transform domain, then one detransform runs per tile, streamed
+    with the GEMM one column of window points at a time
+    (``_axes2_product``).  Windows past the signal's edge read zeros
+    (``_untile`` crops what they feed).
     """
     v = _data_transform(signal, nt_r, nt_c, th, tw)                 # (lr,lc,C,NTT)
     u = _axes2(nt_r.g, nt_c.g, wt)                                  # G g Gt: (lr,lc,F,C)
-    return _axes2(nt_r.a_t, nt_c.a_t, np.matmul(u, v))              # At m A: (2,2,F,NTT)
+    return _axes2_product(nt_r.a_t, nt_c.a_t, u, v)                 # At m A: (2,2,F,NTT)
 
 
 def _tile_dims(oh: int, ow: int) -> tuple[int, int]:
@@ -444,7 +488,9 @@ def _winograd_backward(dm: np.ndarray, signal: np.ndarray, wt: np.ndarray,
     the overlapping input windows one tap (i, j) at a time with i and j
     descending, so each element receives its tile contributions in
     row-major tile order.  Weight gradient: Gt[(A dY At) . (Bt d B)]G,
-    accumulated over tiles and batch in the transform domain.
+    accumulated over tiles and batch in the transform domain.  Both
+    transform-domain GEMMs are streamed with the transform that follows
+    them, one column of window points at a time (``_axes2_product``).
     """
     n, c = signal.shape[:2]
     p_r, p_c = nt_r.r, nt_c.r
@@ -452,8 +498,8 @@ def _winograd_backward(dm: np.ndarray, signal: np.ndarray, wt: np.ndarray,
     th, tw = _tile_dims(oh, ow)
 
     u = _axes2(nt_r.g, nt_c.g, wt)                                    # G g Gt: (lr,lc,F,C)
-    dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T,
-                  np.matmul(u.transpose(0, 1, 3, 2), dm))             # B (.) Bt: (lr,lc,C,NTT)
+    dwin = _axes2_product(nt_r.b_t.T, nt_c.b_t.T,
+                          u.transpose(0, 1, 3, 2), dm)                # B (.) Bt: (lr,lc,C,NTT)
     dwin = dwin.reshape(lr, lc, c, n, th, tw)
     dsig = np.zeros((c, n, 2 * th + p_r - 1, 2 * tw + p_c - 1), dtype=dm.dtype)
     for i in reversed(range(lr)):
@@ -462,7 +508,7 @@ def _winograd_backward(dm: np.ndarray, signal: np.ndarray, wt: np.ndarray,
     del u, dwin  # peak memory: free these before the weight gradient's own
 
     v = _data_transform(signal, nt_r, nt_c, th, tw)                   # (lr,lc,C,NTT)
-    dg = _axes2(nt_r.g.T, nt_c.g.T, np.matmul(dm, v.transpose(0, 1, 3, 2)), out=wt)  # Gt (.) G
+    dg = _axes2_product(nt_r.g.T, nt_c.g.T, dm, v.transpose(0, 1, 3, 2), out=wt)  # Gt (.) G
     dsig = dsig.transpose(1, 0, 2, 3)[:, :, :oh + p_r - 1, :ow + p_c - 1]
     return dsig, dg
 

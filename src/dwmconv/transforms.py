@@ -15,7 +15,7 @@ equivalence with direct correlation can be checked for exact equality.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -72,6 +72,8 @@ class TransformSet:
     g: ExactMatrix      # l x r filter transform
     b_t: ExactMatrix    # l x l data transform, transposed form
     a_t: ExactMatrix    # m x l output detransform, transposed form
+    # to_float's conversions, per element type; not part of the value
+    _floats: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def alpha(self) -> int:
@@ -248,14 +250,21 @@ def _freeze_array(rows, dtype) -> np.ndarray:
 
 
 def to_float(ts: TransformSet, precision) -> NumericTransformSet:
-    """Round every matrix entry to the nearest binary32 or binary64 value."""
+    """Round every matrix entry to the nearest binary32 or binary64 value.
+
+    The conversion runs once per transform set and element type; later
+    calls return the same read-only arrays.
+    """
     dt = precision_dtype(precision)
-    return NumericTransformSet(
-        m=ts.m, r=ts.r,
-        g=_freeze_array(ts.g, dt),
-        b_t=_freeze_array(ts.b_t, dt),
-        a_t=_freeze_array(ts.a_t, dt),
-    )
+    nt = ts._floats.get(dt)
+    if nt is None:
+        nt = ts._floats[dt] = NumericTransformSet(
+            m=ts.m, r=ts.r,
+            g=_freeze_array(ts.g, dt),
+            b_t=_freeze_array(ts.b_t, dt),
+            a_t=_freeze_array(ts.a_t, dt),
+        )
+    return nt
 
 
 def to_exact_arrays(ts: TransformSet) -> NumericTransformSet:

@@ -222,11 +222,12 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
     (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "out": [14, 14.5]}]},
      "entry 0: 'out' must be an integer, got 14.5"),
     (ANALYZE, _net(in_channels=True), "'conv1': 'in_channels' must be an integer, got True"),
+    (ACCURACY, {**_acc(), "seeds": [1, -1]}, "'seeds' must be non-negative, got [-1]"),
 ], ids=["flops-missing-kernel", "flops-array", "accuracy-array", "network-array",
         "configs-not-a-list", "accuracy-stride-0", "flops-out-0", "layer-pad-pair",
         "seeds-not-integers", "unknown-precision", "negative-channels",
         "expected-not-an-object", "bad-json", "kernel-not-integer", "hw-not-integer",
-        "seed-not-integer", "out-not-integer", "channels-bool"])
+        "seed-not-integer", "out-not-integer", "channels-bool", "seed-negative"])
 def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, named):
     cfg = tmp_path / "bad.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -236,6 +237,25 @@ def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, nam
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and named in errors[0], err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ("gen-transforms", "2", "3"),
+    ("conv", "--algo", "direct"),
+    ("bench", "--suite", "flops", "--config", "flops_14x14.json"),
+    ("analyze", "--network", "alexnet.json"),
+], ids=lambda command: command[0])
+def test_unwritable_out_path_is_one_error_line(tmp_path, command):
+    if command[0] == "conv":
+        din, win, _, _ = _write_fixture(tmp_path, (1, 1, 6, 6), (1, 1, 3, 3))
+        command += ("--in", str(din), "--weights", str(win))
+    out = tmp_path / "no" / "such" / "dir" / "x"
+    proc = subprocess.run([sys.executable, "-m", "dwmconv.cli", *command, "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(out) in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_bundled_alexnet(capsys):

@@ -7,10 +7,11 @@ import pytest
 
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
-from dwmconv.engines import (convolve, direct_conv2d, dwm_backward, dwm_conv2d, gemm_conv2d,
-                             winograd_conv2d)
+from dwmconv.engines import (_axes2, _axes2_product, convolve, direct_conv2d, dwm_backward,
+                             dwm_conv2d, gemm_conv2d, winograd_conv2d)
 from dwmconv.flops import flops_dwm, flops_winograd_classic
-from dwmconv.transforms import cook_toom, get_transform
+from dwmconv.transforms import (cook_toom, get_baseline_transform, get_transform,
+                                to_exact_arrays, to_float)
 
 from reference import oracle_conv, oracle_conv_f32
 
@@ -185,6 +186,61 @@ def test_winograd_stride_guard_points_to_dwm():
     g = rng.standard_normal((1, 1, 3, 3))
     with pytest.raises(ValueError, match="dwm"):
         convolve(d, g, ConvSpec(kernel=(3, 3), stride=(2, 2)), algo="winograd")
+
+
+# The three call patterns of the streamed transform-domain GEMM: the
+# transform that follows each, and whether a or b is a transposed view.
+STREAM_PATTERNS = {
+    "plain": (lambda nt: nt.a_t, False, False),           # forward, At
+    "a-transposed": (lambda nt: nt.b_t.T, True, False),   # signal gradient, B of Ut
+    "b-transposed": (lambda nt: nt.g.T, False, True),     # weight gradient, Gt of Vt
+}
+
+
+def _stream_operands(rng, dt, pattern, ts_r, ts_c, m, k, n):
+    """(mat_r, mat_c, a, b) of one pattern for per-point (m, k) @ (k, n) GEMMs."""
+    numeric = to_exact_arrays if dt == object else (lambda ts: to_float(ts, dt))
+    matrix, a_t, b_t = STREAM_PATTERNS[pattern]
+    lr, lc = ts_r.alpha, ts_c.alpha
+
+    def draw(rows, cols, transposed):
+        x = rng.integers(-8, 9, size=(lr, lc) + ((cols, rows) if transposed else (rows, cols)))
+        x = np.vectorize(lambda v: F(int(v), 4), otypes=[object])(x) if dt == object \
+            else (x + rng.standard_normal(x.shape)).astype(dt)
+        return x.transpose(0, 1, 3, 2) if transposed else x
+    return (matrix(numeric(ts_r)), matrix(numeric(ts_c)), draw(m, k, a_t), draw(k, n, b_t))
+
+
+@pytest.mark.parametrize("pattern", list(STREAM_PATTERNS))
+@pytest.mark.parametrize("dt", [np.float32, np.float64, object],
+                         ids=["binary32", "binary64", "fraction"])
+def test_streamed_transform_gemm_has_the_one_shot_bits(pattern, dt):
+    """_axes2_product equals _axes2 over the whole matmul byte for byte, on
+    F(2, 1..3) and baseline F(2, <=7) transforms; m*n == 1 are the shapes
+    whose per-column mat_r stage numpy would run as a gemv."""
+    rng = np.random.default_rng(list(STREAM_PATTERNS).index(pattern))
+    exact = dt == object
+    cases = [(get_transform(3), get_transform(3), 1, k, 1) for k in (1, 5, 64)]
+    for _ in range(4 if exact else 14):
+        pick = lambda: (get_baseline_transform(int(rng.integers(1, 8))) if rng.random() < 0.4
+                        else get_transform(int(rng.integers(1, 4))))
+        top = 3 if exact else 70
+        cases.append((pick(), pick(), *(int(v) for v in rng.integers(1, top, size=3))))
+    for ts_r, ts_c, m, k, n in cases:
+        mat_r, mat_c, a, b = _stream_operands(rng, dt, pattern, ts_r, ts_c, m, k, n)
+        want = _axes2(mat_r, mat_c, np.matmul(a, b))
+        if pattern == "b-transposed":  # into a slice of a larger tap-major array, as the engine
+            whole = np.zeros((mat_r.shape[0] + 1, mat_c.shape[0], m, n), dtype=want.dtype)
+            got = _axes2_product(mat_r, mat_c, a, b, out=whole[1:])
+            assert got is not None and np.shares_memory(got, whole)
+        else:
+            got = _axes2_product(mat_r, mat_c, a, b)
+        label = (ts_r.r, ts_r.points, ts_c.r, ts_c.points, m, k, n)
+        assert got.dtype == want.dtype and got.shape == want.shape, label
+        if exact:
+            assert got.tolist() == want.tolist(), label
+        else:
+            assert got.tobytes() == want.tobytes(), label
 
 
 def test_dwm_degenerate_3x3_is_bit_identical_to_winograd():

@@ -156,6 +156,21 @@ def test_to_float_binary64_roundtrips_dyadics():
             assert F(float(x)) == F(e)
 
 
+def test_to_float_converts_once_per_element_type():
+    ts = cook_toom(2, 3, [F(1, 2), F(-3), F(2, 3)])
+    for precision, dt in (("binary32", np.float32), ("binary64", np.float64)):
+        nt = to_float(ts, precision)
+        assert to_float(ts, dt) is nt
+        for got, rows in ((nt.g, ts.g), (nt.b_t, ts.b_t), (nt.a_t, ts.a_t)):
+            assert got.dtype == dt and not got.flags.writeable
+            np.testing.assert_array_equal(got, [[dt(float(x)) for x in row] for row in rows])
+    assert ts == cook_toom(2, 3, [F(1, 2), F(-3), F(2, 3)])
+    assert hash(ts) == hash(cook_toom(2, 3, [F(1, 2), F(-3), F(2, 3)]))
+    # a changed copy converts its own entries
+    other = dataclasses.replace(ts, g=tuple(tuple(2 * x for x in row) for row in ts.g))
+    np.testing.assert_array_equal(to_float(other, "binary64").g, 2 * to_float(ts, "binary64").g)
+
+
 def test_to_float_rejects_unknown_precision():
     with pytest.raises(ValueError):
         to_float(get_transform(3), "binary16")
