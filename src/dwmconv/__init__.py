@@ -6,14 +6,13 @@ from .bench import (AccuracyConfig, AccuracyReport, AccuracyRow, LayerReport,
                     load_network, network_report_csv, run_accuracy_suite,
                     run_flops_suite)
 from .convspec import ConvSpec
-from .decompose import (AxisPart, DecompositionPlan, KernelPart,
-                        input_region_for_part, plan_decomposition, plan_to_json,
-                        split_axis_by_stride, split_by_size)
+from .decompose import (AxisPart, DecompositionPlan, KernelPart, plan_classic,
+                        plan_decomposition, plan_to_json)
 from .engines import (ConvOutput, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
                       gemm_conv2d, winograd_conv2d)
 from .flops import (FlopReport, flops_direct, flops_dwm, flops_winograd_classic,
                     is_shift_free, reports_to_csv, reports_to_json, speedup_table)
-from .tensor import accumulate, mse, pad_input, slice_strided
+from .tensor import mse, pad_input
 from .tensorfile import read_tensor, write_tensor
 from .transforms import (NumericTransformSet, TransformSet, VerifyResult,
                          apply_exact, cook_toom, correlate_exact, default_points,

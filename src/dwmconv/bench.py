@@ -19,12 +19,11 @@ import numpy as np
 
 from .convspec import ConvSpec
 from .decompose import plan_decomposition
-from .engines import (_cast_padded, _check_inputs, _direct, _dwm, _gemm, _winograd,
-                      _winograd_transforms)
-from .flops import (FlopReport, flops_direct, flops_dwm, flops_winograd_classic,
-                    reports_to_csv, speedup_table)
+from .engines import _cast_padded, _check_inputs, _direct, _dwm, _gemm
+from .flops import (FlopReport, _classic_baseline_plan, flops_direct, flops_dwm,
+                    flops_winograd_classic, reports_to_csv, speedup_table)
 from .tensor import mse
-from .transforms import get_baseline_transform, precision_dtype
+from .transforms import precision_dtype
 
 PRECISIONS = ("binary32", "binary64")
 
@@ -112,17 +111,12 @@ def _draw(cfg: AccuracyConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_algorithm(algo: str, dpad, w, spec: ConvSpec, out_dims):
     """One row's engine body on inputs that the suite checked, cast and
-    padded once for every row of its precision."""
+    padded once for every row of its precision; "winograd" is the naive
+    one-shot F(2, r) baseline, not the accuracy-tuned engine."""
     if algo == "direct":
         return _direct(dpad, w, spec, out_dims)
-    if algo == "winograd":
-        # the naive one-shot F(2, r) baseline, not the accuracy-tuned engine
-        ts_r, ts_c = _winograd_transforms(spec, get_baseline_transform(spec.kernel[0]),
-                                          get_baseline_transform(spec.kernel[1]))
-        return _winograd(dpad, w, ts_r, ts_c, out_dims)
-    if algo == "dwm":
-        return _dwm(dpad, w, plan_decomposition(spec), out_dims)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    plan = {"winograd": _classic_baseline_plan, "dwm": plan_decomposition}[algo](spec)
+    return _dwm(dpad, w, plan, out_dims, f"{algo}_conv2d")
 
 
 def run_accuracy_suite(configs, seeds) -> AccuracyReport:
@@ -145,7 +139,7 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
             jobs = [("direct", "binary64")]
             if "binary32" in cfg.precisions:
                 jobs.append(("direct", "binary32"))
-                if spec.stride == (1, 1):
+                if _classic_baseline_plan(spec) is not None:
                     jobs.append(("winograd", "binary32"))
                 jobs.append(("dwm", "binary32"))
             if "binary64" in cfg.precisions:
@@ -371,7 +365,8 @@ def analyze_network(net: NetworkSpec) -> tuple[list[LayerReport], dict]:
 
     1x1 layers pass through unaccelerated (all three columns equal).  The
     winograd total falls back to the direct count for layers it cannot run
-    (stride > 1), mirroring a deployment that only accelerates what it can.
+    (stride > 1, over 13 taps), mirroring a deployment that only
+    accelerates what it can.
     """
     layer_reports = []
     totals = {"direct": 0, "winograd": 0, "dwm": 0}

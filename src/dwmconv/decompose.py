@@ -13,25 +13,26 @@ well:
 Applied per axis and crossed, this yields a partition of the original
 kernel into parts of at most 3x3 taps; the convolution result is the sum
 of the parts' results.  A plan records each part's (origin, step, count)
-per axis together with the matching input sampling rule.
+per axis together with the matching input sampling rule.  Classic tiled
+F(2, r) Winograd is the one-part plan of ``plan_classic``.
 """
 
 from dataclasses import dataclass
 
 from .convspec import ConvSpec
-from .transforms import TransformSet, get_transform
+from .transforms import POINT_SEQUENCE, TransformSet, get_transform
 
 
 @dataclass(frozen=True)
 class AxisPart:
-    """A strided run of kernel taps along one axis: origin + step*i, i < count."""
+    """A strided run of kernel taps along one axis: origin + step*i, i < count <= 13."""
 
     origin: int
     step: int
     count: int
 
     def __post_init__(self):
-        if self.origin < 0 or self.step < 1 or not 1 <= self.count <= 3:
+        if self.origin < 0 or self.step < 1 or not 1 <= self.count <= len(POINT_SEQUENCE):
             raise ValueError(f"invalid axis part {self}")
 
 
@@ -110,6 +111,29 @@ def plan_decomposition(spec: ConvSpec) -> DecompositionPlan:
         for cp in cols
     )
     return DecompositionPlan(spec=spec, parts=parts)
+
+
+def plan_classic(spec: ConvSpec, ts_rows: TransformSet | None = None,
+                 ts_cols: TransformSet | None = None) -> DecompositionPlan:
+    """Classic tiled F(2, r) Winograd: one part covering the whole stride-1
+    kernel, with the given transforms (default ``get_transform`` per axis).
+    The ValueErrors say where classic Winograd does not apply."""
+    if spec.stride != (1, 1):
+        raise ValueError(
+            "classic Winograd is stride-1 only; use --algo dwm for strided convolutions")
+    if max(spec.kernel) > len(POINT_SEQUENCE):
+        raise ValueError(
+            f"classic Winograd supports at most {len(POINT_SEQUENCE)} taps per axis, "
+            f"got kernel {spec.kernel}; use --algo dwm for larger kernels")
+    ts_r = ts_rows if ts_rows is not None else get_transform(spec.kernel[0])
+    ts_c = ts_cols if ts_cols is not None else get_transform(spec.kernel[1])
+    if (ts_r.r, ts_c.r) != spec.kernel:
+        raise ValueError(f"transform taps {(ts_r.r, ts_c.r)} do not match kernel {spec.kernel}")
+    if ts_r.m != 2 or ts_c.m != 2:
+        raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
+    part = KernelPart(row=AxisPart(0, 1, spec.kernel[0]), col=AxisPart(0, 1, spec.kernel[1]),
+                      transform_rows=ts_r, transform_cols=ts_c)
+    return DecompositionPlan(spec=spec, parts=(part,))
 
 
 def input_region_for_part(plan: DecompositionPlan, part: KernelPart,

@@ -4,9 +4,10 @@ F(2, r), and decomposed Winograd.
 All engines compute cross-correlation (no kernel flip) over N,C,H,W data
 with F,C,r_h,r_w weights and agree with each other up to float rounding.
 Each public forward engine is one checked prologue (``_checked_inputs``)
-followed by a private body (``_direct``, ``_gemm``, ``_winograd``,
-``_dwm``) on checked, cast and padded inputs; the accuracy suite prepares
-each draw once and calls the bodies.
+followed by a private body (``_direct``, ``_gemm``, ``_dwm``) on checked,
+cast and padded inputs; the accuracy suite prepares each draw once and
+calls the bodies.  Classic Winograd (``winograd_conv2d``) is ``_dwm`` on
+the one-part plan of ``plan_classic``.
 
 The decomposed path (``dwm_conv2d``) runs five steps per kernel part:
 splitting (a view of the kernel sub-block, a strided gather of the padded
@@ -65,11 +66,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convspec import ConvSpec
-from .decompose import DecompositionPlan, input_region_for_part, plan_decomposition
-from .flops import flops_direct, flops_dwm, flops_winograd_classic
+from .decompose import (DecompositionPlan, input_region_for_part, plan_classic,
+                        plan_decomposition)
+from .flops import flops_direct, flops_dwm
 from .tensor import accumulate, check_finite, pad_input, require_tensor4, slice_strided
-from .transforms import (POINT_SEQUENCE, NumericTransformSet, TransformSet, get_transform,
-                         precision_dtype, to_exact_arrays, to_float)
+from .transforms import (NumericTransformSet, TransformSet, precision_dtype, to_exact_arrays,
+                         to_float)
 
 _OBJECT = np.dtype(object)
 
@@ -241,13 +243,18 @@ def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
                _numeric_for(part.transform_cols, dt), ksel, ((ro, co), (rs, cs), (rc, cc)))
 
 
-def _check_part(x: np.ndarray, engine: str, index: int, part, result: str = "") -> None:
+def _check_part(x: np.ndarray, engine: str, plan: DecompositionPlan, index: int,
+                result: str = "") -> None:
     """check_finite on one part's result, naming the part by index and
-    kernel taps; the label is formatted only when the check fails."""
+    kernel taps when the plan has more than one; the label is formatted
+    only when the check fails."""
     if x.dtype != _OBJECT and not np.isfinite(x).all():
-        taps = [",".join(str(a.origin + a.step * t) for t in range(a.count))
-                for a in (part.row, part.col)]
-        check_finite(x, f"{engine} part {index} (kernel rows {taps[0]}; cols {taps[1]}){result}")
+        if len(plan.parts) > 1:
+            part = plan.parts[index]
+            taps = [",".join(str(a.origin + a.step * t) for t in range(a.count))
+                    for a in (part.row, part.col)]
+            engine = f"{engine} part {index} (kernel rows {taps[0]}; cols {taps[1]})"
+        check_finite(x, engine + result)
 
 
 def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
@@ -351,23 +358,6 @@ def _gemm(dpad: np.ndarray, w: np.ndarray, spec: ConvSpec, out_dims) -> np.ndarr
     return check_finite(np.ascontiguousarray(y), "gemm_conv2d")
 
 
-def _winograd_tiles(signal: np.ndarray, wt: np.ndarray, nt_r: NumericTransformSet,
-                    nt_c: NumericTransformSet, th: int, tw: int) -> np.ndarray:
-    """Tiled F(2, r) correlation of a stride-1 signal with tap-major weights
-    ``wt`` (r_r, r_c, F, C), left in the GEMM's tile layout (2, 2, F, N*TH*TW).
-
-    Output is cut into TH x TW tiles of 2x2, each computed from an
-    (r+1) x (r+1) window advancing by 2; channel contributions are summed
-    in the transform domain, then one detransform runs per tile, streamed
-    with the GEMM one column of window points at a time
-    (``_axes2_product``).  Windows past the signal's edge read zeros
-    (``_untile`` crops what they feed).
-    """
-    v = _data_transform(signal, nt_r, nt_c, th, tw)                 # (lr,lc,C,NTT)
-    u = _axes2(nt_r.g, nt_c.g, wt)                                  # G g Gt: (lr,lc,F,C)
-    return _axes2_product(nt_r.a_t, nt_c.a_t, u, v)                 # At m A: (2,2,F,NTT)
-
-
 def _tile_dims(oh: int, ow: int) -> tuple[int, int]:
     """Tiles per axis, TH x TW, of an oh x ow output cut into 2x2 tiles."""
     return -(-oh // 2), -(-ow // 2)
@@ -401,42 +391,18 @@ def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     axis's taps.  Strided convolutions and kernels beyond the point
     sequence are out of this engine's reach; dwm_conv2d runs them.
     """
-    ts_r, ts_c = _winograd_transforms(spec, ts_rows, ts_cols)
+    plan = plan_classic(spec, ts_rows, ts_cols)
     dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
-    return _winograd(dpad, w, ts_r, ts_c, out_dims)
+    return _dwm(dpad, w, plan, out_dims, "winograd_conv2d")
 
 
-def _winograd_transforms(spec: ConvSpec, ts_rows: TransformSet | None,
-                         ts_cols: TransformSet | None) -> tuple[TransformSet, TransformSet]:
-    """winograd_conv2d's checks of ``spec`` and the transforms it is given,
-    and the default transforms; returns (row, column) transforms."""
-    if spec.stride != (1, 1):
-        raise ValueError(
-            "classic Winograd is stride-1 only; use --algo dwm for strided convolutions")
-    if max(spec.kernel) > len(POINT_SEQUENCE):
-        raise ValueError(
-            f"classic Winograd supports at most {len(POINT_SEQUENCE)} taps per axis, "
-            f"got kernel {spec.kernel}; use --algo dwm for larger kernels")
-    ts_r = ts_rows if ts_rows is not None else get_transform(spec.kernel[0])
-    ts_c = ts_cols if ts_cols is not None else get_transform(spec.kernel[1])
-    if (ts_r.r, ts_c.r) != spec.kernel:
-        raise ValueError(f"transform taps {(ts_r.r, ts_c.r)} do not match kernel {spec.kernel}")
-    if ts_r.m != 2 or ts_c.m != 2:
-        raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
-    return ts_r, ts_c
-
-
-def _winograd(dpad: np.ndarray, w: np.ndarray, ts_r: TransformSet, ts_c: TransformSet,
-              out_dims) -> np.ndarray:
-    """winograd_conv2d's body, on checked, cast and padded inputs and
-    checked transforms."""
-    oh, ow = out_dims
-    dt = dpad.dtype
-    with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
-        # a transposed view: _axes2 gathers it transiently, keeping no tap-major copy
-        tiles = _winograd_tiles(dpad, w.transpose(2, 3, 0, 1), _numeric_for(ts_r, dt),
-                                _numeric_for(ts_c, dt), *_tile_dims(oh, ow))
-    return check_finite(_untile(tiles, dpad.shape[0], oh, ow), "winograd_conv2d")
+def _checked_plan(spec: ConvSpec, plan: DecompositionPlan | None) -> DecompositionPlan:
+    """``plan``, which must be built for ``spec``, or else spec's decomposition."""
+    if plan is None:
+        return plan_decomposition(spec)
+    if plan.spec != spec:
+        raise ValueError("plan was built for a different ConvSpec")
+    return plan
 
 
 def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
@@ -444,23 +410,26 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     """Decomposed Winograd convolution for any kernel size and stride.
 
     Pads the input once and copies the weights once to tap-major order;
-    each plan part then runs the tiled Winograd engine at stride 1 on a view
-    of its kernel sub-block and its strided input slice.  The parts' tiles
-    are summed in plan order in the tile layout, and the sum is untiled and
+    each plan part then runs tiled Winograd at stride 1 on a view of its
+    kernel sub-block and its strided input slice.  The parts' tiles are
+    summed in plan order in the tile layout, and the sum is untiled and
     cropped once.  Equals direct_conv2d up to float rounding (exactly, in
     the object-dtype test mode).
     """
-    if plan is None:
-        plan = plan_decomposition(spec)
-    elif plan.spec != spec:
-        raise ValueError("plan was built for a different ConvSpec")
+    plan = _checked_plan(spec, plan)
     dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
-    return _dwm(dpad, w, plan, out_dims)
+    return _dwm(dpad, w, plan, out_dims, "dwm_conv2d")
 
 
-def _dwm(dpad: np.ndarray, w: np.ndarray, plan: DecompositionPlan, out_dims) -> np.ndarray:
-    """dwm_conv2d's body, on checked, cast and padded inputs and a plan
-    for their ConvSpec."""
+def _dwm(dpad: np.ndarray, w: np.ndarray, plan: DecompositionPlan, out_dims,
+         engine: str) -> np.ndarray:
+    """The Winograd forward body, on checked, cast and padded inputs and a
+    plan for their ConvSpec; overflow messages name ``engine``.
+
+    Each part is a tiled F(2, r) correlation of its stride-1 input slice,
+    in the GEMM's tile layout (2, 2, F, N*TH*TW); windows past the slice's
+    edge read zeros, and ``_untile`` crops what they feed.
+    """
     n = dpad.shape[0]
     oh, ow = out_dims
     th, tw = _tile_dims(oh, ow)
@@ -468,10 +437,13 @@ def _dwm(dpad: np.ndarray, w: np.ndarray, plan: DecompositionPlan, out_dims) -> 
 
     acc = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for index, part, nt_r, nt_c, ksel, isel in _part_loop(plan, dpad.dtype, out_dims):
-            tiles = _winograd_tiles(slice_strided(dpad, *isel), wt[ksel], nt_r, nt_c, th, tw)
+        for index, _, nt_r, nt_c, ksel, isel in _part_loop(plan, dpad.dtype, out_dims):
+            v = _data_transform(slice_strided(dpad, *isel), nt_r, nt_c, th, tw)  # (lr,lc,C,NTT)
+            u = _axes2(nt_r.g, nt_c.g, wt[ksel])                       # G g Gt: (lr,lc,F,C)
+            tiles = _axes2_product(nt_r.a_t, nt_c.a_t, u, v)           # At m A: (2,2,F,NTT)
+            del u, v  # free them before the next part allocates its own
             _zero_cropped(tiles, n, oh, ow)  # so that what the crop drops raises nothing
-            _check_part(tiles, "dwm_conv2d", index, part)
+            _check_part(tiles, engine, plan, index)
             acc = tiles if acc is None else accumulate(acc, tiles)
     return _untile(acc, n, oh, ow)
 
@@ -479,7 +451,8 @@ def _dwm(dpad: np.ndarray, w: np.ndarray, plan: DecompositionPlan, out_dims) -> 
 def _winograd_backward(dm: np.ndarray, signal: np.ndarray, wt: np.ndarray,
                        nt_r: NumericTransformSet, nt_c: NumericTransformSet,
                        oh: int, ow: int):
-    """Signal and weight gradients of _winograd_tiles, given A dY At.
+    """Signal and weight gradients of one part's tiled F(2, r) forward in
+    ``_dwm``, given A dY At.
 
     ``dm`` is A dY At per tile, (lr, lc, F, N*TH*TW); ``wt`` the part's
     tap-major weights (r_r, r_c, F, C), which the weight gradient then
@@ -552,8 +525,8 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
             g_sig, g_w = _winograd_backward(dm, slice_strided(dpad, *isel), wt[ksel],
                                             nt_r, nt_c, oh, ow)
             del dm
-            _check_part(g_sig, "dwm_backward", index, part, " data gradient")
-            _check_part(g_w, "dwm_backward", index, part, " weight gradient")
+            _check_part(g_sig, "dwm_backward", plan, index, " data gradient")
+            _check_part(g_w, "dwm_backward", plan, index, " weight gradient")
             slice_strided(grad_pad, *isel)[...] += g_sig
 
     top, _, left, _ = spec.pad
@@ -565,17 +538,18 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
              algo: str = "direct", precision=None,
              plan: DecompositionPlan | None = None) -> ConvOutput:
-    """Run one convolution by name ("direct", "winograd", "dwm") with its FLOP-model count."""
+    """Run one convolution by name ("direct", "winograd", "dwm") with its
+    FLOP-model count; a Winograd run counts the plan that ran (``plan``
+    applies to "dwm" only)."""
     if algo == "direct":
         y = direct_conv2d(data, weights, spec, precision=precision)
         return ConvOutput(y=y, flops=flops_direct(spec, y.shape[2:]))
     if algo == "winograd":
-        y = winograd_conv2d(data, weights, spec, precision=precision)
-        ts_r, ts_c = get_transform(spec.kernel[0]), get_transform(spec.kernel[1])
-        return ConvOutput(y=y, flops=flops_winograd_classic(spec, y.shape[2:], ts_r, ts_c))
-    if algo == "dwm":
-        if plan is None:
-            plan = plan_decomposition(spec)
-        y = dwm_conv2d(data, weights, spec, plan=plan, precision=precision)
-        return ConvOutput(y=y, flops=flops_dwm(plan, y.shape[2:]))
-    raise ValueError(f"unknown algorithm {algo!r}; expected direct, winograd or dwm")
+        plan = plan_classic(spec)
+    elif algo == "dwm":
+        plan = _checked_plan(spec, plan)
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}; expected direct, winograd or dwm")
+    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
+    return ConvOutput(y=_dwm(dpad, w, plan, out_dims, f"{algo}_conv2d"),
+                      flops=flops_dwm(plan, out_dims))

@@ -7,12 +7,12 @@ Counting convention (declared in every report header):
     totals scale by in_channels * out_channels;
   * multiplying by a shift-free constant (0, +-2^n or +-1/2^n, any integer
     n) is free, since it is implementable as a bit shift;
-  * classic Winograd cost = elementwise products (tiles * alpha^2) + data
+  * a Winograd part costs elementwise products (tiles * alpha^2) + data
     transform (per tile, non-shift-free entries of b_t applied twice) +
     kernel transform (non-shift-free entries of g, applied across the two
-    matrix stages).  The output detransform is not charged.  The column is
-    computed over the naive baseline transforms (integer-first nodes), the
-    same one-shot F(2, r) the accuracy suite compares against.
+    matrix stages).  The output detransform is not charged.  The classic
+    column is the one-part plan (``plan_classic``) over the naive baseline
+    transforms, the same one-shot F(2, r) the accuracy suite compares against.
 
 Under this convention the decomposed method's transform stages cost zero,
 because the F(2,1)/F(2,2)/F(2,3) matrices contain only shift-free entries;
@@ -25,7 +25,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
 from .convspec import ConvSpec
-from .decompose import DecompositionPlan, plan_decomposition
+from .decompose import DecompositionPlan, plan_classic, plan_decomposition
 from .transforms import TransformSet, get_baseline_transform
 
 CONVENTION_NOTE = (
@@ -41,7 +41,7 @@ class FlopReport:
     """Multiplication counts and speedups for one convolution configuration.
 
     ``winograd_mults``/``speedup_winograd`` are None where classic Winograd
-    does not apply (stride > 1), rendered as N/A in reports.
+    does not apply (stride > 1, over 13 taps), rendered as N/A in reports.
     """
 
     spec: ConvSpec
@@ -87,28 +87,34 @@ def _part_cost(ts_r: TransformSet, ts_c: TransformSet, tiles: int) -> int:
     return tiles * lr * lc + data_cost + kernel_cost
 
 
-def flops_winograd_classic(spec: ConvSpec, out: tuple[int, int],
-                           ts_rows: TransformSet | None = None,
-                           ts_cols: TransformSet | None = None) -> int | None:
-    """Classic tiled F(2, r) cost under the declared convention; None for stride > 1.
+def _classic_baseline_plan(spec: ConvSpec) -> DecompositionPlan | None:
+    """``plan_classic`` over the naive baseline transforms (integer-first
+    nodes), or None where ``plan_classic`` refuses ``spec``."""
+    try:
+        plan_classic(spec)  # its rule, before a baseline transform is built
+    except ValueError:
+        return None
+    return plan_classic(spec, *(get_baseline_transform(r) for r in spec.kernel))
+
+
+def flops_winograd_classic(spec: ConvSpec, out: tuple[int, int]) -> int | None:
+    """Classic tiled F(2, r) cost under the declared convention: flops_dwm of
+    ``_classic_baseline_plan``; None where classic Winograd does not apply.
 
     Reference counts in the fast-convolution literature for one-shot
     F(2, r) at r >= 5 are much larger; their accounting convention is not
     recoverable, so this model emits its own documented convention.
     """
-    if spec.stride != (1, 1):
-        return None
-    ts_r = ts_rows if ts_rows is not None else get_baseline_transform(spec.kernel[0])
-    ts_c = ts_cols if ts_cols is not None else get_baseline_transform(spec.kernel[1])
-    return _part_cost(ts_r, ts_c, _tiles(out))
+    plan = _classic_baseline_plan(spec)
+    return None if plan is None else flops_dwm(plan, out)
 
 
 def flops_dwm(plan: DecompositionPlan, out: tuple[int, int]) -> int:
-    """Decomposed-Winograd cost: tiles * sum over parts of prod(count + 1).
+    """Winograd cost of a plan: tiles * sum over parts of prod(count + 1),
+    plus each part's transform multiplies.
 
-    Part transform stages are charged through the same convention as the
-    classic path; for parts of at most 3 taps per axis every entry is
-    shift-free, so the term is zero (computed, not assumed).
+    For parts of at most 3 taps per axis every transform entry is
+    shift-free, so that term is zero (computed, not assumed).
     """
     tiles = _tiles(out)
     return sum(_part_cost(part.transform_rows, part.transform_cols, tiles) for part in plan.parts)

@@ -35,6 +35,13 @@ def test_accuracy_suite_row_structure():
             assert row.log_scaled == pytest.approx(np.log10(row.mse) + 10)
 
 
+def test_accuracy_suite_has_no_classic_row_beyond_13_taps():
+    wide = AccuracyConfig(kernel=(14, 14), stride=(1, 1), hw=15, channels=1, filters=1)
+    rows = run_accuracy_suite([wide], seeds=[1]).rows
+    assert [(r.algorithm, r.precision) for r in rows] == [
+        ("direct", "binary64"), ("direct", "binary32"), ("dwm", "binary32"), ("dwm", "binary64")]
+
+
 def test_accuracy_suite_is_deterministic():
     a = run_accuracy_suite(SMALL, seeds=[1, 2])
     b = run_accuracy_suite(SMALL, seeds=[1, 2])

@@ -151,6 +151,16 @@ def test_bench_flops_bundled_config_passes_check(capsys):
     assert "3x3,1,1.76E+03,7.84E+02,2.25,7.84E+02,2.25" in out
 
 
+def test_bench_flops_kernel_beyond_classic_winograd_is_na(tmp_path, capsys):
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"schema": 1, "out": [14, 14],
+                               "configs": [{"kernel": 15, "stride": 1}]}))
+    code, out, err = run_cli(capsys, "bench", "--suite", "flops", "--config", str(cfg))
+    assert code == 0 and "Traceback" not in err, err
+    row = out.splitlines()[-1].split(",")
+    assert row[:2] == ["15x15", "1"] and row[3:5] == ["N/A", "N/A"]
+
+
 def test_bench_flops_check_catches_wrong_expectation(tmp_path, capsys):
     doc = {"schema": 1, "out": [14, 14],
            "configs": [{"kernel": 3, "stride": 1, "expected": {"dwm": 999}}]}
@@ -267,6 +277,17 @@ def test_analyze_bundled_alexnet(capsys):
     speedup_dwm = float(fields[-1])
     assert 2.0 <= speedup_dwm <= 2.2
     assert any(line.startswith("TOTAL,") for line in out.splitlines())
+
+
+def test_analyze_kernel_beyond_classic_winograd_is_na(tmp_path, capsys):
+    net = tmp_path / "wide.json"
+    net.write_text(json.dumps(_net(kernel=15, input=20)))
+    code, out, err = run_cli(capsys, "analyze", "--network", str(net))
+    assert code == 0 and "Traceback" not in err, err
+    conv1 = next(line for line in out.splitlines() if line.startswith("conv1,"))
+    assert conv1.split(",")[1:3] + conv1.split(",")[5:7] == ["15x15", "1x1", "N/A", "N/A"]
+    total = next(line for line in out.splitlines() if line.startswith("TOTAL,")).split(",")
+    assert total[5] == total[4]  # the winograd total falls back to direct
 
 
 def test_analyze_missing_network_file(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dwmconv.convspec import ConvSpec
-from dwmconv.decompose import (input_region_for_part, plan_decomposition,
+from dwmconv.decompose import (AxisPart, input_region_for_part, plan_decomposition,
                                split_axis_by_stride, split_by_size)
 
 from reference import oracle_conv
@@ -71,9 +71,10 @@ def test_small_stride1_plan_degenerates_to_single_part():
 
 
 def test_partition_invariant_exhaustive():
-    # every kernel coefficient covered exactly once, all sizes and strides
-    for r_h in range(1, 12):
-        for r_w in range(1, 12):
+    # every kernel coefficient covered exactly once, all sizes and strides,
+    # by parts of at most 3 taps per axis
+    for r_h in range(1, 14):
+        for r_w in range(1, 14):
             for s in range(1, 5):
                 plan = plan_decomposition(ConvSpec(kernel=(r_h, r_w), stride=(s, s)))
                 covered = np.zeros((r_h, r_w), dtype=int)
@@ -140,6 +141,12 @@ def test_input_region_5x5_stride2_odd_part():
     part = plan.parts[3]  # origin (1,1), 2x2, step 2
     region = input_region_for_part(plan, part, (2, 2))
     assert region == ((1, 2, 3), (1, 2, 3))
+
+
+@pytest.mark.parametrize("origin,step,count", [(-1, 1, 1), (0, 0, 1), (0, 1, 0), (0, 1, 14)])
+def test_axis_part_rejects_invalid_runs(origin, step, count):
+    with pytest.raises(ValueError, match="invalid axis part"):
+        AxisPart(origin, step, count)
 
 
 def test_input_region_rejects_foreign_part():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dwmconv.convspec import ConvSpec
-from dwmconv.decompose import plan_decomposition
+from dwmconv.decompose import plan_classic, plan_decomposition
 from dwmconv.engines import (_axes2, _axes2_product, convolve, direct_conv2d, dwm_backward,
                              dwm_conv2d, gemm_conv2d, winograd_conv2d)
 from dwmconv.flops import flops_dwm, flops_winograd_classic
@@ -376,8 +376,8 @@ def test_convolve_instrumented_count_matches_flop_model():
     g11 = rng.standard_normal((3, 2, 11, 11))
     out_11 = convolve(d_big, g11, spec_11, algo="winograd")
     assert out_11.y.shape[2:] == (19, 23)
-    assert out_11.flops == flops_winograd_classic(
-        spec_11, (19, 23), get_transform(11), get_transform(11)) == 249_704
+    assert out_11.flops == flops_dwm(
+        plan_classic(spec_11, get_transform(11), get_transform(11)), (19, 23)) == 249_704
 
 
 def test_engine_rejects_channel_mismatch():
@@ -492,6 +492,10 @@ OVERFLOW_CASES = {
                                             SPEC_5), "direct_conv2d"),
     "gemm_conv2d": (lambda: gemm_conv2d(_f32((1, 1, 9, 9), 3e38), _f32((1, 1, 5, 5), 10),
                                         SPEC_5), "gemm_conv2d"),
+    # a one-part plan: the engine is named, not its only part
+    "winograd_conv2d": (lambda: winograd_conv2d(_f32((1, 1, 9, 9), 3e38),
+                                                _f32((1, 1, 5, 5), 10), SPEC_5),
+                        "winograd_conv2d"),
 }
 
 

@@ -78,6 +78,8 @@ def test_winograd_classic_5x5_own_convention_value():
 
 def test_winograd_classic_stride2_not_applicable():
     assert flops_winograd_classic(ConvSpec(kernel=(3, 3), stride=(2, 2)), OUT14) is None
+    # beyond the 13-node point sequence: no classic transform exists
+    assert flops_winograd_classic(ConvSpec(kernel=(14, 14)), OUT14) is None
 
 
 def test_winograd_classic_grows_much_faster_than_dwm():
