@@ -34,21 +34,31 @@ binary32, binary64 and exact ``Fraction`` (object arrays; reduced extents,
 since exact arithmetic is slow).  Inputs are drawn from a fixed seed per
 geometry; the Fraction inputs are multiples of 1/4.  Floats hash their dtype, shape and bytes; Fractions hash the
 ``p/q`` text of every element.
+
+After all of those come the bundled CLI reports, each line the SHA-1 of
+the text the CLI writes, built through the library calls the CLI makes:
+``dwmconv bench --suite accuracy --config accuracy_14x14.json`` (CSV and
+JSON), ``dwmconv bench --suite flops --config flops_14x14.json`` (CSV) and
+``dwmconv analyze`` on ``alexnet.json`` and ``googlenet.json`` (CSV).
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from dwmconv import (ConvSpec, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
-                     gemm_conv2d, get_baseline_transform, plan_decomposition,
-                     winograd_conv2d)
+from dwmconv import (ConvSpec, analyze_network, convolve, direct_conv2d, dwm_backward,
+                     dwm_conv2d, gemm_conv2d, get_baseline_transform, load_network,
+                     network_report_csv, plan_decomposition, run_accuracy_suite,
+                     run_flops_suite, winograd_conv2d)
+from dwmconv.bench import parse_accuracy_config, parse_flops_config
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
 GEOMETRIES = (
@@ -79,8 +89,43 @@ FULL_WIDTH = (
 CLASSIC_FULL_WIDTH = ("paper14-7x7-full", (7, 7), (3, 3, 3, 3), (1, 256, 256), (14, 14))
 
 
+def _bundled(name: str, parse):
+    """``parse`` of the bundled config document ``name``."""
+    text = resources.files("dwmconv").joinpath("data", name).read_text(encoding="utf-8")
+    return parse(json.loads(text))
+
+
+def accuracy_report(name: str) -> dict[str, str]:
+    """{format: text} that ``dwmconv bench --suite accuracy --config name --out`` writes."""
+    report = run_accuracy_suite(*_bundled(name, parse_accuracy_config))
+    return {"csv": report.to_csv(), "json": json.dumps(report.to_json(), indent=2) + "\n"}
+
+
+def flops_report(name: str) -> dict[str, str]:
+    """{"csv": text} that ``dwmconv bench --suite flops --config name --out`` writes."""
+    parsed = _bundled(name, parse_flops_config)
+    return {"csv": run_flops_suite([(spec, out) for spec, out, _ in parsed])[1]}
+
+
+def analyze_report(name: str) -> dict[str, str]:
+    """{"csv": text} that ``dwmconv analyze --network name --out`` writes."""
+    net = _bundled(name, load_network)
+    return {"csv": network_report_csv(net, *analyze_network(net))}
+
+
+# bundled CLI reports: label, config name, {format: text} builder
+REPORTS = (
+    ("accuracy-report", "accuracy_14x14.json", accuracy_report),
+    ("flops-report", "flops_14x14.json", flops_report),
+    ("analyze-report", "alexnet.json", analyze_report),
+    ("analyze-report", "googlenet.json", analyze_report),
+)
+
+
 def digest(x) -> str:
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, str):
+        payload = x.encode()
+    elif isinstance(x, (int, np.integer)):
         payload = str(int(x)).encode()
     elif x.dtype == np.dtype(object):
         payload = " ".join(str(Fraction(v)) for v in x.ravel()).encode()
@@ -153,6 +198,9 @@ def listing():
                               ("winograd_conv2d[baseline]", baseline)):
         y = winograd_conv2d(data, weights, spec, *transforms)
         yield f"{digest(y)}  {label} {name} binary32"
+    for label, name, build in REPORTS:
+        for fmt, text in build(name).items():
+            yield f"{digest(text)}  {label} {name} {fmt}"
 
 
 def compare(old: list[str], new: list[str]) -> list[str]:

@@ -19,11 +19,10 @@ import numpy as np
 
 from .convspec import ConvSpec
 from .decompose import plan_decomposition
-from .engines import _cast_padded, _check_inputs, _direct, _dwm, _gemm
+from .engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
 from .flops import (FlopReport, _classic_baseline_plan, flops_direct, flops_dwm,
                     flops_winograd_classic, reports_to_csv, speedup_table)
 from .tensor import mse
-from .transforms import precision_dtype
 
 PRECISIONS = ("binary32", "binary64")
 
@@ -109,46 +108,41 @@ def _draw(cfg: AccuracyConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return data, weights
 
 
-def _run_algorithm(algo: str, dpad, w, spec: ConvSpec, out_dims):
-    """One row's engine body on inputs that the suite checked, cast and
-    padded once for every row of its precision; "winograd" is the naive
-    one-shot F(2, r) baseline, not the accuracy-tuned engine."""
-    if algo == "direct":
-        return _direct(dpad, w, spec, out_dims)
-    plan = {"winograd": _classic_baseline_plan, "dwm": plan_decomposition}[algo](spec)
-    return _dwm(dpad, w, plan, out_dims, f"{algo}_conv2d")
-
-
 def run_accuracy_suite(configs, seeds) -> AccuracyReport:
     """MSE of each algorithm/precision against the binary64 im2col GEMM reference.
 
-    Each (config, seed) draw is checked once, and cast and padded once per
-    precision; every row then runs its engine's body on those inputs, with
-    the same results as the public engine.
+    Every row is its public engine's result on the (config, seed) draw at
+    the row's precision; "winograd" is classic Winograd over the naive
+    baseline transforms, not the accuracy-tuned ones.
     """
     rows = []
     for cfg in configs:
         spec = cfg.spec()
+        classic = _classic_baseline_plan(spec)
+        jobs = [("direct", "binary64")]
+        if "binary32" in cfg.precisions:
+            jobs.append(("direct", "binary32"))
+            if classic is not None:
+                jobs.append(("winograd", "binary32"))
+            jobs.append(("dwm", "binary32"))
+        if "binary64" in cfg.precisions:
+            jobs.append(("dwm", "binary64"))
+
         for seed in seeds:
             data, weights = _draw(cfg, seed)
-            out_dims = _check_inputs(data, weights, spec)
-            inputs = {p: _cast_padded(data, weights, spec, precision_dtype(p))
-                      for p in {"binary64", *cfg.precisions}}
-            reference = _gemm(*inputs["binary64"], spec, out_dims)
-
-            jobs = [("direct", "binary64")]
-            if "binary32" in cfg.precisions:
-                jobs.append(("direct", "binary32"))
-                if _classic_baseline_plan(spec) is not None:
-                    jobs.append(("winograd", "binary32"))
-                jobs.append(("dwm", "binary32"))
-            if "binary64" in cfg.precisions:
-                jobs.append(("dwm", "binary64"))
-
+            reference = gemm_conv2d(data, weights, spec, precision="binary64")
             for algo, precision in jobs:
                 try:
-                    y = (reference if (algo, precision) == ("direct", "binary64")
-                         else _run_algorithm(algo, *inputs[precision], spec, out_dims))
+                    if (algo, precision) == ("direct", "binary64"):
+                        y = reference
+                    elif algo == "direct":
+                        y = direct_conv2d(data, weights, spec, precision=precision)
+                    elif algo == "winograd":
+                        part = classic.parts[0]
+                        y = winograd_conv2d(data, weights, spec, part.transform_rows,
+                                            part.transform_cols, precision=precision)
+                    else:
+                        y = dwm_conv2d(data, weights, spec, precision=precision)
                     err = mse(y, reference)
                     status = "ok"
                 except FloatingPointError:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bench, flops, tensorfile
 from .convspec import ConvSpec
-from .decompose import plan_decomposition, plan_to_json
+from .decompose import plan_classic, plan_decomposition, plan_to_json
 from .engines import convolve, direct_conv2d
 from .transforms import cook_toom, transform_to_json, verify_transform
 
@@ -127,7 +127,8 @@ def cmd_conv(args) -> int:
         stats += f" max_abs_diff_vs_direct={diff:.6E}"
     print(stats)
     if args.dump_plan:
-        print(json.dumps(plan_to_json(plan_decomposition(spec)), indent=2))
+        plan = (plan_classic if args.algo == "winograd" else plan_decomposition)(spec)
+        print(json.dumps(plan_to_json(plan), indent=2))
     if args.out:
         try:
             tensorfile.write_tensor(args.out, out.y)
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="also run the direct engine and report max abs difference")
     p.add_argument("--dump-plan", action="store_true",
-                   help="print the decomposition plan as JSON")
+                   help="print the Winograd plan as JSON (classic for winograd)")
     p.set_defaults(func=cmd_conv)
 
     p = sub.add_parser("bench", help="run the FLOP or accuracy suite from a config file")

@@ -3,11 +3,12 @@ F(2, r), and decomposed Winograd.
 
 All engines compute cross-correlation (no kernel flip) over N,C,H,W data
 with F,C,r_h,r_w weights and agree with each other up to float rounding.
-Each public forward engine is one checked prologue (``_checked_inputs``)
-followed by a private body (``_direct``, ``_gemm``, ``_dwm``) on checked,
-cast and padded inputs; the accuracy suite prepares each draw once and
-calls the bodies.  Classic Winograd (``winograd_conv2d``) is ``_dwm`` on
-the one-part plan of ``plan_classic``.
+Every engine starts with the same checked prologue (``_checked_inputs``:
+check, cast, pad), and every caller, ``convolve`` and the accuracy suite
+included, reaches an engine through its public entry point.  The two
+Winograd forwards share one body, ``_dwm``: classic Winograd
+(``winograd_conv2d``) runs it on the one-part plan of ``plan_classic``,
+``dwm_conv2d`` on a decomposition plan.
 
 The decomposed path (``dwm_conv2d``) runs five steps per kernel part:
 splitting (a view of the kernel sub-block, a strided gather of the padded
@@ -111,9 +112,14 @@ def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
     return y
 
 
-def _check_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec) -> tuple[int, int]:
-    """Check data and weights against ``spec`` and name a non-finite one;
-    returns the output extents."""
+def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, precision,
+                    default_dtype=None):
+    """The prologue every engine shares: check data and weights against
+    ``spec`` and name a non-finite one, resolve the element type (from
+    ``precision``, else ``default_dtype``, else data's), cast, pad.
+
+    Returns (padded data, weights, output extents).
+    """
     require_tensor4(data, "data")
     require_tensor4(weights, "weights")
     if data.shape[1] != weights.shape[1]:
@@ -124,30 +130,12 @@ def _check_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec) -> tupl
     out_dims = spec.out_dims(data.shape[2], data.shape[3])
     _require_finite(data, "data")
     _require_finite(weights, "weights")
-    return out_dims
-
-
-def _cast_padded(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, dt):
-    """(padded data, weights), both cast to element type ``dt``; the engine
-    bodies take these, with the output extents, after ``_check_inputs``."""
-    w = _cast(weights, dt, "weights")
-    return pad_input(_cast(data, dt, "data"), spec.pad), w
-
-
-def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, precision,
-                    default_dtype=None):
-    """The prologue every engine shares: check data and weights, resolve the
-    element type (from ``precision``, else ``default_dtype``, else data's),
-    cast, pad.
-
-    Returns (padded data, weights, output extents).
-    """
-    out_dims = _check_inputs(data, weights, spec)
     if precision is not None:
         dt = precision_dtype(precision)
     else:
         dt = data.dtype if default_dtype is None else default_dtype
-    return *_cast_padded(data, weights, spec, dt), out_dims
+    w = _cast(weights, dt, "weights")
+    return pad_input(_cast(data, dt, "data"), spec.pad), w, out_dims
 
 
 def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
@@ -279,11 +267,6 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     sweep shape in binary32, 13 MB for AlexNet conv1 (224x224, 64 filters).
     """
     dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
-    return _direct(dpad, w, spec, out_dims)
-
-
-def _direct(dpad: np.ndarray, w: np.ndarray, spec: ConvSpec, out_dims) -> np.ndarray:
-    """direct_conv2d's body, on checked, cast and padded inputs."""
     n, c, h_pad, w_pad = dpad.shape
     f = w.shape[0]
     oh, ow = out_dims
@@ -328,11 +311,6 @@ def gemm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     with direct_conv2d up to rounding (exactly, in the object-dtype mode).
     """
     dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
-    return _gemm(dpad, w, spec, out_dims)
-
-
-def _gemm(dpad: np.ndarray, w: np.ndarray, spec: ConvSpec, out_dims) -> np.ndarray:
-    """gemm_conv2d's body, on checked, cast and padded inputs."""
     n, c = dpad.shape[:2]
     f = w.shape[0]
     oh, ow = out_dims
@@ -396,15 +374,6 @@ def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     return _dwm(dpad, w, plan, out_dims, "winograd_conv2d")
 
 
-def _checked_plan(spec: ConvSpec, plan: DecompositionPlan | None) -> DecompositionPlan:
-    """``plan``, which must be built for ``spec``, or else spec's decomposition."""
-    if plan is None:
-        return plan_decomposition(spec)
-    if plan.spec != spec:
-        raise ValueError("plan was built for a different ConvSpec")
-    return plan
-
-
 def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
                plan: DecompositionPlan | None = None, precision=None) -> np.ndarray:
     """Decomposed Winograd convolution for any kernel size and stride.
@@ -416,7 +385,10 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     cropped once.  Equals direct_conv2d up to float rounding (exactly, in
     the object-dtype test mode).
     """
-    plan = _checked_plan(spec, plan)
+    if plan is None:
+        plan = plan_decomposition(spec)
+    elif plan.spec != spec:
+        raise ValueError("plan was built for a different ConvSpec")
     dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
     return _dwm(dpad, w, plan, out_dims, "dwm_conv2d")
 
@@ -538,18 +510,21 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
              algo: str = "direct", precision=None,
              plan: DecompositionPlan | None = None) -> ConvOutput:
-    """Run one convolution by name ("direct", "winograd", "dwm") with its
-    FLOP-model count; a Winograd run counts the plan that ran (``plan``
-    applies to "dwm" only)."""
+    """Run one convolution by name ("direct", "winograd", "dwm") through its
+    public engine, with the FLOP-model count of what ran: ``flops_direct``,
+    or ``flops_dwm`` of the plan that ran.  ``plan`` applies to "dwm" only;
+    passing one with another algorithm is a ValueError."""
+    if algo not in ("direct", "winograd", "dwm"):
+        raise ValueError(f"unknown algorithm {algo!r}; expected direct, winograd or dwm")
+    if plan is not None and algo != "dwm":
+        raise ValueError(f"plan applies to algo 'dwm' only, not {algo!r}")
     if algo == "direct":
         y = direct_conv2d(data, weights, spec, precision=precision)
         return ConvOutput(y=y, flops=flops_direct(spec, y.shape[2:]))
     if algo == "winograd":
         plan = plan_classic(spec)
-    elif algo == "dwm":
-        plan = _checked_plan(spec, plan)
+        y = winograd_conv2d(data, weights, spec, precision=precision)
     else:
-        raise ValueError(f"unknown algorithm {algo!r}; expected direct, winograd or dwm")
-    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
-    return ConvOutput(y=_dwm(dpad, w, plan, out_dims, f"{algo}_conv2d"),
-                      flops=flops_dwm(plan, out_dims))
+        plan = plan_decomposition(spec) if plan is None else plan
+        y = dwm_conv2d(data, weights, spec, plan, precision)
+    return ConvOutput(y=y, flops=flops_dwm(plan, y.shape[2:]))

@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
+from dwmconv import bench
 from dwmconv.bench import (AccuracyConfig, AccuracyRow, AccuracyReport, _draw,
                            analyze_network, check_accuracy_bands, load_network,
                            network_report_csv, run_accuracy_suite, run_flops_suite)
@@ -50,8 +52,7 @@ def test_accuracy_suite_is_deterministic():
 
 
 def test_accuracy_suite_rows_equal_the_public_engines():
-    # the suite checks and casts its inputs once and runs the engine bodies;
-    # every row must equal the checked public engine's on the same draw
+    # every row must equal the public engine's on the same draw
     configs = SMALL + [AccuracyConfig(kernel=(4, 2), stride=(1, 1), hw=7, channels=3,
                                       filters=2, batch=2)]
     report = run_accuracy_suite(configs, seeds=[3])
@@ -72,6 +73,27 @@ def test_accuracy_suite_rows_equal_the_public_engines():
             row = next(rows)
             assert row.mse == mse(public[row.algorithm, row.precision], reference)
     assert next(rows, None) is None
+
+
+def test_accuracy_suite_calls_each_public_engine_once_per_row(monkeypatch):
+    calls = {}
+
+    def counting(name):
+        engine = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return engine(*args, **kwargs)
+        return wrapper
+
+    expected = run_accuracy_suite(SMALL, seeds=[1, 2])
+    for name in ("direct_conv2d", "gemm_conv2d", "winograd_conv2d", "dwm_conv2d"):
+        monkeypatch.setattr(bench, name, counting(name))
+    assert run_accuracy_suite(SMALL, seeds=[1, 2]) == expected
+    rows = collections.Counter(r.algorithm for r in expected.rows
+                               if (r.algorithm, r.precision) != ("direct", "binary64"))
+    assert calls == {"gemm_conv2d": len(SMALL) * 2, "direct_conv2d": rows["direct"],
+                     "winograd_conv2d": rows["winograd"], "dwm_conv2d": rows["dwm"]}
 
 
 def test_accuracy_same_padding_keeps_extent():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dwmconv import cli, tensorfile
+from dwmconv import ConvSpec, cli, flops_dwm, plan_classic, plan_decomposition, tensorfile
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +74,18 @@ def test_conv_dwm_verify_reports_tiny_diff(tmp_path, capsys):
     diff = float(out.split("max_abs_diff_vs_direct=")[1].split()[0])
     assert diff <= 1e-12
     assert "mults_per_channel_filter=" in out
+
+
+@pytest.mark.parametrize("algo,parts", [("winograd", 1), ("dwm", 4)])
+def test_conv_dump_plan_prints_the_plan_that_ran(tmp_path, capsys, algo, parts):
+    din, win, _, _ = _write_fixture(tmp_path, (1, 1, 8, 8), (1, 1, 5, 5))
+    code, out, err = run_cli(capsys, "conv", "--algo", algo, "--in", str(din),
+                             "--weights", str(win), "--dump-plan")
+    assert code == 0, err
+    stats, plan = out.split("\n", 1)
+    assert len(json.loads(plan)["parts"]) == parts
+    ran = (plan_classic if algo == "winograd" else plan_decomposition)(ConvSpec(kernel=(5, 5)))
+    assert f"mults_per_channel_filter={flops_dwm(ran, (4, 4))}" in stats
 
 
 def test_conv_winograd_stride2_errors_toward_dwm(tmp_path, capsys):

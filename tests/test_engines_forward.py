@@ -380,6 +380,15 @@ def test_convolve_instrumented_count_matches_flop_model():
         plan_classic(spec_11, get_transform(11), get_transform(11)), (19, 23)) == 249_704
 
 
+@pytest.mark.parametrize("algo", ["direct", "winograd"])
+def test_convolve_rejects_a_plan_for_another_algorithm(algo):
+    d = np.ones((1, 1, 8, 8))
+    g = np.ones((1, 1, 3, 3))
+    plan = plan_decomposition(ConvSpec(kernel=(5, 5)))
+    with pytest.raises(ValueError, match=f"^plan applies to algo 'dwm' only, not '{algo}'$"):
+        convolve(d, g, ConvSpec(kernel=(3, 3)), algo=algo, plan=plan)
+
+
 def test_engine_rejects_channel_mismatch():
     d = np.zeros((1, 2, 8, 8))
     g = np.zeros((1, 3, 3, 3))

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from dwmconv import cli
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_hashes.py"
 _spec = importlib.util.spec_from_file_location("output_hashes", SCRIPT)
 output_hashes = importlib.util.module_from_spec(_spec)
@@ -34,3 +36,14 @@ def test_a_line_inserted_before_the_end_shifts_and_is_reported():
 def test_a_missing_line_is_reported():
     problems = output_hashes.compare(OLD, OLD[:2])
     assert len(problems) == 1 and "line 3:" in problems[0] and "(no line)" in problems[0]
+
+
+def test_report_builders_give_the_text_the_cli_writes(tmp_path):
+    for argv, build, name in (
+            (["bench", "--suite", "flops", "--config"], output_hashes.flops_report,
+             "flops_14x14.json"),
+            (["analyze", "--network"], output_hashes.analyze_report, "alexnet.json")):
+        base = tmp_path / name
+        assert cli.main([*argv, name, "--out", str(base)]) == 0
+        csv = Path(f"{base}.csv").read_text(encoding="utf-8")
+        assert build(name) == {"csv": csv}
