@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_transforms)
 
     p = sub.add_parser("conv", help="run a single convolution on tensor files")
-    p.add_argument("--algo", choices=("direct", "winograd", "dwm"), required=True)
+    p.add_argument("--algo", choices=("direct", "gemm", "winograd", "dwm"), required=True)
     p.add_argument("--in", dest="input", required=True, help="input tensor file (DWM1)")
     p.add_argument("--weights", required=True, help="weights tensor file (F,C,r_h,r_w)")
     p.add_argument("--kernel", help="kernel taps, must match the weights file")

@@ -19,7 +19,10 @@ outputs in plan order.
 Every Winograd stage reads and writes the layout of the transform-domain
 GEMM (Lavin & Gray, arXiv:1509.09308): (lr, lc, K, N*TH*TW), window point
 first, then channel or filter, then every tile of the batch.  Each
-transform is two small matmuls over the two leading axes (``_axes2``).
+transform is two small matmuls over the two leading axes (``_axes2``), run
+over blocks of the trailing axes whose half-transformed rows stay within
+1 MB, so that only the result exists at full size (for classic 11x11
+256->256 in binary32, U is 37.7 MB and its rows in one piece would be 34.6 MB).
 The transform that follows a transform-domain GEMM (At . A in the
 forward, B . Bt and Gt . G in the backward) is streamed with it
 (``_axes2_product``): one column of window points at a time, that
@@ -33,7 +36,8 @@ Work that does not depend on the part is done once per call:
 
 * the weights are copied once to tap-major (r_h, r_w, F, C) order, so a
   part's kernel sub-block is a view that the kernel transform reads
-  directly (for stride-1 columns, one BLAS operand with no copy);
+  directly, and their cast to the call's precision is dropped as soon as
+  that copy exists;
 * every part has the same output tile grid, so the forward sums the
   parts' detransformed (2, 2, F, N*TH*TW) tiles and untiles and crops the
   sum once;
@@ -44,9 +48,9 @@ Work that does not depend on the part is done once per call:
 
 None of this changes a bit of any result: every matrix product sums the
 same values in the same order as with per-part gathers and the one-shot
-GEMM (only the operands' memory layout and the calls' grouping differ),
-and the aggregation adds are elementwise, in plan order, whatever the
-layout.
+GEMM (only the operands' memory layout and the calls' grouping and
+widths differ, never a call's M or K), and the aggregation adds are
+elementwise, in plan order, whatever the layout.
 
 Precision notes: every engine runs in the element type of its tensors, so
 the binary32 path rounds after each matrix stage; passing object-dtype
@@ -138,6 +142,14 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     return pad_input(_cast(data, dt, "data"), spec.pad), w, out_dims
 
 
+# Operand bytes per block of a matrix stage: im2col columns per channel
+# block in ``gemm_conv2d``, half-transformed rows per block in ``_axes2``.
+# im2col blocks of 4 MB raised the peak RSS of a one-seed 14x14 accuracy
+# sweep by 5 MB over the sequential reference's; at 1 MB it stays within
+# 2 MB, for about 10 % more BLAS time at 11x11.
+_GEMM_BLOCK_BYTES = 1 << 20
+
+
 def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
            out: np.ndarray | None = None) -> np.ndarray:
     """mat_r over axis 0 of x, then mat_c over axis 1: (a, b, ...) -> (p, q, ...).
@@ -145,13 +157,38 @@ def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
     With ``out``, the result is written there; its axes after the first two
     must merge into one without a copy (as in any slice of the first two
     axes of a contiguous array), so that the reshape below is a view.
+
+    The axes after the first two are taken in blocks whose half-transformed
+    (p, b, block) rows stay within ``_GEMM_BLOCK_BYTES``; an operand that
+    fits in one block runs in one shot.  Every BLAS call keeps the one-shot
+    form's M and K, so each element is summed in the same order.  A block
+    is at least 2 wide: numpy would run a 1-wide one as a gemv, whose order
+    differs.
     """
     a, b, *rest = x.shape
     p, q = mat_r.shape[0], mat_c.shape[0]
-    rows = np.matmul(mat_r, x.reshape(a, -1)).reshape(p, b, -1)
+    x3 = x.reshape(a, b, -1)
+    t = x3.shape[2]
+    dt = np.result_type(mat_r, mat_c, x)
+    width = max(4, _GEMM_BLOCK_BYTES // (p * b * dt.itemsize))
+    blocks = -(-t // width)
+    # One shot, rows before the result: allocating the result first left the
+    # accuracy sweep's peak RSS 10 MB higher in 3 of 12 runs (glibc heap layout).
+    if blocks <= 1:
+        rows = np.matmul(mat_r, x.reshape(a, -1)).reshape(p, b, -1)
+        if out is None:
+            return np.matmul(mat_c, rows).reshape(p, q, *rest)
+        np.matmul(mat_c, rows, out=out.reshape(p, q, -1))
+        return out
     if out is None:
-        return np.matmul(mat_c, rows).reshape(p, q, *rest)
-    np.matmul(mat_c, rows, out=out.reshape(p, q, -1))
+        out = np.empty((p, q, *rest), dtype=dt)
+    y = out.reshape(p, q, -1)
+    buf = np.empty((p, b, -(-t // blocks)), dtype=dt)
+    for k in range(blocks):  # t1 - t0 >= 2, as t / blocks > width / 2 >= 2
+        t0, t1 = k * t // blocks, (k + 1) * t // blocks
+        rows = buf[:, :, :t1 - t0]
+        np.matmul(mat_r, x3[:, :, t0:t1].transpose(1, 0, 2), out=rows.transpose(1, 0, 2))
+        np.matmul(mat_c, rows, out=y[:, :, t0:t1])
     return out
 
 
@@ -208,13 +245,32 @@ def _data_transform(signal: np.ndarray, nt_r: NumericTransformSet,
     return _axes2(nt_r.b_t, nt_c.b_t, _taps(signal, nt_r.r + 1, nt_c.r + 1, th, tw))
 
 
+# Bytes of weights per block of the tap-major copy: a block that fits in
+# L1 is read once while its transpose is written.
+_TAP_BLOCK_BYTES = 32 << 10
+
+
 def _tap_major(w: np.ndarray) -> np.ndarray:
-    """(F, C, r_h, r_w) weights -> contiguous tap-major (r_h, r_w, F, C),
-    copied one filter at a time: for 256->256 11x11 weights that takes less
-    than half the time of one transposed copy of the whole tensor."""
-    wt = np.empty((*w.shape[2:], *w.shape[:2]), dtype=w.dtype)
-    for fi in range(w.shape[0]):
-        wt[:, :, fi] = w[fi].transpose(1, 2, 0)
+    """(F, C, r_h, r_w) weights -> contiguous tap-major (r_h, r_w, F, C).
+
+    Where a 32 kB block holds at least one whole filter, the (F*C, r_h*r_w)
+    view of contiguous weights is copied transposed one block of rows at a
+    time: 256->256 3x3 binary32 weights then take about 35 % less time than
+    one filter at a time, and AlexNet conv1 (3 channels) about 85 % less.
+    Larger filters are copied one at a time, which for 7x7 and more at 256
+    channels is faster than blocks of rows (1.2-1.5x at 9x9 and 11x11) and
+    than one transposed copy of the whole tensor (2.7x at 11x11).
+    """
+    f, c, r_h, r_w = w.shape
+    wt = np.empty((r_h, r_w, f, c), dtype=w.dtype)
+    step = _TAP_BLOCK_BYTES // (r_h * r_w * w.itemsize)
+    if step < max(c, 1) or not w.flags.c_contiguous:
+        for fi in range(f):
+            wt[:, :, fi] = w[fi].transpose(1, 2, 0)
+        return wt
+    src, dst = w.reshape(f * c, r_h * r_w), wt.reshape(r_h * r_w, f * c)
+    for i in range(0, f * c, step):
+        dst[:, i:i + step] = src[i:i + step].T
     return wt
 
 
@@ -293,12 +349,6 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     return check_finite(np.ascontiguousarray(y), "direct_conv2d")
 
 
-# im2col columns per channel block.  Blocks of 4 MB raised the peak RSS of
-# a one-seed 14x14 accuracy sweep by 5 MB over the sequential reference's;
-# at 1 MB it stays within 2 MB, for about 10 % more BLAS time at 11x11.
-_GEMM_BLOCK_BYTES = 1 << 20
-
-
 def gemm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
                 precision=None) -> np.ndarray:
     """Strided correlation lowered to matrix products (im2col + BLAS).
@@ -369,9 +419,8 @@ def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     axis's taps.  Strided convolutions and kernels beyond the point
     sequence are out of this engine's reach; dwm_conv2d runs them.
     """
-    plan = plan_classic(spec, ts_rows, ts_cols)
-    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
-    return _dwm(dpad, w, plan, out_dims, "winograd_conv2d")
+    return _dwm(data, weights, plan_classic(spec, ts_rows, ts_cols), precision,
+                "winograd_conv2d")
 
 
 def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
@@ -389,23 +438,24 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
         plan = plan_decomposition(spec)
     elif plan.spec != spec:
         raise ValueError("plan was built for a different ConvSpec")
-    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
-    return _dwm(dpad, w, plan, out_dims, "dwm_conv2d")
+    return _dwm(data, weights, plan, precision, "dwm_conv2d")
 
 
-def _dwm(dpad: np.ndarray, w: np.ndarray, plan: DecompositionPlan, out_dims,
+def _dwm(data: np.ndarray, weights: np.ndarray, plan: DecompositionPlan, precision,
          engine: str) -> np.ndarray:
-    """The Winograd forward body, on checked, cast and padded inputs and a
-    plan for their ConvSpec; overflow messages name ``engine``.
+    """The Winograd forward body: the checked prologue, then ``plan`` (built
+    for the inputs' ConvSpec); overflow messages name ``engine``.
 
     Each part is a tiled F(2, r) correlation of its stride-1 input slice,
     in the GEMM's tile layout (2, 2, F, N*TH*TW); windows past the slice's
     edge read zeros, and ``_untile`` crops what they feed.
     """
+    dpad, w, out_dims = _checked_inputs(data, weights, plan.spec, precision)
     n = dpad.shape[0]
     oh, ow = out_dims
     th, tw = _tile_dims(oh, ow)
     wt = _tap_major(w)
+    del w  # the cast weights, if a cast made them: only the tap-major copy is read
 
     acc = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
@@ -483,6 +533,7 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     _require_finite(grad_out, "grad_out")
     dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, *_tile_dims(oh, ow))  # (2,2,F,NTT)
     wt = _tap_major(w)
+    del w  # as in _dwm
     grad_pad = np.zeros_like(dpad)
     dms = {}  # A dY At per (row, col) transform pair, until its last part
     pair = lambda part: (id(part.transform_rows), id(part.transform_cols))
@@ -510,16 +561,18 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
              algo: str = "direct", precision=None,
              plan: DecompositionPlan | None = None) -> ConvOutput:
-    """Run one convolution by name ("direct", "winograd", "dwm") through its
-    public engine, with the FLOP-model count of what ran: ``flops_direct``,
-    or ``flops_dwm`` of the plan that ran.  ``plan`` applies to "dwm" only;
-    passing one with another algorithm is a ValueError."""
-    if algo not in ("direct", "winograd", "dwm"):
-        raise ValueError(f"unknown algorithm {algo!r}; expected direct, winograd or dwm")
+    """Run one convolution by name ("direct", "gemm", "winograd", "dwm")
+    through its public engine, with the FLOP-model count of what ran:
+    ``flops_direct`` for the two direct engines, or ``flops_dwm`` of the
+    plan that ran.  ``plan`` applies to "dwm" only; passing one with
+    another algorithm is a ValueError."""
+    if algo not in ("direct", "gemm", "winograd", "dwm"):
+        raise ValueError(f"unknown algorithm {algo!r}; expected direct, gemm, winograd or dwm")
     if plan is not None and algo != "dwm":
         raise ValueError(f"plan applies to algo 'dwm' only, not {algo!r}")
-    if algo == "direct":
-        y = direct_conv2d(data, weights, spec, precision=precision)
+    if algo in ("direct", "gemm"):
+        engine = direct_conv2d if algo == "direct" else gemm_conv2d
+        y = engine(data, weights, spec, precision=precision)
         return ConvOutput(y=y, flops=flops_direct(spec, y.shape[2:]))
     if algo == "winograd":
         plan = plan_classic(spec)

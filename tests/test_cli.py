@@ -76,6 +76,17 @@ def test_conv_dwm_verify_reports_tiny_diff(tmp_path, capsys):
     assert "mults_per_channel_filter=" in out
 
 
+def test_conv_gemm_verify_prints_one_stats_line(tmp_path, capsys):
+    din, win, _, _ = _write_fixture(tmp_path, (1, 2, 11, 11), (2, 2, 5, 5))
+    code, out, err = run_cli(capsys, "conv", "--algo", "gemm", "--in", str(din),
+                             "--weights", str(win), "--stride", "2", "--verify")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("algo=gemm kernel=5x5 stride=2x2 out=4x4 ")
+    assert "mults_per_channel_filter=400 " in lines[0]  # flops_direct: 4*4 outputs, 25 taps
+    assert float(lines[0].split("max_abs_diff_vs_direct=")[1]) <= 1e-12
+
+
 @pytest.mark.parametrize("algo,parts", [("winograd", 1), ("dwm", 4)])
 def test_conv_dump_plan_prints_the_plan_that_ran(tmp_path, capsys, algo, parts):
     din, win, _, _ = _write_fixture(tmp_path, (1, 1, 8, 8), (1, 1, 5, 5))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -188,6 +189,14 @@ def test_winograd_stride_guard_points_to_dwm():
         convolve(d, g, ConvSpec(kernel=(3, 3), stride=(2, 2)), algo="winograd")
 
 
+def _one_shot_axes2(mat_r, mat_c, x):
+    """The two matrix stages of ``_axes2`` over the whole operand."""
+    a, b, *rest = x.shape
+    p, q = mat_r.shape[0], mat_c.shape[0]
+    rows = np.matmul(mat_r, x.reshape(a, -1)).reshape(p, b, -1)
+    return np.matmul(mat_c, rows).reshape(p, q, *rest)
+
+
 # The three call patterns of the streamed transform-domain GEMM: the
 # transform that follows each, and whether a or b is a transposed view.
 STREAM_PATTERNS = {
@@ -215,9 +224,9 @@ def _stream_operands(rng, dt, pattern, ts_r, ts_c, m, k, n):
 @pytest.mark.parametrize("dt", [np.float32, np.float64, object],
                          ids=["binary32", "binary64", "fraction"])
 def test_streamed_transform_gemm_has_the_one_shot_bits(pattern, dt):
-    """_axes2_product equals _axes2 over the whole matmul byte for byte, on
-    F(2, 1..3) and baseline F(2, <=7) transforms; m*n == 1 are the shapes
-    whose per-column mat_r stage numpy would run as a gemv."""
+    """_axes2_product equals the one-shot _axes2 over the whole matmul byte
+    for byte, on F(2, 1..3) and baseline F(2, <=7) transforms; m*n == 1 are
+    the shapes whose per-column mat_r stage numpy would run as a gemv."""
     rng = np.random.default_rng(list(STREAM_PATTERNS).index(pattern))
     exact = dt == object
     cases = [(get_transform(3), get_transform(3), 1, k, 1) for k in (1, 5, 64)]
@@ -228,7 +237,7 @@ def test_streamed_transform_gemm_has_the_one_shot_bits(pattern, dt):
         cases.append((pick(), pick(), *(int(v) for v in rng.integers(1, top, size=3))))
     for ts_r, ts_c, m, k, n in cases:
         mat_r, mat_c, a, b = _stream_operands(rng, dt, pattern, ts_r, ts_c, m, k, n)
-        want = _axes2(mat_r, mat_c, np.matmul(a, b))
+        want = _one_shot_axes2(mat_r, mat_c, np.matmul(a, b))
         if pattern == "b-transposed":  # into a slice of a larger tap-major array, as the engine
             whole = np.zeros((mat_r.shape[0] + 1, mat_c.shape[0], m, n), dtype=want.dtype)
             got = _axes2_product(mat_r, mat_c, a, b, out=whole[1:])
@@ -241,6 +250,54 @@ def test_streamed_transform_gemm_has_the_one_shot_bits(pattern, dt):
             assert got.tolist() == want.tolist(), label
         else:
             assert got.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("into_out", [False, True], ids=["new", "out"])
+@pytest.mark.parametrize("dt", [np.float32, np.float64, object],
+                         ids=["binary32", "binary64", "fraction"])
+def test_blocked_transform_has_the_one_shot_bits(monkeypatch, dt, into_out):
+    """_axes2 over blocks of the trailing axes equals the one-shot formula
+    byte for byte, with the block bytes cut so that small operands span one
+    to many blocks: every matrix the engines hand it (G, Bt, At and At
+    transposed), of default F(2, 1..3) and baseline F(2, <=7) transforms, on
+    contiguous operands and on strided kernel sub-blocks."""
+    block_bytes = 64  # blocks of the least width, 4, on every operand here
+    monkeypatch.setattr("dwmconv.engines._GEMM_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(14)
+    exact = dt == object
+    numeric = to_exact_arrays if exact else (lambda ts: to_float(ts, dt))
+    matrices = [lambda nt: nt.g, lambda nt: nt.b_t, lambda nt: nt.a_t, lambda nt: nt.a_t.T]
+    spanned = set()
+    for trial in range(8 if exact else 30):
+        pick = lambda: (get_baseline_transform(int(rng.integers(1, 8))) if rng.random() < 0.4
+                        else get_transform(int(rng.integers(1, 4))))
+        ts_r, ts_c = pick(), pick()
+        matrix = matrices[trial % 4]
+        mat_r, mat_c = matrix(numeric(ts_r)), matrix(numeric(ts_c))
+        rest = ((1, trial + 1) if trial < 4  # one block: a block is at least 4 wide
+                else tuple(int(v) for v in rng.integers(1, 6 if exact else 40, size=2)))
+        shape = (mat_r.shape[1], mat_c.shape[1], *rest)
+        x = rng.integers(-8, 9, size=(2 * shape[0], 2 * shape[1], *rest))
+        x = np.vectorize(lambda v: F(int(v), 4), otypes=[object])(x) if exact \
+            else (x + rng.standard_normal(x.shape)).astype(dt)
+        x = x[1::2, ::2] if trial % 2 else np.ascontiguousarray(x[:shape[0], :shape[1]])
+        want = _one_shot_axes2(mat_r, mat_c, x)
+        if into_out:  # into a slice of a larger tap-major array, as the backward does
+            whole = np.zeros((want.shape[0] + 1, *want.shape[1:]), dtype=want.dtype)
+            got = _axes2(mat_r, mat_c, x, out=whole[1:])
+            assert np.shares_memory(got, whole)
+        else:
+            got = _axes2(mat_r, mat_c, x)
+        label = (ts_r.r, ts_r.points, ts_c.r, ts_c.points, shape)
+        assert got.dtype == want.dtype and got.shape == want.shape, label
+        if exact:
+            assert got.tolist() == want.tolist(), label
+        else:
+            assert got.tobytes() == want.tobytes(), label
+        itemsize = np.dtype(dt).itemsize
+        width = max(4, block_bytes // (mat_r.shape[0] * shape[1] * itemsize))
+        spanned.add(min(-(-rest[0] * rest[1] // width), 2))
+    assert spanned == {1, 2}  # one block, and several
 
 
 def test_dwm_degenerate_3x3_is_bit_identical_to_winograd():
@@ -380,13 +437,26 @@ def test_convolve_instrumented_count_matches_flop_model():
         plan_classic(spec_11, get_transform(11), get_transform(11)), (19, 23)) == 249_704
 
 
-@pytest.mark.parametrize("algo", ["direct", "winograd"])
+@pytest.mark.parametrize("algo", ["direct", "gemm", "winograd"])
 def test_convolve_rejects_a_plan_for_another_algorithm(algo):
     d = np.ones((1, 1, 8, 8))
     g = np.ones((1, 1, 3, 3))
     plan = plan_decomposition(ConvSpec(kernel=(5, 5)))
     with pytest.raises(ValueError, match=f"^plan applies to algo 'dwm' only, not '{algo}'$"):
         convolve(d, g, ConvSpec(kernel=(3, 3)), algo=algo, plan=plan)
+
+
+def test_convolve_gemm_is_gemm_conv2d_with_the_direct_count():
+    rng = np.random.default_rng(10)
+    spec = ConvSpec(kernel=(5, 3), stride=(2, 1), pad=(2, 1, 0, 1))
+    d = rng.standard_normal((2, 3, 13, 11))
+    g = rng.standard_normal((4, 3, 5, 3))
+    for precision in (None, "binary32"):
+        out = convolve(d, g, spec, algo="gemm", precision=precision)
+        assert out.y.tobytes() == gemm_conv2d(d, g, spec, precision=precision).tobytes()
+        assert out.flops == convolve(d, g, spec, algo="direct", precision=precision).flops
+    with pytest.raises(ValueError, match="expected direct, gemm, winograd or dwm$"):
+        convolve(d, g, spec, algo="im2col")
 
 
 def test_engine_rejects_channel_mismatch():
@@ -410,6 +480,7 @@ NAMED_INPUT_ENGINES = {
     "winograd_conv2d": lambda d, w, dy, **kw: winograd_conv2d(d, w, SPEC_PAD1, **kw),
     "dwm_conv2d": lambda d, w, dy, **kw: dwm_conv2d(d, w, SPEC_PAD1, **kw),
     "convolve-direct": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="direct", **kw),
+    "convolve-gemm": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="gemm", **kw),
     "convolve-winograd": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="winograd",
                                                          **kw),
     "convolve-dwm": lambda d, w, dy, **kw: convolve(d, w, SPEC_PAD1, algo="dwm", **kw),
@@ -541,3 +612,41 @@ def test_float32_overflow_in_cropped_tile_entries_raises_nothing(axis):
         warnings.simplefilter("error")
         y = dwm_conv2d(d, w, ConvSpec(kernel=tuple(shape[2:])))
     np.testing.assert_array_equal(y, np.zeros((1, 1, *shape[2:]), dtype=np.float32))
+
+
+WIDE_11X11 = ConvSpec(kernel=(11, 11))
+MEMORY_CASES = {
+    "winograd_conv2d": (lambda d, w, dy: winograd_conv2d(d, w, WIDE_11X11, precision="binary32"),
+                        plan_classic(WIDE_11X11)),
+    "dwm_conv2d": (lambda d, w, dy: dwm_conv2d(d, w, WIDE_11X11, precision="binary32"),
+                   plan_decomposition(WIDE_11X11)),
+    "dwm_backward": (lambda d, w, dy: dwm_backward(dy, plan_decomposition(WIDE_11X11), d, w,
+                                                   precision="binary32"),
+                     plan_decomposition(WIDE_11X11)),
+}
+
+
+@pytest.mark.parametrize("engine", MEMORY_CASES)
+def test_binary32_weights_live_once_beside_the_kernel_transform(engine):
+    """On float64 inputs computed in binary32, an engine holds the tap-major
+    copy of the weights and the largest part's kernel transform U, but
+    neither the binary32 cast of the weights beside them nor U's
+    half-transformed rows at full size: the traced peak of the call stays
+    below those two plus 2 MB (64->64 channels, 11x11 taps, 14x14 input)."""
+    fn, plan = MEMORY_CASES[engine]
+    rng = np.random.default_rng(15)
+    d = rng.standard_normal((1, 64, 14, 14))
+    w = rng.standard_normal((64, 64, 11, 11))
+    dy = rng.standard_normal((1, 64, 4, 4))
+    tap_major = w.size * 4
+    points = max(p.transform_rows.alpha * p.transform_cols.alpha for p in plan.parts)
+    largest_u = points * 64 * 64 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(d, w, dy)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < tap_major + largest_u + (2 << 20), (peak, tap_major, largest_u)
