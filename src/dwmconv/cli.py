@@ -67,6 +67,8 @@ def _load_config(path_text: str, parse):
 
 
 def cmd_gen_transforms(args) -> int:
+    if args.trials < 1:
+        return _fail(f"--trials must be at least 1, got {args.trials}")
     points = None
     if args.points is not None:
         try:

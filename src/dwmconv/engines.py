@@ -18,39 +18,17 @@ outputs in plan order.
 
 Every Winograd stage reads and writes the layout of the transform-domain
 GEMM (Lavin & Gray, arXiv:1509.09308): (lr, lc, K, N*TH*TW), window point
-first, then channel or filter, then every tile of the batch.  Each
-transform is two small matmuls over the two leading axes (``_axes2``), run
-over blocks of the trailing axes whose half-transformed rows stay within
-1 MB, so that only the result exists at full size (for classic 11x11
-256->256 in binary32, U is 37.7 MB and its rows in one piece would be 34.6 MB).
-The transform that follows a transform-domain GEMM (At . A in the
-forward, B . Bt and Gt . G in the backward) is streamed with it
-(``_axes2_product``): one column of window points at a time, that
-column's per-point GEMMs run and the row transform maps their results
-while they are still in cache; the column transform then runs once.  So
-the whole (lr, lc, K, N*TH*TW) product, 3.2 MB per part for AlexNet conv1
-in binary32 (more than a 2 MB L2), is never written out and read back.
-Only a GEMM whose per-point result is one element runs in one shot (see
-``_axes2_product``).
-Work that does not depend on the part is done once per call:
-
-* the weights are copied once to tap-major (r_h, r_w, F, C) order, so a
-  part's kernel sub-block is a view that the kernel transform reads
-  directly, and their cast to the call's precision is dropped as soon as
-  that copy exists;
-* every part has the same output tile grid, so the forward sums the
-  parts' detransformed (2, 2, F, N*TH*TW) tiles and untiles and crops the
-  sum once;
-* the backward builds the taps of dY once, and A dY At once per distinct
-  (row, col) transform pair, for all the parts that share it; each part
-  writes its weight gradient over its own sub-block of the tap-major
-  copy, which is transposed back once.
-
-None of this changes a bit of any result: every matrix product sums the
-same values in the same order as with per-part gathers and the one-shot
-GEMM (only the operands' memory layout and the calls' grouping and
-widths differ, never a call's M or K), and the aggregation adds are
-elementwise, in plan order, whatever the layout.
+first, then channel or filter, then every tile of the batch.  The GEMM is
+one ``np.matmul`` over all window points, and every transform, the
+detransform that follows the GEMM included, is ``_axes2``: two small
+matmuls over the two leading axes.  Work that does not depend on the part
+is done once per call: the tap-major copy of the weights, the untiling of
+the summed part tiles and, in the backward, the taps of dY and A dY At per
+transform pair.  None of this changes a bit of any result: every matrix
+product sums the same values in the same order as with per-part gathers
+(only the operands' memory layout and the calls' grouping and widths
+differ, never a call's M or K), and the aggregation adds are elementwise,
+in plan order, whatever the layout.
 
 Precision notes: every engine runs in the element type of its tensors, so
 the binary32 path rounds after each matrix stage; passing object-dtype
@@ -61,9 +39,7 @@ ascending order; a layout that keeps that order keeps the bits, while one
 Kronecker product (nine products in one sum) would not.  Reductions use
 fixed orders (ascending channel/tap loops, plan order, row-major tiles,
 ascending channel blocks around BLAS) so results are reproducible run to
-run.  The backward pass scatters each part's signal gradient tap by tap in
-descending tap order, so every element still receives its tile
-contributions in row-major tile order.
+run.
 """
 
 from dataclasses import dataclass
@@ -99,19 +75,20 @@ def _numeric_for(ts: TransformSet, dtype) -> NumericTransformSet:
     return to_float(ts, np.dtype(dtype))
 
 
-def _require_finite(x: np.ndarray, name: str):
-    if x.dtype != _OBJECT and not np.isfinite(x).all():
-        raise ValueError(f"{name} contains NaN or Inf")
-
-
 def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
-    """``x`` in element type ``dt``; the inputs are finite by then, so a
-    non-finite value after the cast is a value beyond ``dt``'s range."""
+    """``x`` in element type ``dt``, checked by one NaN/Inf scan: of the
+    result, or of ``x`` when ``dt`` is the exact object type.  Only when
+    that scan fails is ``x`` scanned again, to tell a NaN or Inf it holds
+    from a value beyond ``dt``'s range."""
     if x.dtype == dt:
-        return x
-    with np.errstate(over="ignore"):
-        y = x.astype(dt)
-    if y.dtype != _OBJECT and not np.isfinite(y).all():
+        y = x
+    else:
+        with np.errstate(over="ignore"):
+            y = x.astype(dt)
+    scanned = x if y.dtype == _OBJECT else y
+    if scanned.dtype != _OBJECT and not np.isfinite(scanned).all():
+        if scanned is x or (x.dtype != _OBJECT and not np.isfinite(x).all()):
+            raise ValueError(f"{name} contains NaN or Inf")
         raise ValueError(f"{name} does not fit in {y.dtype}")
     return y
 
@@ -119,8 +96,9 @@ def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
 def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, precision,
                     default_dtype=None):
     """The prologue every engine shares: check data and weights against
-    ``spec`` and name a non-finite one, resolve the element type (from
-    ``precision``, else ``default_dtype``, else data's), cast, pad.
+    ``spec``, resolve the element type (from ``precision``, else
+    ``default_dtype``, else data's), cast data, then weights, to it with
+    one NaN/Inf check each (``_cast``), pad.
 
     Returns (padded data, weights, output extents).
     """
@@ -132,14 +110,13 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     if tuple(weights.shape[2:]) != spec.kernel:
         raise ValueError(f"weights taps {weights.shape[2:]} do not match kernel {spec.kernel}")
     out_dims = spec.out_dims(data.shape[2], data.shape[3])
-    _require_finite(data, "data")
-    _require_finite(weights, "weights")
     if precision is not None:
         dt = precision_dtype(precision)
     else:
         dt = data.dtype if default_dtype is None else default_dtype
+    d = _cast(data, dt, "data")
     w = _cast(weights, dt, "weights")
-    return pad_input(_cast(data, dt, "data"), spec.pad), w, out_dims
+    return pad_input(d, spec.pad), w, out_dims
 
 
 # Operand bytes per block of a matrix stage: im2col columns per channel
@@ -189,38 +166,6 @@ def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
         rows = buf[:, :, :t1 - t0]
         np.matmul(mat_r, x3[:, :, t0:t1].transpose(1, 0, 2), out=rows.transpose(1, 0, 2))
         np.matmul(mat_c, rows, out=y[:, :, t0:t1])
-    return out
-
-
-def _axes2_product(mat_r: np.ndarray, mat_c: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """``_axes2(mat_r, mat_c, np.matmul(a, b), out)`` without the whole product.
-
-    ``a`` (lr, lc, M, K) and ``b`` (lr, lc, K, N) may be transposed views.
-    One column j of window points at a time, the lr per-point GEMMs run as
-    one stacked matmul (the same GEMMs, on the same operands, as one
-    matmul over every point), and ``mat_r`` maps their (lr, M, N) result
-    into row buffer column j while it is still in cache; ``mat_c`` then
-    runs once over the (p, lc, M*N) row buffer.  Each BLAS call sums the
-    same values in the same order as in the one-shot form, so the bits are
-    the same, except when M*N == 1: numpy would then run the per-column
-    ``mat_r`` stage as a gemv, whose order differs, so that case runs the
-    one-shot form.
-    """
-    lr, lc, m, _ = a.shape
-    n = b.shape[3]
-    if m * n == 1:
-        return _axes2(mat_r, mat_c, np.matmul(a, b), out)
-    dt = np.result_type(a, b)
-    p = mat_r.shape[0]
-    part = np.empty((lr, m, n), dtype=dt)
-    rows = np.empty((p, lc, m * n), dtype=dt)
-    for j in range(lc):
-        np.matmul(a[:, j], b[:, j], out=part)
-        np.matmul(mat_r, part.reshape(lr, -1), out=rows[:, j])
-    if out is None:
-        return np.matmul(mat_c, rows).reshape(p, mat_c.shape[0], m, n)
-    np.matmul(mat_c, rows, out=out.reshape(p, mat_c.shape[0], -1))
     return out
 
 
@@ -462,8 +407,14 @@ def _dwm(data: np.ndarray, weights: np.ndarray, plan: DecompositionPlan, precisi
         for index, _, nt_r, nt_c, ksel, isel in _part_loop(plan, dpad.dtype, out_dims):
             v = _data_transform(slice_strided(dpad, *isel), nt_r, nt_c, th, tw)  # (lr,lc,C,NTT)
             u = _axes2(nt_r.g, nt_c.g, wt[ksel])                       # G g Gt: (lr,lc,F,C)
-            tiles = _axes2_product(nt_r.a_t, nt_c.a_t, u, v)           # At m A: (2,2,F,NTT)
-            del u, v  # free them before the next part allocates its own
+            m = np.matmul(u, v)                                        # (lr,lc,F,NTT)
+            # u and v are freed before the detransform allocates, m before
+            # the next part's transforms: with either kept alive longer, one
+            # process running two one-seed accuracy sweeps peaked at 221 MB
+            # RSS instead of 198 (glibc heap layout; 1 CPU, one BLAS thread).
+            del u, v
+            tiles = _axes2(nt_r.a_t, nt_c.a_t, m)                      # At m A: (2,2,F,NTT)
+            del m
             _zero_cropped(tiles, n, oh, ow)  # so that what the crop drops raises nothing
             _check_part(tiles, engine, plan, index)
             acc = tiles if acc is None else accumulate(acc, tiles)
@@ -483,9 +434,7 @@ def _winograd_backward(dm: np.ndarray, signal: np.ndarray, wt: np.ndarray,
     the overlapping input windows one tap (i, j) at a time with i and j
     descending, so each element receives its tile contributions in
     row-major tile order.  Weight gradient: Gt[(A dY At) . (Bt d B)]G,
-    accumulated over tiles and batch in the transform domain.  Both
-    transform-domain GEMMs are streamed with the transform that follows
-    them, one column of window points at a time (``_axes2_product``).
+    accumulated over tiles and batch in the transform domain.
     """
     n, c = signal.shape[:2]
     p_r, p_c = nt_r.r, nt_c.r
@@ -493,17 +442,20 @@ def _winograd_backward(dm: np.ndarray, signal: np.ndarray, wt: np.ndarray,
     th, tw = _tile_dims(oh, ow)
 
     u = _axes2(nt_r.g, nt_c.g, wt)                                    # G g Gt: (lr,lc,F,C)
-    dwin = _axes2_product(nt_r.b_t.T, nt_c.b_t.T,
-                          u.transpose(0, 1, 3, 2), dm)                # B (.) Bt: (lr,lc,C,NTT)
-    dwin = dwin.reshape(lr, lc, c, n, th, tw)
+    m = np.matmul(u.transpose(0, 1, 3, 2), dm)                        # (lr,lc,C,NTT)
+    del u  # as in _dwm: freed before the detransform allocates
+    dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T, m).reshape(lr, lc, c, n, th, tw)  # B m Bt
+    del m
     dsig = np.zeros((c, n, 2 * th + p_r - 1, 2 * tw + p_c - 1), dtype=dm.dtype)
     for i in reversed(range(lr)):
         for j in reversed(range(lc)):
             dsig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[i, j]
-    del u, dwin  # peak memory: free these before the weight gradient's own
+    del dwin  # peak memory: free it before the weight gradient's own
 
     v = _data_transform(signal, nt_r, nt_c, th, tw)                   # (lr,lc,C,NTT)
-    dg = _axes2_product(nt_r.g.T, nt_c.g.T, dm, v.transpose(0, 1, 3, 2), out=wt)  # Gt (.) G
+    m = np.matmul(dm, v.transpose(0, 1, 3, 2))                        # (lr,lc,F,C)
+    del v  # as in _dwm: freed before the detransform
+    dg = _axes2(nt_r.g.T, nt_c.g.T, m, out=wt)                        # Gt m G
     dsig = dsig.transpose(1, 0, 2, 3)[:, :, :oh + p_r - 1, :ow + p_c - 1]
     return dsig, dg
 
@@ -530,7 +482,6 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     want = (data.shape[0], weights.shape[0], oh, ow)
     if grad_out.shape != want:
         raise ValueError(f"grad_out shape {grad_out.shape} != {want}")
-    _require_finite(grad_out, "grad_out")
     dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, *_tile_dims(oh, ow))  # (2,2,F,NTT)
     wt = _tap_major(w)
     del w  # as in _dwm

@@ -45,6 +45,13 @@ def test_gen_transforms_rejects_bad_rational(capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gen_transforms_rejects_fewer_than_one_trial(capsys, trials):
+    code, out, err = run_cli(capsys, "gen-transforms", "2", "3", "--trials", trials)
+    assert code == 1 and out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 def _write_fixture(tmp_path, shape_in, shape_w, dtype=np.float64, seed=0):
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(shape_in).astype(dtype)

@@ -8,8 +8,8 @@ import pytest
 
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_classic, plan_decomposition
-from dwmconv.engines import (_axes2, _axes2_product, convolve, direct_conv2d, dwm_backward,
-                             dwm_conv2d, gemm_conv2d, winograd_conv2d)
+from dwmconv.engines import (_axes2, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
+                             gemm_conv2d, winograd_conv2d)
 from dwmconv.flops import flops_dwm, flops_winograd_classic
 from dwmconv.transforms import (cook_toom, get_baseline_transform, get_transform,
                                 to_exact_arrays, to_float)
@@ -197,59 +197,58 @@ def _one_shot_axes2(mat_r, mat_c, x):
     return np.matmul(mat_c, rows).reshape(p, q, *rest)
 
 
-# The three call patterns of the streamed transform-domain GEMM: the
-# transform that follows each, and whether a or b is a transposed view.
-STREAM_PATTERNS = {
+# The engines' three transform-domain GEMMs, each followed by ``_axes2``:
+# the matrix of that detransform, and whether a or b is a transposed view.
+PRODUCT_PATTERNS = {
     "plain": (lambda nt: nt.a_t, False, False),           # forward, At
     "a-transposed": (lambda nt: nt.b_t.T, True, False),   # signal gradient, B of Ut
     "b-transposed": (lambda nt: nt.g.T, False, True),     # weight gradient, Gt of Vt
 }
 
 
-def _stream_operands(rng, dt, pattern, ts_r, ts_c, m, k, n):
-    """(mat_r, mat_c, a, b) of one pattern for per-point (m, k) @ (k, n) GEMMs."""
-    numeric = to_exact_arrays if dt == object else (lambda ts: to_float(ts, dt))
-    matrix, a_t, b_t = STREAM_PATTERNS[pattern]
-    lr, lc = ts_r.alpha, ts_c.alpha
-
-    def draw(rows, cols, transposed):
-        x = rng.integers(-8, 9, size=(lr, lc) + ((cols, rows) if transposed else (rows, cols)))
-        x = np.vectorize(lambda v: F(int(v), 4), otypes=[object])(x) if dt == object \
-            else (x + rng.standard_normal(x.shape)).astype(dt)
-        return x.transpose(0, 1, 3, 2) if transposed else x
-    return (matrix(numeric(ts_r)), matrix(numeric(ts_c)), draw(m, k, a_t), draw(k, n, b_t))
+def _draw(rng, shape, exact):
+    """Quarter-integer Fractions, or integers plus normal noise."""
+    x = rng.integers(-8, 9, size=shape)
+    if exact:
+        return np.vectorize(lambda v: F(int(v), 4), otypes=[object])(x)
+    return x + rng.standard_normal(x.shape)
 
 
-@pytest.mark.parametrize("pattern", list(STREAM_PATTERNS))
-@pytest.mark.parametrize("dt", [np.float32, np.float64, object],
-                         ids=["binary32", "binary64", "fraction"])
-def test_streamed_transform_gemm_has_the_one_shot_bits(pattern, dt):
-    """_axes2_product equals the one-shot _axes2 over the whole matmul byte
-    for byte, on F(2, 1..3) and baseline F(2, <=7) transforms; m*n == 1 are
-    the shapes whose per-column mat_r stage numpy would run as a gemv."""
-    rng = np.random.default_rng(list(STREAM_PATTERNS).index(pattern))
+def _transform_operands(rng, dt):
+    """(ts_r, ts_c, mat_r, mat_c, x) for ``_axes2``, of default F(2, 1..3)
+    and baseline F(2, <=7) transforms: every matrix the engines hand it on
+    contiguous operands and strided kernel sub-blocks, then every
+    transform-domain product np.matmul(a, b) the engines detransform, a or
+    b transposed as there, including m*n == 1 (a one-element product per
+    window point)."""
     exact = dt == object
-    cases = [(get_transform(3), get_transform(3), 1, k, 1) for k in (1, 5, 64)]
-    for _ in range(4 if exact else 14):
-        pick = lambda: (get_baseline_transform(int(rng.integers(1, 8))) if rng.random() < 0.4
-                        else get_transform(int(rng.integers(1, 4))))
-        top = 3 if exact else 70
-        cases.append((pick(), pick(), *(int(v) for v in rng.integers(1, top, size=3))))
-    for ts_r, ts_c, m, k, n in cases:
-        mat_r, mat_c, a, b = _stream_operands(rng, dt, pattern, ts_r, ts_c, m, k, n)
-        want = _one_shot_axes2(mat_r, mat_c, np.matmul(a, b))
-        if pattern == "b-transposed":  # into a slice of a larger tap-major array, as the engine
-            whole = np.zeros((mat_r.shape[0] + 1, mat_c.shape[0], m, n), dtype=want.dtype)
-            got = _axes2_product(mat_r, mat_c, a, b, out=whole[1:])
-            assert got is not None and np.shares_memory(got, whole)
-        else:
-            got = _axes2_product(mat_r, mat_c, a, b)
-        label = (ts_r.r, ts_r.points, ts_c.r, ts_c.points, m, k, n)
-        assert got.dtype == want.dtype and got.shape == want.shape, label
-        if exact:
-            assert got.tolist() == want.tolist(), label
-        else:
-            assert got.tobytes() == want.tobytes(), label
+    numeric = to_exact_arrays if exact else (lambda ts: to_float(ts, dt))
+    pick = lambda: (get_baseline_transform(int(rng.integers(1, 8))) if rng.random() < 0.4
+                    else get_transform(int(rng.integers(1, 4))))
+    cast = (lambda x: x) if exact else (lambda x: x.astype(dt))
+    matrices = [lambda nt: nt.g, lambda nt: nt.b_t, lambda nt: nt.a_t, lambda nt: nt.a_t.T]
+    for trial in range(8 if exact else 30):
+        ts_r, ts_c = pick(), pick()
+        matrix = matrices[trial % 4]
+        mat_r, mat_c = matrix(numeric(ts_r)), matrix(numeric(ts_c))
+        rest = ((1, trial + 1) if trial < 4  # one block: a block is at least 4 wide
+                else tuple(int(v) for v in rng.integers(1, 6 if exact else 40, size=2)))
+        shape = (mat_r.shape[1], mat_c.shape[1], *rest)
+        x = cast(_draw(rng, (2 * shape[0], 2 * shape[1], *rest), exact))
+        x = x[1::2, ::2] if trial % 2 else np.ascontiguousarray(x[:shape[0], :shape[1]])
+        yield ts_r, ts_c, mat_r, mat_c, x
+    for matrix, a_t, b_t in PRODUCT_PATTERNS.values():
+        sizes = [(get_transform(3), get_transform(3), 1, k, 1) for k in (1, 5, 64)]
+        for _ in range(2 if exact else 5):
+            sizes.append((pick(), pick(),
+                           *(int(v) for v in rng.integers(1, 3 if exact else 40, size=3))))
+        for ts_r, ts_c, m, k, n in sizes:
+            def operand(rows, cols, transposed):
+                lead = (ts_r.alpha, ts_c.alpha)
+                x = cast(_draw(rng, lead + ((cols, rows) if transposed else (rows, cols)), exact))
+                return x.transpose(0, 1, 3, 2) if transposed else x
+            x = np.matmul(operand(m, k, a_t), operand(k, n, b_t))
+            yield ts_r, ts_c, matrix(numeric(ts_r)), matrix(numeric(ts_c)), x
 
 
 @pytest.mark.parametrize("into_out", [False, True], ids=["new", "out"])
@@ -258,29 +257,12 @@ def test_streamed_transform_gemm_has_the_one_shot_bits(pattern, dt):
 def test_blocked_transform_has_the_one_shot_bits(monkeypatch, dt, into_out):
     """_axes2 over blocks of the trailing axes equals the one-shot formula
     byte for byte, with the block bytes cut so that small operands span one
-    to many blocks: every matrix the engines hand it (G, Bt, At and At
-    transposed), of default F(2, 1..3) and baseline F(2, <=7) transforms, on
-    contiguous operands and on strided kernel sub-blocks."""
+    to many blocks, on every operand kind of ``_transform_operands``."""
     block_bytes = 64  # blocks of the least width, 4, on every operand here
     monkeypatch.setattr("dwmconv.engines._GEMM_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(14)
-    exact = dt == object
-    numeric = to_exact_arrays if exact else (lambda ts: to_float(ts, dt))
-    matrices = [lambda nt: nt.g, lambda nt: nt.b_t, lambda nt: nt.a_t, lambda nt: nt.a_t.T]
     spanned = set()
-    for trial in range(8 if exact else 30):
-        pick = lambda: (get_baseline_transform(int(rng.integers(1, 8))) if rng.random() < 0.4
-                        else get_transform(int(rng.integers(1, 4))))
-        ts_r, ts_c = pick(), pick()
-        matrix = matrices[trial % 4]
-        mat_r, mat_c = matrix(numeric(ts_r)), matrix(numeric(ts_c))
-        rest = ((1, trial + 1) if trial < 4  # one block: a block is at least 4 wide
-                else tuple(int(v) for v in rng.integers(1, 6 if exact else 40, size=2)))
-        shape = (mat_r.shape[1], mat_c.shape[1], *rest)
-        x = rng.integers(-8, 9, size=(2 * shape[0], 2 * shape[1], *rest))
-        x = np.vectorize(lambda v: F(int(v), 4), otypes=[object])(x) if exact \
-            else (x + rng.standard_normal(x.shape)).astype(dt)
-        x = x[1::2, ::2] if trial % 2 else np.ascontiguousarray(x[:shape[0], :shape[1]])
+    for ts_r, ts_c, mat_r, mat_c, x in _transform_operands(rng, dt):
         want = _one_shot_axes2(mat_r, mat_c, x)
         if into_out:  # into a slice of a larger tap-major array, as the backward does
             whole = np.zeros((want.shape[0] + 1, *want.shape[1:]), dtype=want.dtype)
@@ -288,15 +270,15 @@ def test_blocked_transform_has_the_one_shot_bits(monkeypatch, dt, into_out):
             assert np.shares_memory(got, whole)
         else:
             got = _axes2(mat_r, mat_c, x)
-        label = (ts_r.r, ts_r.points, ts_c.r, ts_c.points, shape)
+        label = (ts_r.r, ts_r.points, ts_c.r, ts_c.points, x.shape)
         assert got.dtype == want.dtype and got.shape == want.shape, label
-        if exact:
+        if dt == object:
             assert got.tolist() == want.tolist(), label
         else:
             assert got.tobytes() == want.tobytes(), label
         itemsize = np.dtype(dt).itemsize
-        width = max(4, block_bytes // (mat_r.shape[0] * shape[1] * itemsize))
-        spanned.add(min(-(-rest[0] * rest[1] // width), 2))
+        width = max(4, block_bytes // (mat_r.shape[0] * x.shape[1] * itemsize))
+        spanned.add(min(-(-x[0, 0].size // width), 2))
     assert spanned == {1, 2}  # one block, and several
 
 
@@ -514,6 +496,25 @@ def test_input_beyond_float32_is_named_by_the_cast(engine, arg):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{arg} does not fit in float32$"):
             NAMED_INPUT_ENGINES[engine](*inputs, precision=np.float32)
+
+
+@pytest.mark.parametrize("engine,arg", NAMED_INPUTS)
+def test_nan_beside_a_value_beyond_float32_is_named_as_nan(engine, arg):
+    # the cast turns 1e300 into Inf too; the message names what the caller passed
+    inputs = _named_inputs(arg, np.nan)
+    inputs[("data", "weights", "grad_out").index(arg)][0, 0, 0, 0] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{arg} contains NaN or Inf$"):
+            NAMED_INPUT_ENGINES[engine](*inputs, precision=np.float32)
+
+
+def test_inputs_are_checked_data_first():
+    # data beyond binary32 is named before a NaN in the weights
+    d, w, _ = _named_inputs("data", 1e300)
+    w[0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="^data does not fit in float32$"):
+        dwm_conv2d(d, w, SPEC_PAD1, precision=np.float32)
 
 
 ENTRY_MISUSE = {
