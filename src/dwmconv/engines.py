@@ -219,6 +219,28 @@ def _tap_major(w: np.ndarray) -> np.ndarray:
     return wt
 
 
+def _filters_first(wt: np.ndarray) -> np.ndarray:
+    """Tap-major (r_h, r_w, F, C) -> contiguous (F, C, r_h, r_w), the
+    inverse of ``_tap_major``.
+
+    A filter within ``_TAP_BLOCK_BYTES`` is copied with the rest in one
+    transposed copy.  A larger one (7x7 and more at 256 channels) is first
+    copied, as its r_h*r_w rows of C, into a contiguous buffer and then
+    transposed from there: 256->256 binary32 weights then take about a
+    third of the one-shot copy's time at 11x11, while at 3x3 and 5x5 the
+    one-shot copy is the faster.
+    """
+    r_h, r_w, f, c = wt.shape
+    if c * r_h * r_w * wt.itemsize <= _TAP_BLOCK_BYTES:
+        return np.ascontiguousarray(wt.transpose(2, 3, 0, 1))
+    out = np.empty((f, c, r_h, r_w), dtype=wt.dtype)
+    buf = np.empty((r_h, r_w, c), dtype=wt.dtype)
+    for fi in range(f):
+        buf[...] = wt[:, :, fi]
+        out[fi] = buf.transpose(2, 0, 1)
+    return out
+
+
 def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
     """Walk the plan once: per part, its index and the part itself, its
     numeric row and column transforms, its kernel sub-block as a pair of
@@ -246,6 +268,23 @@ def _check_part(x: np.ndarray, engine: str, plan: DecompositionPlan, index: int,
         check_finite(x, engine + result)
 
 
+# Alignment, in bytes, of the direct engine's working buffers: one cache
+# line, so that no AVX-512 load or store of the tap loop straddles two.
+_ALIGN = 64
+
+
+def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Uninitialised ``np.empty(shape, dtype)`` whose data starts on an
+    ``_ALIGN``-byte boundary, as a view of an over-allocated byte buffer
+    (numpy starts its own at 16-byte offsets).  Object arrays hold
+    pointers, not raw bytes, so they come from a plain ``np.empty``."""
+    dt = np.dtype(dtype)
+    if dt == _OBJECT:
+        return np.empty(shape, dtype=dt)
+    raw = np.empty(dt.itemsize * int(np.prod(shape)) + _ALIGN, dtype=np.uint8)
+    return np.ndarray(shape, dt, buffer=raw, offset=-raw.ctypes.data % _ALIGN)
+
+
 def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
                   precision=None) -> np.ndarray:
     """Plain strided correlation; the in-package baseline for everything else.
@@ -261,11 +300,20 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
       the filters, into one buffer per column phase q = kx mod s_w,
       (N, H_pad, ceil(W_pad / s_w), F), so that the window of tap (ky, kx)
       is a view whose rows are ow*F contiguous elements;
-    * per kernel row, the weights are repeated over ow, (r_w, ow, F).
+    * the weights are copied once per call to filters-last (C, r_h, r_w, F)
+      order, and the cast is dropped; per (channel, kernel row) one buffer
+      is filled from that copy with the row's weights repeated over ow,
+      (r_w, ow, F).  Filling it from the (F, C, r_h, r_w) weights instead
+      gathers each value ow times at a stride of C*r_h*r_w elements.
 
-    The layout changes no operation or its order.  The data buffer holds
+    These four buffers (running sum, product, data, weights) start on
+    64-byte boundaries (``_aligned_empty``): at 11x11 256->256 a tap's
+    multiply then takes about half the time.  Neither the layout nor the
+    alignment changes any operation or its order.  The data buffer holds
     about N*H_pad*W_pad*F elements: 590 kB for the 11x11 256->256 14x14
-    sweep shape in binary32, 13 MB for AlexNet conv1 (224x224, 64 filters).
+    sweep shape in binary32, 13 MB for AlexNet conv1 (224x224, 64 filters);
+    the filters-last copy is as large as the weights, and for a call with
+    a cast it exists beside the cast until that is dropped.
     """
     dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
     n, c, h_pad, w_pad = dpad.shape
@@ -273,17 +321,22 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     oh, ow = out_dims
     r_h, r_w = spec.kernel
     s_h, s_w = spec.stride
+    dt = dpad.dtype
+    wl = np.ascontiguousarray(w.transpose(1, 2, 3, 0))  # (C, r_h, r_w, F)
+    del w  # the cast weights, if a cast made them: only the filters-last copy is read
     phases = min(s_w, r_w)  # a stride beyond the kernel leaves column phases unused
-    xb = np.empty((phases, n, h_pad, -(-w_pad // s_w), f), dtype=dpad.dtype)
-    y = np.zeros((n, oh, ow * f), dtype=dpad.dtype)
-    prod = np.empty_like(y)
+    xb = _aligned_empty((phases, n, h_pad, -(-w_pad // s_w), f), dt)
+    y = _aligned_empty((n, oh, ow * f), dt)
+    y[...] = 0
+    prod = _aligned_empty(y.shape, dt)
+    wb = _aligned_empty((r_w, ow, f), dt)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for ci in range(c):
             for q in range(phases):
                 cols = dpad[:, ci, :, q::s_w]
                 xb[q, :, :, :cols.shape[2]] = cols[..., None]
             for ky in range(r_h):
-                wb = np.repeat(w[:, ci, ky].T[:, None], ow, axis=1)  # (r_w, ow, F)
+                wb[...] = wl[ci, ky, :, None]
                 rows = xb[:, :, ky:ky + s_h * oh:s_h]
                 for kx in range(r_w):
                     k0 = kx // s_w
@@ -472,8 +525,9 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     sub-blocks partition the tap-major copy of the weights, and each part
     overwrites its sub-block with its weight gradient once its kernel
     transform has read it, so the copy ends as the whole weight gradient
-    and is transposed back once.  Weights stay in the spatial domain;
-    nothing Winograd-transformed persists between calls.
+    and is copied back to (F, C, r_h, r_w) once (``_filters_first``).
+    Weights stay in the spatial domain; nothing Winograd-transformed
+    persists between calls.
     """
     spec = plan.spec
     require_tensor4(grad_out, "grad_out")
@@ -506,7 +560,7 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     top, _, left, _ = spec.pad
     h, wd = data.shape[2], data.shape[3]
     grad_d = np.ascontiguousarray(grad_pad[:, :, top:top + h, left:left + wd])
-    return check_finite(grad_d, "dwm_backward"), np.ascontiguousarray(wt.transpose(2, 3, 0, 1))
+    return check_finite(grad_d, "dwm_backward"), _filters_first(wt)
 
 
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,

@@ -8,8 +8,9 @@ import pytest
 
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_classic, plan_decomposition
-from dwmconv.engines import (_axes2, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
-                             gemm_conv2d, winograd_conv2d)
+from dwmconv import engines
+from dwmconv.engines import (_aligned_empty, _axes2, convolve, direct_conv2d, dwm_backward,
+                             dwm_conv2d, gemm_conv2d, winograd_conv2d)
 from dwmconv.flops import flops_dwm, flops_winograd_classic
 from dwmconv.transforms import (cook_toom, get_baseline_transform, get_transform,
                                 to_exact_arrays, to_float)
@@ -116,6 +117,49 @@ def test_direct_exact_mode_equals_oracle_on_strided_geometries(kernel, stride, p
     y = direct_conv2d(exact(d), exact(w), spec)
     assert y.dtype == np.dtype(object)
     assert y.tolist() == exact(oracle_conv(d, w, spec)).tolist()
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0, 5), (1,), (7, 13), (2, 3, 5, 17)],
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_aligned_empty_starts_on_a_cache_line(dtype, shape):
+    bufs = [_aligned_empty(shape, dtype) for _ in range(8)]  # assorted heap offsets
+    for i, a in enumerate(bufs):
+        assert (a.shape, a.dtype) == (shape, np.dtype(dtype))
+        assert a.ctypes.data % 64 == 0
+        assert a.flags.c_contiguous and a.flags.writeable
+        a[...] = i
+    assert all((a == i).all() for i, a in enumerate(bufs))  # no two buffers overlap
+
+
+def test_aligned_empty_is_a_plain_array_for_objects():
+    a = _aligned_empty((2, 3), object)
+    assert a.dtype == np.dtype(object) and a.base is None and a.shape == (2, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_direct_bits_do_not_depend_on_buffer_alignment(monkeypatch, dtype):
+    # a strided geometry with F = 5, so that no row of ow*F elements is a
+    # whole number of cache lines
+    spec = ConvSpec(kernel=(4, 3), stride=(2, 3), pad=(1, 2, 0, 1))
+    rng = np.random.default_rng(31)
+    d = rng.standard_normal((2, 3, 13, 14)).astype(dtype)
+    w = rng.standard_normal((5, 3, 4, 3)).astype(dtype)
+    want = direct_conv2d(d, w, spec)
+    calls = []
+
+    def misaligned(shape, dtype):
+        """np.empty(shape, dtype) starting 16 bytes past a 64-byte boundary."""
+        dt = np.dtype(dtype)
+        raw = np.empty(dt.itemsize * int(np.prod(shape)) + 64, dtype=np.uint8)
+        calls.append(shape)
+        return np.ndarray(shape, dt, buffer=raw, offset=(16 - raw.ctypes.data) % 64)
+
+    monkeypatch.setattr(engines, "_aligned_empty", misaligned)
+    got = direct_conv2d(d, w, spec)
+    assert len(calls) == 4  # running sum, product, data and weight buffers
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 _SAME_3X3 = ConvSpec(kernel=(3, 3), pad=(1, 1, 1, 1))
