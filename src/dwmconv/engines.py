@@ -219,28 +219,6 @@ def _tap_major(w: np.ndarray) -> np.ndarray:
     return wt
 
 
-def _filters_first(wt: np.ndarray) -> np.ndarray:
-    """Tap-major (r_h, r_w, F, C) -> contiguous (F, C, r_h, r_w), the
-    inverse of ``_tap_major``.
-
-    A filter within ``_TAP_BLOCK_BYTES`` is copied with the rest in one
-    transposed copy.  A larger one (7x7 and more at 256 channels) is first
-    copied, as its r_h*r_w rows of C, into a contiguous buffer and then
-    transposed from there: 256->256 binary32 weights then take about a
-    third of the one-shot copy's time at 11x11, while at 3x3 and 5x5 the
-    one-shot copy is the faster.
-    """
-    r_h, r_w, f, c = wt.shape
-    if c * r_h * r_w * wt.itemsize <= _TAP_BLOCK_BYTES:
-        return np.ascontiguousarray(wt.transpose(2, 3, 0, 1))
-    out = np.empty((f, c, r_h, r_w), dtype=wt.dtype)
-    buf = np.empty((r_h, r_w, c), dtype=wt.dtype)
-    for fi in range(f):
-        buf[...] = wt[:, :, fi]
-        out[fi] = buf.transpose(2, 0, 1)
-    return out
-
-
 def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
     """Walk the plan once: per part, its index and the part itself, its
     numeric row and column transforms, its kernel sub-block as a pair of
@@ -525,9 +503,8 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     sub-blocks partition the tap-major copy of the weights, and each part
     overwrites its sub-block with its weight gradient once its kernel
     transform has read it, so the copy ends as the whole weight gradient
-    and is copied back to (F, C, r_h, r_w) once (``_filters_first``).
-    Weights stay in the spatial domain; nothing Winograd-transformed
-    persists between calls.
+    and is transposed back once.  Weights stay in the spatial domain;
+    nothing Winograd-transformed persists between calls.
     """
     spec = plan.spec
     require_tensor4(grad_out, "grad_out")
@@ -560,7 +537,7 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     top, _, left, _ = spec.pad
     h, wd = data.shape[2], data.shape[3]
     grad_d = np.ascontiguousarray(grad_pad[:, :, top:top + h, left:left + wd])
-    return check_finite(grad_d, "dwm_backward"), _filters_first(wt)
+    return check_finite(grad_d, "dwm_backward"), np.ascontiguousarray(wt.transpose(2, 3, 0, 1))
 
 
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,

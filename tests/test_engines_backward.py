@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
-from dwmconv.engines import (_TAP_BLOCK_BYTES, _filters_first, _tap_major, dwm_backward,
-                             dwm_conv2d)
+from dwmconv.engines import dwm_backward, dwm_conv2d
 
 from reference import finite_difference, oracle_conv, oracle_grads
 
@@ -131,20 +130,6 @@ def test_dwm_backward_exact_rational_mode_equals_oracle():
     assert gd.dtype == gw.dtype == np.dtype(object)
     assert gd.tolist() == exact(want_d).tolist()
     assert gw.tolist() == exact(want_w).tolist()
-
-
-@pytest.mark.parametrize("side", [0, 1], ids=["one-shot", "per-filter"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64, object])
-def test_filters_first_inverts_the_tap_major_copy(dtype, side):
-    # 3x3 filters with the most channels that fit in a tap block, and one more
-    c = _TAP_BLOCK_BYTES // (9 * np.dtype(dtype).itemsize) + side
-    w = np.random.default_rng(c).integers(-8, 9, (3, c, 3, 3)).astype(dtype)
-    back = _filters_first(_tap_major(w))
-    assert back.flags.c_contiguous and (back.dtype, back.shape) == (w.dtype, w.shape)
-    if dtype is object:
-        assert back.tolist() == w.tolist()
-    else:
-        assert back.tobytes() == w.tobytes()
 
 
 def test_oracle_analytic_agrees_with_finite_differences():
