@@ -40,6 +40,10 @@ the text the CLI writes, built through the library calls the CLI makes:
 ``dwmconv bench --suite accuracy --config accuracy_14x14.json`` (CSV and
 JSON), ``dwmconv bench --suite flops --config flops_14x14.json`` (CSV) and
 ``dwmconv analyze`` on ``alexnet.json`` and ``googlenet.json`` (CSV).
+Last, per geometry and precision again: ``convolve`` ``y``/``flops`` for
+"gemm", and for "dwm" and "winograd" (where the geometry admits it) the
+plan ``convolve`` reports, as the SHA-1 of its ``plan_to_json`` text as
+``dwmconv conv --dump-plan`` prints it.
 """
 
 import argparse
@@ -56,8 +60,8 @@ import numpy as np
 
 from dwmconv import (ConvSpec, analyze_network, convolve, direct_conv2d, dwm_backward,
                      dwm_conv2d, gemm_conv2d, get_baseline_transform, load_network,
-                     network_report_csv, plan_decomposition, run_accuracy_suite,
-                     run_flops_suite, winograd_conv2d)
+                     network_report_csv, plan_decomposition, plan_to_json, reports_to_csv,
+                     run_accuracy_suite, speedup_table, winograd_conv2d)
 from dwmconv.bench import parse_accuracy_config, parse_flops_config
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
@@ -104,7 +108,7 @@ def accuracy_report(name: str) -> dict[str, str]:
 def flops_report(name: str) -> dict[str, str]:
     """{"csv": text} that ``dwmconv bench --suite flops --config name --out`` writes."""
     parsed = _bundled(name, parse_flops_config)
-    return {"csv": run_flops_suite([(spec, out) for spec, out, _ in parsed])[1]}
+    return {"csv": reports_to_csv(speedup_table([(spec, out) for spec, out, _ in parsed]))}
 
 
 def analyze_report(name: str) -> dict[str, str]:
@@ -147,6 +151,12 @@ def inputs(seed: int, spec: ConvSpec, dims, extent, precision: str):
     return [rng.standard_normal(s).astype(dt) for s in shapes]
 
 
+def winograd_algos(spec: ConvSpec) -> list[str]:
+    """The Winograd algorithms ``convolve`` admits for ``spec``."""
+    classic = spec.stride == (1, 1) and max(spec.kernel) <= 13
+    return ["dwm", "winograd"] if classic else ["dwm"]
+
+
 def outputs(spec: ConvSpec, data, weights, grad_out):
     """(label, output) for every engine call the geometry admits."""
     plan = plan_decomposition(spec)
@@ -156,10 +166,9 @@ def outputs(spec: ConvSpec, data, weights, grad_out):
     yield "dwm_backward[data]", grad_d
     yield "dwm_backward[weights]", grad_w
     yield "direct_conv2d", direct_conv2d(data, weights, spec)
-    algos = ["direct", "dwm"]
-    if spec.stride == (1, 1) and max(spec.kernel) <= 13:
+    algos = ["direct", *winograd_algos(spec)]
+    if "winograd" in algos:
         yield "winograd_conv2d", winograd_conv2d(data, weights, spec)
-        algos.append("winograd")
     for algo in algos:
         out = convolve(data, weights, spec, algo=algo)
         yield f"convolve[{algo}].y", out.y
@@ -201,6 +210,14 @@ def listing():
     for label, name, build in REPORTS:
         for fmt, text in build(name).items():
             yield f"{digest(text)}  {label} {name} {fmt}"
+    for name, precision, spec, (data, weights, _) in cases():
+        out = convolve(data, weights, spec, algo="gemm")
+        yield f"{digest(out.y)}  convolve[gemm].y {name} {precision}"
+        yield f"{digest(out.flops)}  convolve[gemm].flops {name} {precision}"
+        for algo in winograd_algos(spec):
+            plan = convolve(data, weights, spec, algo=algo).plan
+            text = json.dumps(plan_to_json(plan), indent=2)
+            yield f"{digest(text)}  convolve[{algo}].plan {name} {precision}"
 
 
 def compare(old: list[str], new: list[str]) -> list[str]:

@@ -3,8 +3,7 @@ decomposition, forward/backward engines, a FLOP model and benchmark tools."""
 
 from .bench import (AccuracyConfig, AccuracyReport, AccuracyRow, LayerReport,
                     LayerSpec, NetworkSpec, analyze_network, check_accuracy_bands,
-                    load_network, network_report_csv, run_accuracy_suite,
-                    run_flops_suite)
+                    load_network, network_report_csv, run_accuracy_suite)
 from .convspec import ConvSpec
 from .decompose import (AxisPart, DecompositionPlan, KernelPart, plan_classic,
                         plan_decomposition, plan_to_json)

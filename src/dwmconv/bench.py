@@ -20,8 +20,7 @@ import numpy as np
 from .convspec import ConvSpec
 from .decompose import plan_decomposition
 from .engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
-from .flops import (FlopReport, _classic_baseline_plan, flops_direct, flops_dwm,
-                    flops_winograd_classic, reports_to_csv, speedup_table)
+from .flops import _classic_baseline_plan, flops_direct, flops_dwm, flops_winograd_classic
 from .tensor import mse
 
 PRECISIONS = ("binary32", "binary64")
@@ -31,6 +30,13 @@ def _integer(value, key: str) -> int:
     """A JSON integer config field; floats and booleans are rejected, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, key: str) -> list | tuple:
+    """A JSON list config field; a string or object is rejected, not iterated."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{key!r} must be a list, got {value!r}")
     return value
 
 
@@ -164,7 +170,7 @@ def _parse_entries(doc, kind: str, key: str, build) -> list:
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} must be a JSON object, got {type(doc).__name__}")
-    if doc.get("schema") != 1:
+    if type(doc.get("schema")) is not int or doc["schema"] != 1:  # not 1.0 or true
         raise ValueError(f"unsupported {kind} schema {doc.get('schema')!r}")
     entries = doc.get(key, [])
     if not isinstance(entries, list):
@@ -190,7 +196,7 @@ def _accuracy_entry(_, entry: dict) -> AccuracyConfig:
         channels=_integer(entry["channels"], "channels"),
         filters=_integer(entry["filters"], "filters"),
         batch=_integer(entry.get("batch", 1), "batch"),
-        precisions=tuple(entry.get("precisions", PRECISIONS)),
+        precisions=tuple(_list(entry.get("precisions", PRECISIONS), "precisions")),
     )
     if min(cfg.channels, cfg.filters, cfg.batch) < 1:
         raise ValueError("channels, filters and batch must be positive")
@@ -205,7 +211,7 @@ def parse_accuracy_config(doc: dict):
     """(configs, seeds) of an accuracy config document."""
     configs = _parse_entries(doc, "accuracy config", "configs", _accuracy_entry)
     try:
-        seeds = [_integer(s, "seeds") for s in doc.get("seeds", [1])]
+        seeds = [_integer(s, "seeds") for s in _list(doc.get("seeds", [1]), "seeds")]
     except TypeError as exc:
         raise ValueError(f"accuracy config 'seeds' must be a list of integers: {exc}") from exc
     negative = [s for s in seeds if s < 0]
@@ -254,12 +260,6 @@ def check_accuracy_bands(report: AccuracyReport) -> list[str]:
     return violations
 
 
-def run_flops_suite(configs) -> tuple[list[FlopReport], str]:
-    """Multiplication counts for (ConvSpec, out_dims) pairs plus their CSV."""
-    reports = speedup_table(configs)
-    return reports, reports_to_csv(reports)
-
-
 def parse_flops_config(doc: dict):
     """(ConvSpec, out_dims, expected) per entry of a flops config document."""
 
@@ -270,8 +270,9 @@ def parse_flops_config(doc: dict):
         if min(out) < 1:
             raise ValueError(f"out must be two positive integers, got {out}")
         expected = entry.get("expected")
-        if not isinstance(expected, (dict, type(None))):
-            raise TypeError(f"expected must be a JSON object, got {type(expected).__name__}")
+        if not (expected is None or isinstance(expected, dict) and all(
+                want is None or type(want) in (int, float) for want in expected.values())):
+            raise TypeError(f"expected must be a JSON object of numbers or nulls, got {expected!r}")
         return spec, out, expected
 
     return _parse_entries(doc, "flops config", "configs", build)

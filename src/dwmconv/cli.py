@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bench, flops, tensorfile
 from .convspec import ConvSpec
-from .decompose import plan_classic, plan_decomposition, plan_to_json
+from .decompose import plan_to_json
 from .engines import convolve, direct_conv2d
 from .transforms import cook_toom, transform_to_json, verify_transform
 
@@ -99,6 +99,8 @@ def cmd_gen_transforms(args) -> int:
 
 
 def cmd_conv(args) -> int:
+    if args.dump_plan and args.algo in ("direct", "gemm"):
+        return _fail(f"--dump-plan needs --algo winograd or dwm; {args.algo} runs no plan")
     try:
         data = tensorfile.read_tensor(args.input)
         weights = tensorfile.read_tensor(args.weights)
@@ -129,8 +131,7 @@ def cmd_conv(args) -> int:
         stats += f" max_abs_diff_vs_direct={diff:.6E}"
     print(stats)
     if args.dump_plan:
-        plan = (plan_classic if args.algo == "winograd" else plan_decomposition)(spec)
-        print(json.dumps(plan_to_json(plan), indent=2))
+        print(json.dumps(plan_to_json(out.plan), indent=2))
     if args.out:
         try:
             tensorfile.write_tensor(args.out, out.y)
@@ -161,25 +162,19 @@ def cmd_bench(args) -> int:
         return _fail(str(exc))
 
     if args.suite == "flops":
-        reports, csv_text = bench.run_flops_suite([(spec, out) for spec, out, _ in parsed])
-        if _emit(csv_text, flops.reports_to_json(reports), args.out):
-            return 1
-        if args.check:
-            violations = bench.check_flops(reports, [exp for _, _, exp in parsed])
-            for v in violations:
-                print(f"check failed: {v}", file=sys.stderr)
-            return 1 if violations else 0
-        return 0
-
-    report = bench.run_accuracy_suite(*parsed)
-    if _emit(report.to_csv(), report.to_json(), args.out):
+        reports = flops.speedup_table([(spec, out) for spec, out, _ in parsed])
+        csv_text, json_doc = flops.reports_to_csv(reports), flops.reports_to_json(reports)
+        check = lambda: bench.check_flops(reports, [exp for _, _, exp in parsed])
+    else:
+        report = bench.run_accuracy_suite(*parsed)
+        csv_text, json_doc = report.to_csv(), report.to_json()
+        check = lambda: bench.check_accuracy_bands(report)
+    if _emit(csv_text, json_doc, args.out):
         return 1
-    if args.check:
-        violations = bench.check_accuracy_bands(report)
-        for v in violations:
-            print(f"check failed: {v}", file=sys.stderr)
-        return 1 if violations else 0
-    return 0
+    violations = check() if args.check else []
+    for v in violations:
+        print(f"check failed: {v}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 def cmd_analyze(args) -> int:
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="also run the direct engine and report max abs difference")
     p.add_argument("--dump-plan", action="store_true",
-                   help="print the Winograd plan as JSON (classic for winograd)")
+                   help="print the plan that ran as JSON (winograd and dwm only)")
     p.set_defaults(func=cmd_conv)
 
     p = sub.add_parser("bench", help="run the FLOP or accuracy suite from a config file")

@@ -27,15 +27,11 @@ class ConvSpec:
         if len(self.pad) != 4 or any(p < 0 for p in self.pad):
             raise ValueError(f"pad must be four non-negative integers, got {self.pad}")
 
-    def padded_dims(self, in_h: int, in_w: int) -> tuple[int, int]:
-        top, bottom, left, right = self.pad
-        return in_h + top + bottom, in_w + left + right
-
     def out_dims(self, in_h: int, in_w: int) -> tuple[int, int]:
         """Output extents for an in_h x in_w input, erroring if either is < 1."""
-        ph, pw = self.padded_dims(in_h, in_w)
-        oh = (ph - self.kernel[0]) // self.stride[0] + 1
-        ow = (pw - self.kernel[1]) // self.stride[1] + 1
+        top, bottom, left, right = self.pad
+        oh = (in_h + top + bottom - self.kernel[0]) // self.stride[0] + 1
+        ow = (in_w + left + right - self.kernel[1]) // self.stride[1] + 1
         if oh < 1 or ow < 1:
             raise ValueError(
                 f"input {in_h}x{in_w} with pad {self.pad} is too small for "

@@ -1,45 +1,25 @@
 """Convolution engines: direct (sequential and im2col GEMM), tiled Winograd
-F(2, r), and decomposed Winograd.
+F(2, r), and decomposed Winograd; ``convolve`` runs one of them by name.
 
 All engines compute cross-correlation (no kernel flip) over N,C,H,W data
-with F,C,r_h,r_w weights and agree with each other up to float rounding.
-Every engine starts with the same checked prologue (``_checked_inputs``:
-check, cast, pad), and every caller, ``convolve`` and the accuracy suite
-included, reaches an engine through its public entry point.  The two
-Winograd forwards share one body, ``_dwm``: classic Winograd
-(``winograd_conv2d``) runs it on the one-part plan of ``plan_classic``,
-``dwm_conv2d`` on a decomposition plan.
+with F,C,r_h,r_w weights.  Every Winograd stage reads and writes the
+layout of the transform-domain GEMM (Lavin & Gray, arXiv:1509.09308):
+(lr, lc, K, N*TH*TW), window point first, then channel or filter, then
+every tile of the batch.
 
-The decomposed path (``dwm_conv2d``) runs five steps per kernel part:
-splitting (a view of the kernel sub-block, a strided gather of the padded
-input), transformation, elementwise calculation with channel summation in
-the transform domain, detransformation, and aggregation of the part
-outputs in plan order.
-
-Every Winograd stage reads and writes the layout of the transform-domain
-GEMM (Lavin & Gray, arXiv:1509.09308): (lr, lc, K, N*TH*TW), window point
-first, then channel or filter, then every tile of the batch.  The GEMM is
-one ``np.matmul`` over all window points, and every transform, the
-detransform that follows the GEMM included, is ``_axes2``: two small
-matmuls over the two leading axes.  Work that does not depend on the part
-is done once per call: the tap-major copy of the weights, the untiling of
-the summed part tiles and, in the backward, the taps of dY and A dY At per
-transform pair.  None of this changes a bit of any result: every matrix
-product sums the same values in the same order as with per-part gathers
-(only the operands' memory layout and the calls' grouping and widths
-differ, never a call's M or K), and the aggregation adds are elementwise,
-in plan order, whatever the layout.
-
-Precision notes: every engine runs in the element type of its tensors, so
-the binary32 path rounds after each matrix stage; passing object-dtype
-arrays of ``fractions.Fraction`` runs the same code exactly (test mode).
+Precision and bit order: every engine runs in the element type of its
+tensors, so the binary32 path rounds after each matrix stage; object-dtype
+arrays of ``fractions.Fraction`` run the same code exactly (test mode).
 A transformed element is a row sum of at most four products, each exact
 because F(2, <=3) entries are 0, +-1 or +-1/2, then a column sum, both in
 ascending order; a layout that keeps that order keeps the bits, while one
-Kronecker product (nine products in one sum) would not.  Reductions use
-fixed orders (ascending channel/tap loops, plan order, row-major tiles,
-ascending channel blocks around BLAS) so results are reproducible run to
-run.
+Kronecker product (nine products in one sum) would not.  Every matrix
+product sums the same values in the same order as per-part gathers would
+(only the operands' layout and the calls' grouping and widths differ,
+never a call's M or K), and the aggregation adds are elementwise, in plan
+order.  Reductions use fixed orders (ascending channel/tap loops, plan
+order, row-major tiles, ascending channel blocks around BLAS), so results
+are reproducible run to run.
 """
 
 from dataclasses import dataclass
@@ -59,7 +39,8 @@ _OBJECT = np.dtype(object)
 
 @dataclass(frozen=True)
 class ConvOutput:
-    """Convolution result plus the FLOP model's multiplication count for it.
+    """Convolution result, the FLOP model's multiplication count for it, and
+    the plan that ran (None for the two direct engines).
 
     ``flops`` is normalized per channel, per filter and per image, as
     everywhere in ``dwmconv.flops``.
@@ -67,6 +48,7 @@ class ConvOutput:
 
     y: np.ndarray
     flops: int
+    plan: DecompositionPlan | None
 
 
 def _numeric_for(ts: TransformSet, dtype) -> NumericTransformSet:
@@ -541,25 +523,22 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
 
 
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
-             algo: str = "direct", precision=None,
-             plan: DecompositionPlan | None = None) -> ConvOutput:
+             algo: str = "direct", precision=None) -> ConvOutput:
     """Run one convolution by name ("direct", "gemm", "winograd", "dwm")
-    through its public engine, with the FLOP-model count of what ran:
-    ``flops_direct`` for the two direct engines, or ``flops_dwm`` of the
-    plan that ran.  ``plan`` applies to "dwm" only; passing one with
-    another algorithm is a ValueError."""
-    if algo not in ("direct", "gemm", "winograd", "dwm"):
-        raise ValueError(f"unknown algorithm {algo!r}; expected direct, gemm, winograd or dwm")
-    if plan is not None and algo != "dwm":
-        raise ValueError(f"plan applies to algo 'dwm' only, not {algo!r}")
+    through its public engine.  The output carries the plan that ran,
+    ``plan_classic`` for "winograd" and ``plan_decomposition`` for "dwm",
+    and the FLOP-model count of what ran: ``flops_dwm`` of that plan, or
+    ``flops_direct`` for the two direct engines, which run no plan."""
     if algo in ("direct", "gemm"):
         engine = direct_conv2d if algo == "direct" else gemm_conv2d
         y = engine(data, weights, spec, precision=precision)
-        return ConvOutput(y=y, flops=flops_direct(spec, y.shape[2:]))
+        return ConvOutput(y=y, flops=flops_direct(spec, y.shape[2:]), plan=None)
     if algo == "winograd":
         plan = plan_classic(spec)
         y = winograd_conv2d(data, weights, spec, precision=precision)
-    else:
-        plan = plan_decomposition(spec) if plan is None else plan
+    elif algo == "dwm":
+        plan = plan_decomposition(spec)
         y = dwm_conv2d(data, weights, spec, plan, precision)
-    return ConvOutput(y=y, flops=flops_dwm(plan, y.shape[2:]))
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}; expected direct, gemm, winograd or dwm")
+    return ConvOutput(y=y, flops=flops_dwm(plan, y.shape[2:]), plan=plan)

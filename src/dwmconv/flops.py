@@ -89,12 +89,11 @@ def _part_cost(ts_r: TransformSet, ts_c: TransformSet, tiles: int) -> int:
 
 def _classic_baseline_plan(spec: ConvSpec) -> DecompositionPlan | None:
     """``plan_classic`` over the naive baseline transforms (integer-first
-    nodes), or None where ``plan_classic`` refuses ``spec``."""
+    nodes), or None where classic Winograd does not apply."""
     try:
-        plan_classic(spec)  # its rule, before a baseline transform is built
+        return plan_classic(spec, *map(get_baseline_transform, spec.kernel))
     except ValueError:
         return None
-    return plan_classic(spec, *(get_baseline_transform(r) for r in spec.kernel))
 
 
 def flops_winograd_classic(spec: ConvSpec, out: tuple[int, int]) -> int | None:

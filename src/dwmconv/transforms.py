@@ -85,15 +85,10 @@ class TransformSet:
 class NumericTransformSet:
     """Float rendering of a TransformSet for a fixed element precision."""
 
-    m: int
     r: int
     g: np.ndarray
     b_t: np.ndarray
     a_t: np.ndarray
-
-    @property
-    def alpha(self) -> int:
-        return self.m + self.r - 1
 
 
 @dataclass(frozen=True)
@@ -103,9 +98,6 @@ class VerifyResult:
     ok: bool
     trials: int
     failure: tuple | None = None  # (filt, data, expected, got)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def default_points(count: int) -> list[Fraction]:
@@ -170,6 +162,10 @@ def cook_toom(m: int, r: int, points=None) -> TransformSet:
 
     alpha = m + r - 1
     if points is None:
+        if alpha - 1 > len(POINT_SEQUENCE):
+            raise ValueError(
+                f"F({m},{r}) needs {alpha - 1} interpolation nodes, but the default "
+                f"sequence has {len(POINT_SEQUENCE)}; pass the points (--points)")
         points = default_points(alpha - 1)
     pts = tuple(Fraction(p) for p in points)
     if len(set(pts)) != len(pts):
@@ -259,7 +255,7 @@ def to_float(ts: TransformSet, precision) -> NumericTransformSet:
     nt = ts._floats.get(dt)
     if nt is None:
         nt = ts._floats[dt] = NumericTransformSet(
-            m=ts.m, r=ts.r,
+            r=ts.r,
             g=_freeze_array(ts.g, dt),
             b_t=_freeze_array(ts.b_t, dt),
             a_t=_freeze_array(ts.a_t, dt),
@@ -270,25 +266,23 @@ def to_float(ts: TransformSet, precision) -> NumericTransformSet:
 def to_exact_arrays(ts: TransformSet) -> NumericTransformSet:
     """Object-dtype (Fraction) arrays for the exact-arithmetic test mode."""
     freeze = lambda rows: np.array([list(row) for row in rows], dtype=object)
-    return NumericTransformSet(m=ts.m, r=ts.r, g=freeze(ts.g),
+    return NumericTransformSet(r=ts.r, g=freeze(ts.g),
                                b_t=freeze(ts.b_t), a_t=freeze(ts.a_t))
 
 
 @lru_cache(maxsize=None)
-def get_transform(r: int, m: int = 2) -> TransformSet:
-    """Cached F(m, r) built from the default point sequence."""
-    return cook_toom(m, r)
+def get_transform(r: int) -> TransformSet:
+    """Cached F(2, r) built from the default point sequence."""
+    return cook_toom(2, r)
 
 
 @lru_cache(maxsize=None)
-def get_baseline_transform(r: int, m: int = 2) -> TransformSet:
-    """Cached F(m, r) of the naive classic-Winograd baseline (integer-first nodes)."""
-    if r == 1:
-        return cook_toom(m, r)
-    count = m + r - 2
-    if count > len(BASELINE_POINT_SEQUENCE):
+def get_baseline_transform(r: int) -> TransformSet:
+    """Cached F(2, r) of the naive classic-Winograd baseline (integer-first
+    nodes; ``cook_toom`` ignores them at r == 1)."""
+    if r > len(BASELINE_POINT_SEQUENCE):
         raise ValueError(f"baseline point sequence supports up to {len(BASELINE_POINT_SEQUENCE)} nodes")
-    return cook_toom(m, r, BASELINE_POINT_SEQUENCE[:count])
+    return cook_toom(2, r, BASELINE_POINT_SEQUENCE[:r])
 
 
 def transform_to_json(ts: TransformSet) -> dict:

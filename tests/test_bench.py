@@ -7,13 +7,14 @@ import pytest
 from dwmconv import bench
 from dwmconv.bench import (AccuracyConfig, AccuracyRow, AccuracyReport, _draw,
                            analyze_network, check_accuracy_bands, load_network,
-                           network_report_csv, run_accuracy_suite, run_flops_suite)
+                           network_report_csv, run_accuracy_suite)
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
 from dwmconv.engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
 from dwmconv.tensor import mse
 from dwmconv.transforms import get_baseline_transform
-from dwmconv.flops import flops_direct, flops_dwm, flops_winograd_classic
+from dwmconv.flops import (flops_direct, flops_dwm, flops_winograd_classic, reports_to_csv,
+                           speedup_table)
 
 SMALL = [AccuracyConfig(kernel=(3, 3), stride=(1, 1), hw=8, channels=4, filters=4),
          AccuracyConfig(kernel=(5, 5), stride=(2, 2), hw=8, channels=4, filters=4)]
@@ -154,15 +155,15 @@ def test_band_checker_reports_overflow_rows():
 
 
 def test_flops_suite_empty_config_is_empty():
-    reports, csv_text = run_flops_suite([])
+    reports = speedup_table([])
     assert reports == []
-    assert csv_text.strip().split("\n")[-1].startswith("kernel,")
+    assert reports_to_csv(reports).strip().split("\n")[-1].startswith("kernel,")
 
 
 def test_flops_suite_reference_values():
     configs = [(ConvSpec(kernel=(r, r), stride=(s, s)), (14, 14))
                for s in (1, 2) for r in (3, 5, 7, 9, 11)]
-    reports, _ = run_flops_suite(configs)
+    reports = speedup_table(configs)
     assert [rep.dwm_mults for rep in reports] == [
         784, 2401, 4900, 7056, 11025, 1225, 2401, 4900, 8281, 11025]
 

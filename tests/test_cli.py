@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from dwmconv import ConvSpec, cli, flops_dwm, plan_classic, plan_decomposition, tensorfile
+from dwmconv import (ConvSpec, cli, convolve, flops_dwm, plan_classic, plan_decomposition,
+                     plan_to_json, tensorfile)
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +44,13 @@ def test_gen_transforms_rejects_duplicate_points(capsys):
 def test_gen_transforms_rejects_bad_rational(capsys):
     code, _, err = run_cli(capsys, "gen-transforms", "2", "3", "--points", "0,1,x")
     assert code != 0
+
+
+def test_gen_transforms_beyond_the_default_nodes_asks_for_points(capsys):
+    code, out, err = run_cli(capsys, "gen-transforms", "2", "14")
+    assert code == 1 and out == ""
+    assert err == ("error: F(2,14) needs 14 interpolation nodes, but the default sequence "
+                   "has 13; pass the points (--points)\n")
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -96,14 +104,25 @@ def test_conv_gemm_verify_prints_one_stats_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("algo,parts", [("winograd", 1), ("dwm", 4)])
 def test_conv_dump_plan_prints_the_plan_that_ran(tmp_path, capsys, algo, parts):
-    din, win, _, _ = _write_fixture(tmp_path, (1, 1, 8, 8), (1, 1, 5, 5))
+    din, win, d, w = _write_fixture(tmp_path, (1, 1, 8, 8), (1, 1, 5, 5))
     code, out, err = run_cli(capsys, "conv", "--algo", algo, "--in", str(din),
                              "--weights", str(win), "--dump-plan")
     assert code == 0, err
     stats, plan = out.split("\n", 1)
     assert len(json.loads(plan)["parts"]) == parts
-    ran = (plan_classic if algo == "winograd" else plan_decomposition)(ConvSpec(kernel=(5, 5)))
+    spec = ConvSpec(kernel=(5, 5))
+    ran = (plan_classic if algo == "winograd" else plan_decomposition)(spec)
     assert f"mults_per_channel_filter={flops_dwm(ran, (4, 4))}" in stats
+    assert plan == json.dumps(plan_to_json(convolve(d, w, spec, algo=algo).plan), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("algo", ["direct", "gemm"])
+def test_conv_dump_plan_without_a_plan_is_one_error_line(tmp_path, capsys, algo):
+    # the tensor files do not exist: the option is refused before they are read
+    code, out, err = run_cli(capsys, "conv", "--algo", algo, "--in", str(tmp_path / "no.dwm"),
+                             "--weights", str(tmp_path / "no_w.dwm"), "--dump-plan")
+    assert code == 1 and out == ""
+    assert err == f"error: --dump-plan needs --algo winograd or dwm; {algo} runs no plan\n"
 
 
 def test_conv_winograd_stride2_errors_toward_dwm(tmp_path, capsys):
@@ -263,11 +282,19 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
      "entry 0: 'out' must be an integer, got 14.5"),
     (ANALYZE, _net(in_channels=True), "'conv1': 'in_channels' must be an integer, got True"),
     (ACCURACY, {**_acc(), "seeds": [1, -1]}, "'seeds' must be non-negative, got [-1]"),
+    (FLOPS, {"schema": True, "configs": []}, "unsupported flops config schema True"),
+    (ANALYZE, {**_net(), "schema": 1.0}, "unsupported network schema 1.0"),
+    (ACCURACY, {**_acc(), "seeds": ""}, "'seeds' must be a list, got ''"),
+    (ACCURACY, _acc(precisions={}), "entry 0: 'precisions' must be a list, got {}"),
+    (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "expected": {"dwm_speedup": "x"}}]},
+     "entry 0: expected must be a JSON object of numbers or nulls, got {'dwm_speedup': 'x'}"),
 ], ids=["flops-missing-kernel", "flops-array", "accuracy-array", "network-array",
         "configs-not-a-list", "accuracy-stride-0", "flops-out-0", "layer-pad-pair",
         "seeds-not-integers", "unknown-precision", "negative-channels",
         "expected-not-an-object", "bad-json", "kernel-not-integer", "hw-not-integer",
-        "seed-not-integer", "out-not-integer", "channels-bool", "seed-negative"])
+        "seed-not-integer", "out-not-integer", "channels-bool", "seed-negative",
+        "schema-true", "schema-float", "seeds-a-string", "precisions-an-object",
+        "expected-value-a-string"])
 def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, named):
     cfg = tmp_path / "bad.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -11,7 +11,7 @@ from dwmconv.decompose import plan_classic, plan_decomposition
 from dwmconv import engines
 from dwmconv.engines import (_aligned_empty, _axes2, convolve, direct_conv2d, dwm_backward,
                              dwm_conv2d, gemm_conv2d, winograd_conv2d)
-from dwmconv.flops import flops_dwm, flops_winograd_classic
+from dwmconv.flops import flops_direct, flops_dwm, flops_winograd_classic
 from dwmconv.transforms import (cook_toom, get_baseline_transform, get_transform,
                                 to_exact_arrays, to_float)
 
@@ -463,13 +463,20 @@ def test_convolve_instrumented_count_matches_flop_model():
         plan_classic(spec_11, get_transform(11), get_transform(11)), (19, 23)) == 249_704
 
 
-@pytest.mark.parametrize("algo", ["direct", "gemm", "winograd"])
-def test_convolve_rejects_a_plan_for_another_algorithm(algo):
-    d = np.ones((1, 1, 8, 8))
-    g = np.ones((1, 1, 3, 3))
-    plan = plan_decomposition(ConvSpec(kernel=(5, 5)))
-    with pytest.raises(ValueError, match=f"^plan applies to algo 'dwm' only, not '{algo}'$"):
-        convolve(d, g, ConvSpec(kernel=(3, 3)), algo=algo, plan=plan)
+@pytest.mark.parametrize("algo,build", [("direct", None), ("gemm", None),
+                                        ("winograd", plan_classic), ("dwm", plan_decomposition)])
+def test_convolve_reports_the_plan_that_ran(algo, build):
+    rng = np.random.default_rng(11)
+    spec = ConvSpec(kernel=(5, 3), pad=(2, 2, 1, 1))
+    d = rng.standard_normal((1, 2, 9, 8))
+    g = rng.standard_normal((3, 2, 5, 3))
+    out = convolve(d, g, spec, algo=algo)
+    if build is None:
+        assert out.plan is None
+        assert out.flops == flops_direct(spec, out.y.shape[2:])
+    else:
+        assert out.plan == build(spec)
+        assert out.flops == flops_dwm(out.plan, out.y.shape[2:])
 
 
 def test_convolve_gemm_is_gemm_conv2d_with_the_direct_count():

@@ -41,6 +41,13 @@ def test_default_points_rejects_large_count():
         default_points(14)
 
 
+def test_cook_toom_beyond_the_default_nodes_asks_for_points():
+    with pytest.raises(ValueError, match=r"^F\(2,14\) needs 14 interpolation nodes, but the "
+                                         r"default sequence has 13; pass the points"):
+        cook_toom(2, 14)
+    assert verify_transform(cook_toom(2, 14, range(14)), trials=2).ok
+
+
 def test_f23_matches_published_matrices():
     ts = cook_toom(2, 3, [0, 1, -1])
     assert ts.b_t == as_fracs(F23_BT)
