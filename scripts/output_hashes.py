@@ -20,8 +20,8 @@ and the exit code is 1 if there are any, 0 if there are none.  Without
 
 Each line is ``<sha1>  <engine> <geometry> <precision>``.  Engines:
 ``dwm_conv2d`` (with and without a prebuilt plan), both ``dwm_backward``
-gradients, ``direct_conv2d``, ``winograd_conv2d`` (stride-1 kernels of at
-most 13 taps per axis) and ``convolve`` ``y``/``flops`` for every algorithm
+gradients, ``direct_conv2d``, ``winograd_conv2d`` (where ``plan_classic``
+accepts the geometry) and ``convolve`` ``y``/``flops`` for every algorithm
 the geometry admits; the ``gemm_conv2d`` lines come after all of those, so
 the lines before them compare with a listing from a tree without that
 engine.  Last come the full-width lines: binary32 ``dwm_conv2d`` and both
@@ -60,8 +60,8 @@ import numpy as np
 
 from dwmconv import (ConvSpec, analyze_network, convolve, direct_conv2d, dwm_backward,
                      dwm_conv2d, gemm_conv2d, get_baseline_transform, load_network,
-                     network_report_csv, plan_decomposition, plan_to_json, reports_to_csv,
-                     run_accuracy_suite, speedup_table, winograd_conv2d)
+                     network_report_csv, plan_classic, plan_decomposition, plan_to_json,
+                     reports_to_csv, run_accuracy_suite, speedup_table, winograd_conv2d)
 from dwmconv.bench import parse_accuracy_config, parse_flops_config
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
@@ -152,9 +152,13 @@ def inputs(seed: int, spec: ConvSpec, dims, extent, precision: str):
 
 
 def winograd_algos(spec: ConvSpec) -> list[str]:
-    """The Winograd algorithms ``convolve`` admits for ``spec``."""
-    classic = spec.stride == (1, 1) and max(spec.kernel) <= 13
-    return ["dwm", "winograd"] if classic else ["dwm"]
+    """The Winograd algorithms ``convolve`` admits for ``spec``: "winograd"
+    only where ``plan_classic`` builds a plan for it."""
+    try:
+        plan_classic(spec)
+    except ValueError:
+        return ["dwm"]
+    return ["dwm", "winograd"]
 
 
 def outputs(spec: ConvSpec, data, weights, grad_out):

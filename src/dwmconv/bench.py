@@ -40,6 +40,17 @@ def _list(value, key: str) -> list | tuple:
     return value
 
 
+def _name(value, kind: str) -> str:
+    """A JSON name field that ``network_report_csv`` can write as one plain
+    CSV field: a string without a comma, double quote or line break
+    (``splitlines`` knows every line break)."""
+    if not isinstance(value, str) or "," in value or '"' in value \
+            or value.splitlines() not in ([], [value]):
+        raise ValueError(f"{kind} name must be a string without commas, double quotes or "
+                         f"line breaks, got {value!r}")
+    return value
+
+
 def as_pair(value, key: str) -> tuple[int, int]:
     """Normalize a scalar or 2-sequence integer config field to an (h, w) pair."""
     if isinstance(value, (list, tuple)):
@@ -337,7 +348,7 @@ class LayerReport:
 
 def _layer_entry(i: int, entry: dict) -> LayerSpec:
     layer = LayerSpec(
-        name=entry.get("name", f"layer{i}"),
+        name=_name(entry.get("name", f"layer{i}"), "layer"),
         in_channels=_integer(entry["in_channels"], "in_channels"),
         out_channels=_integer(entry["out_channels"], "out_channels"),
         kernel=as_pair(entry["kernel"], "kernel"),
@@ -350,9 +361,14 @@ def _layer_entry(i: int, entry: dict) -> LayerSpec:
 
 
 def load_network(doc: dict) -> NetworkSpec:
-    """Parse a network JSON document, naming the offending layer on errors."""
+    """Parse a network JSON document, naming the offending layer on errors.
+
+    The network's and each layer's "name" must be a string that fits in one
+    plain CSV field (``_name``), since ``network_report_csv`` writes it
+    unquoted.
+    """
     layers = _parse_entries(doc, "network", "layers", _layer_entry)
-    return NetworkSpec(name=doc.get("name", "network"), layers=tuple(layers))
+    return NetworkSpec(name=_name(doc.get("name", "network"), "network"), layers=tuple(layers))
 
 
 def analyze_network(net: NetworkSpec) -> tuple[list[LayerReport], dict]:

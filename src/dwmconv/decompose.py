@@ -13,11 +13,18 @@ well:
 Applied per axis and crossed, this yields a partition of the original
 kernel into parts of at most 3x3 taps; the convolution result is the sum
 of the parts' results.  A plan records each part's (origin, step, count)
-per axis together with the matching input sampling rule.  Classic tiled
-F(2, r) Winograd is the one-part plan of ``plan_classic``.
+per axis; ``input_region_for_part`` gives the matching input slices.
+Classic tiled F(2, r) Winograd is the one-part plan of ``plan_classic``.
+
+Any plan, built here or by hand, is checked once, when it is built
+(``DecompositionPlan``): a part that runs at another step than the
+stride, a kernel tap in no part or in two, a part reaching past the
+kernel or a transform with m != 2 raises ValueError there, so the engines
+never see such a plan.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import product
 
 from .convspec import ConvSpec
 from .transforms import POINT_SEQUENCE, TransformSet, get_transform
@@ -35,6 +42,11 @@ class AxisPart:
         if self.origin < 0 or self.step < 1 or not 1 <= self.count <= len(POINT_SEQUENCE):
             raise ValueError(f"invalid axis part {self}")
 
+    @property
+    def taps(self) -> range:
+        """The kernel indices of the run."""
+        return range(self.origin, self.origin + self.step * self.count, self.step)
+
 
 @dataclass(frozen=True)
 class KernelPart:
@@ -49,13 +61,46 @@ class KernelPart:
         if self.transform_rows.r != self.row.count or self.transform_cols.r != self.col.count:
             raise ValueError("transform tap counts must match the axis counts")
 
+    @property
+    def label(self) -> str:
+        """The part's kernel taps for messages: 'kernel rows 0,2,4; cols 1,3'."""
+        rows, cols = (",".join(map(str, a.taps)) for a in (self.row, self.col))
+        return f"kernel rows {rows}; cols {cols}"
+
 
 @dataclass(frozen=True)
 class DecompositionPlan:
-    """Ordered partition of a kernel into parts, row-major over (row, col) splits."""
+    """Ordered partition of a kernel into parts, row-major over (row, col) splits.
+
+    Checked when built, with a ValueError naming the part or tap at fault:
+    each part steps by ``spec.stride`` on each axis, every tap of
+    ``spec.kernel`` lies in exactly one part, and every transform has
+    m == 2, the engines' output tile.
+    """
 
     spec: ConvSpec
     parts: tuple[KernelPart, ...]
+
+    def __post_init__(self):
+        def fault(index: int, what: str) -> ValueError:
+            return ValueError(f"plan part {index} ({self.parts[index].label}) {what}")
+
+        r_h, r_w = self.spec.kernel
+        owner = {}  # kernel tap -> index of the part that holds it
+        for index, part in enumerate(self.parts):
+            steps = (part.row.step, part.col.step)
+            if steps != self.spec.stride:
+                raise fault(index, f"steps by {steps}, not by the stride {self.spec.stride}")
+            if part.row.taps[-1] >= r_h or part.col.taps[-1] >= r_w:
+                raise fault(index, f"reaches past kernel {self.spec.kernel}")
+            if part.transform_rows.m != 2 or part.transform_cols.m != 2:
+                raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
+            for tap in product(part.row.taps, part.col.taps):
+                if owner.setdefault(tap, index) != index:
+                    raise fault(index, f"repeats kernel tap {tap} of part {owner[tap]}")
+        if len(owner) < r_h * r_w:
+            tap = next(t for t in product(range(r_h), range(r_w)) if t not in owner)
+            raise ValueError(f"kernel tap {tap} lies in no part of the plan")
 
 
 def split_by_size(taps: int) -> list[int]:
@@ -80,12 +125,9 @@ def split_axis_by_stride(taps: int, stride: int) -> list[tuple[int, int, int]]:
     """
     if taps < 1 or stride < 1:
         raise ValueError(f"taps and stride must be positive, got {taps}, {stride}")
-    out = []
-    for residue in range(stride):
-        residue_taps = -(-(taps - residue) // stride)  # ceil
-        if residue_taps > 0:
-            out.append((residue, stride, residue_taps))
-    return out
+    # residues past the last tap are empty; the others hold ceil((taps - residue) / stride)
+    return [(residue, stride, -(-(taps - residue) // stride))
+            for residue in range(min(stride, taps))]
 
 
 def _axis_parts(taps: int, stride: int) -> list[AxisPart]:
@@ -101,8 +143,7 @@ def _axis_parts(taps: int, stride: int) -> list[AxisPart]:
 
 def plan_decomposition(spec: ConvSpec) -> DecompositionPlan:
     """Partition spec's kernel into Winograd-sized parts (cross product of axes)."""
-    rows = _axis_parts(spec.kernel[0], spec.stride[0])
-    cols = _axis_parts(spec.kernel[1], spec.stride[1])
+    rows, cols = map(_axis_parts, spec.kernel, spec.stride)
     parts = tuple(
         KernelPart(row=rp, col=cp,
                    transform_rows=get_transform(rp.count),
@@ -129,30 +170,27 @@ def plan_classic(spec: ConvSpec, ts_rows: TransformSet | None = None,
     ts_c = ts_cols if ts_cols is not None else get_transform(spec.kernel[1])
     if (ts_r.r, ts_c.r) != spec.kernel:
         raise ValueError(f"transform taps {(ts_r.r, ts_c.r)} do not match kernel {spec.kernel}")
-    if ts_r.m != 2 or ts_c.m != 2:
-        raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
     part = KernelPart(row=AxisPart(0, 1, spec.kernel[0]), col=AxisPart(0, 1, spec.kernel[1]),
                       transform_rows=ts_r, transform_cols=ts_c)
     return DecompositionPlan(spec=spec, parts=(part,))
 
 
-def input_region_for_part(plan: DecompositionPlan, part: KernelPart,
-                          out_dims: tuple[int, int]):
-    """Strided slice of the padded input feeding one part's stride-1 convolution.
+def input_region_for_part(part: KernelPart, out_dims: tuple[int, int]) -> tuple[slice, slice]:
+    """Row and column slices of the padded input feeding one part's
+    stride-1 convolution.
 
     Along an axis with stride s, part origin a and part taps p, output o
     reads padded-input samples a + s*(o + i) for i in 0..p-1, so the part
-    consumes the strided slice origin=a, step=s, count=(out_extent-1)+p.
-    On that slice the part is a plain stride-1 correlation with p taps.
+    consumes the run origin a, step s, count out + p - 1.  On that run the
+    part is a plain stride-1 correlation with p taps.
 
-    Returns ((row_origin, row_step, row_count), (col_origin, col_step, col_count)).
+    For a part of a checked plan the run stays inside the padded extent
+    H_pad: its last sample is a + s(p-1) + s(out-1), the part's last tap
+    a + s(p-1) is at most r-1, and out = floor((H_pad-r)/s) + 1 gives
+    s(out-1) <= H_pad-r, so the sample is at most H_pad-1.
     """
-    if part not in plan.parts:
-        raise ValueError("part does not belong to this plan")
-    regions = []
-    for axis_part, out_extent in ((part.row, out_dims[0]), (part.col, out_dims[1])):
-        regions.append((axis_part.origin, axis_part.step, out_extent - 1 + axis_part.count))
-    return tuple(regions)
+    return tuple(slice(a.origin, a.origin + a.step * (out + a.count - 1), a.step)
+                 for a, out in ((part.row, out_dims[0]), (part.col, out_dims[1])))
 
 
 def plan_to_json(plan: DecompositionPlan) -> dict:
@@ -161,11 +199,5 @@ def plan_to_json(plan: DecompositionPlan) -> dict:
         "kernel": list(plan.spec.kernel),
         "stride": list(plan.spec.stride),
         "pad": list(plan.spec.pad),
-        "parts": [
-            {
-                "row": {"origin": p.row.origin, "step": p.row.step, "count": p.row.count},
-                "col": {"origin": p.col.origin, "step": p.col.step, "count": p.col.count},
-            }
-            for p in plan.parts
-        ],
+        "parts": [{"row": asdict(p.row), "col": asdict(p.col)} for p in plan.parts],
     }

@@ -30,7 +30,7 @@ from .convspec import ConvSpec
 from .decompose import (DecompositionPlan, input_region_for_part, plan_classic,
                         plan_decomposition)
 from .flops import flops_direct, flops_dwm
-from .tensor import accumulate, check_finite, pad_input, require_tensor4, slice_strided
+from .tensor import accumulate, check_finite, pad_input, require_tensor4
 from .transforms import (NumericTransformSet, TransformSet, precision_dtype, to_exact_arrays,
                          to_float)
 
@@ -203,15 +203,15 @@ def _tap_major(w: np.ndarray) -> np.ndarray:
 
 def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
     """Walk the plan once: per part, its index and the part itself, its
-    numeric row and column transforms, its kernel sub-block as a pair of
-    slices of the tap-major weights, and its padded-input region as
-    ``slice_strided`` (origin, step, count) arguments."""
+    numeric row and column transforms, and its kernel sub-block and its
+    padded-input region, each as the (rows, cols) slices of the spatial
+    axes that index it.  A built plan is checked, so neither leaves its
+    array (``input_region_for_part``)."""
     for index, part in enumerate(plan.parts):
-        (ro, rs, rc), (co, cs, cc) = input_region_for_part(plan, part, out_dims)
-        ksel = tuple(slice(a.origin, a.origin + a.step * a.count, a.step)
-                     for a in (part.row, part.col))
+        ksel = tuple(slice(t.start, t.stop, t.step) for t in (part.row.taps, part.col.taps))
         yield (index, part, _numeric_for(part.transform_rows, dt),
-               _numeric_for(part.transform_cols, dt), ksel, ((ro, co), (rs, cs), (rc, cc)))
+               _numeric_for(part.transform_cols, dt), ksel,
+               input_region_for_part(part, out_dims))
 
 
 def _check_part(x: np.ndarray, engine: str, plan: DecompositionPlan, index: int,
@@ -221,10 +221,7 @@ def _check_part(x: np.ndarray, engine: str, plan: DecompositionPlan, index: int,
     only when the check fails."""
     if x.dtype != _OBJECT and not np.isfinite(x).all():
         if len(plan.parts) > 1:
-            part = plan.parts[index]
-            taps = [",".join(str(a.origin + a.step * t) for t in range(a.count))
-                    for a in (part.row, part.col)]
-            engine = f"{engine} part {index} (kernel rows {taps[0]}; cols {taps[1]})"
+            engine = f"{engine} part {index} ({plan.parts[index].label})"
         check_finite(x, engine + result)
 
 
@@ -417,8 +414,8 @@ def _dwm(data: np.ndarray, weights: np.ndarray, plan: DecompositionPlan, precisi
 
     acc = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for index, _, nt_r, nt_c, ksel, isel in _part_loop(plan, dpad.dtype, out_dims):
-            v = _data_transform(slice_strided(dpad, *isel), nt_r, nt_c, th, tw)  # (lr,lc,C,NTT)
+        for index, _, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dpad.dtype, out_dims):
+            v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)  # (lr,lc,C,NTT)
             u = _axes2(nt_r.g, nt_c.g, wt[ksel])                       # G g Gt: (lr,lc,F,C)
             m = np.matmul(u, v)                                        # (lr,lc,F,NTT)
             # u and v are freed before the detransform allocates, m before
@@ -504,17 +501,17 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     last = {pair(part): index for index, part in enumerate(plan.parts)}
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for index, part, nt_r, nt_c, ksel, isel in _part_loop(plan, dt, (oh, ow)):
+        for index, part, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, (oh, ow)):
             key = pair(part)
             if key not in dms:
                 dms[key] = _axes2(nt_r.a_t.T, nt_c.a_t.T, dy)       # (lr,lc,F,NTT)
             dm = dms.pop(key) if last[key] == index else dms[key]
-            g_sig, g_w = _winograd_backward(dm, slice_strided(dpad, *isel), wt[ksel],
+            g_sig, g_w = _winograd_backward(dm, dpad[:, :, rows, cols], wt[ksel],
                                             nt_r, nt_c, oh, ow)
             del dm
             _check_part(g_sig, "dwm_backward", plan, index, " data gradient")
             _check_part(g_w, "dwm_backward", plan, index, " weight gradient")
-            slice_strided(grad_pad, *isel)[...] += g_sig
+            grad_pad[:, :, rows, cols] += g_sig
 
     top, _, left, _ = spec.pad
     h, wd = data.shape[2], data.shape[3]

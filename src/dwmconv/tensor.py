@@ -42,30 +42,6 @@ def pad_input(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
     return check_finite(out, "pad_input")
 
 
-def slice_strided(d: np.ndarray, origin: tuple[int, int], step: tuple[int, int],
-                  count: tuple[int, int]) -> np.ndarray:
-    """Strided spatial sampling: out[..., i, j] = d[..., o_r + i*s_r, o_c + j*s_c].
-
-    The result is a view into ``d``: reading it gathers a strided region,
-    writing into it scatters back into the same elements of ``d``.
-    """
-    require_tensor4(d)
-    names = ("row", "col")
-    for axis in range(2):
-        o, s, cnt = origin[axis], step[axis], count[axis]
-        if o < 0 or cnt < 1 or s < 1:
-            raise ValueError(f"bad {names[axis]} sampling: origin {o}, step {s}, count {cnt}")
-        last = o + s * (cnt - 1)
-        extent = d.shape[2 + axis]
-        if last >= extent:
-            raise ValueError(
-                f"{names[axis]} axis out of range: origin {o} + step {s} * "
-                f"(count {cnt} - 1) = {last} >= extent {extent}"
-            )
-    (ro, co), (rs, cs), (rc, cc) = origin, step, count
-    return d[:, :, ro:ro + rs * rc:rs, co:co + cs * cc:cs]
-
-
 def accumulate(acc: np.ndarray, addend: np.ndarray) -> np.ndarray:
     """Element-wise sum of two 4-D arrays with identical shape and precision.
 

@@ -288,13 +288,20 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
     (ACCURACY, _acc(precisions={}), "entry 0: 'precisions' must be a list, got {}"),
     (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "expected": {"dwm_speedup": "x"}}]},
      "entry 0: expected must be a JSON object of numbers or nulls, got {'dwm_speedup': 'x'}"),
+    (ANALYZE, _net(name="conv,1"), "entry 0 'conv,1': layer name must be a string without "
+     "commas, double quotes or line breaks, got 'conv,1'"),
+    (ANALYZE, _net(name="conv\n1"), "entry 0 'conv\\n1': layer name must be a string"),
+    (ANALYZE, {**_net(), "name": {"a": 1, "b": 2}},
+     "network name must be a string without commas, double quotes or line breaks, "
+     "got {'a': 1, 'b': 2}"),
 ], ids=["flops-missing-kernel", "flops-array", "accuracy-array", "network-array",
         "configs-not-a-list", "accuracy-stride-0", "flops-out-0", "layer-pad-pair",
         "seeds-not-integers", "unknown-precision", "negative-channels",
         "expected-not-an-object", "bad-json", "kernel-not-integer", "hw-not-integer",
         "seed-not-integer", "out-not-integer", "channels-bool", "seed-negative",
         "schema-true", "schema-float", "seeds-a-string", "precisions-an-object",
-        "expected-value-a-string"])
+        "expected-value-a-string", "layer-name-comma", "layer-name-newline",
+        "network-name-object"])
 def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, named):
     cfg = tmp_path / "bad.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))

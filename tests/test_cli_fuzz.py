@@ -152,6 +152,13 @@ NOT_AN_INT = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=Fals
 NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=4),
                        st.floats(allow_nan=False, allow_infinity=False),
                        st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+# a network or layer name must fit in one plain CSV field
+NOT_A_NAME = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+    st.tuples(st.text(max_size=3), st.sampled_from([",", "\n", "\r\n", '"', "\u2028"]),
+              st.text(max_size=3)).map("".join))
 
 # the entry has no "out" of its own, so a top-level "out" is read
 FLOPS_DOC = {"schema": 1, "configs": [{"kernel": 3, "stride": 1, "expected": {"dwm": 784}}]}
@@ -176,10 +183,10 @@ DOCUMENTS = {
                   ("kernel", "stride", "hw", "channels", "filters", "batch")}
                  | {"precisions": NOT_A_LIST}),
     "network": (("analyze", "--network"), NETWORK_DOC, "layers",
-                {"schema": NOT_AN_INT, "layers": NOT_A_LIST},
+                {"schema": NOT_AN_INT, "layers": NOT_A_LIST, "name": NOT_A_NAME},
                 {field: NOT_AN_INT for field in
                  ("in_channels", "out_channels", "kernel", "stride", "input")}
-                | {"pad": NOT_A_LIST}),
+                | {"pad": NOT_A_LIST, "name": NOT_A_NAME}),
 }
 EXPECTED_KEYS = ("direct", "winograd", "dwm", "winograd_speedup", "dwm_speedup")
 

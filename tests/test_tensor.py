@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwmconv.tensor import accumulate, mse, pad_input, slice_strided
+from dwmconv.tensor import accumulate, mse, pad_input
 
 
 def test_pad_zero_is_identity():
@@ -38,53 +38,6 @@ def test_pad_rejects_negative():
         pad_input(d, (-1, 0, 0, 0))
 
 
-def test_slice_identity():
-    d = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-    out = slice_strided(d, (0, 0), (1, 1), (4, 4))
-    np.testing.assert_array_equal(out, d)
-
-
-def test_slice_strided_2x2_from_4x4():
-    d = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-    out = slice_strided(d, (1, 1), (2, 2), (2, 2))
-    np.testing.assert_array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
-
-def test_slice_even_subgrid_7x7():
-    d = np.arange(49, dtype=np.float64).reshape(1, 1, 7, 7)
-    out = slice_strided(d, (0, 0), (2, 2), (4, 4))
-    # hand enumeration oracle
-    expected = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            expected[i, j] = d[0, 0, 2 * i, 2 * j]
-    np.testing.assert_array_equal(out[0, 0], expected)
-
-
-def test_slice_out_of_range_names_axis():
-    d = np.zeros((1, 1, 4, 4), dtype=np.float64)
-    with pytest.raises(ValueError, match="row"):
-        slice_strided(d, (1, 0), (2, 1), (3, 4))
-    with pytest.raises(ValueError, match="col"):
-        slice_strided(d, (0, 2), (1, 3), (4, 2))
-
-
-@given(step_a=st.integers(1, 3), step_b=st.integers(1, 3),
-       origin_a=st.integers(0, 2), origin_b=st.integers(0, 2))
-@settings(max_examples=40, deadline=None)
-def test_slice_composes(step_a, step_b, origin_a, origin_b):
-    # sampling with step a then step b equals one sample with step a*b
-    d = np.arange(2 * 24 * 24, dtype=np.float64).reshape(1, 2, 24, 24)
-    count_a = (24 - origin_a - 1) // step_a + 1
-    first = slice_strided(d, (origin_a, origin_a), (step_a, step_a), (count_a, count_a))
-    count_b = (count_a - origin_b - 1) // step_b + 1
-    second = slice_strided(first, (origin_b, origin_b), (step_b, step_b), (count_b, count_b))
-    fused_origin = origin_a + step_a * origin_b
-    fused = slice_strided(d, (fused_origin, fused_origin),
-                          (step_a * step_b, step_a * step_b), (count_b, count_b))
-    np.testing.assert_array_equal(second, fused)
-
-
 @given(top=st.integers(0, 3), bottom=st.integers(0, 3),
        left=st.integers(0, 3), right=st.integers(0, 3))
 @settings(max_examples=30, deadline=None)
@@ -92,7 +45,7 @@ def test_pad_then_slice_interior_roundtrips(top, bottom, left, right):
     rng = np.random.default_rng(7)
     d = rng.standard_normal((2, 1, 5, 6))
     padded = pad_input(d, (top, bottom, left, right))
-    back = slice_strided(padded, (top, left), (1, 1), (5, 6))
+    back = padded[:, :, top:top + 5, left:left + 6]
     np.testing.assert_array_equal(back, d)
 
 
