@@ -40,13 +40,15 @@ the text the CLI writes, built through the library calls the CLI makes:
 ``dwmconv bench --suite accuracy --config accuracy_14x14.json`` (CSV and
 JSON), ``dwmconv bench --suite flops --config flops_14x14.json`` (CSV) and
 ``dwmconv analyze`` on ``alexnet.json`` and ``googlenet.json`` (CSV).
-Last, per geometry and precision again: ``convolve`` ``y``/``flops`` for
+Then, per geometry and precision again: ``convolve`` ``y``/``flops`` for
 "gemm", and for "dwm" and "winograd" (where the geometry admits it) the
 plan ``convolve`` reports, as the SHA-1 of its ``plan_to_json`` text as
-``dwmconv conv --dump-plan`` prints it.
+``dwmconv conv --dump-plan`` prints it.  Last come the JSON texts of the
+flops and analyze reports above.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -61,7 +63,8 @@ import numpy as np
 from dwmconv import (ConvSpec, analyze_network, convolve, direct_conv2d, dwm_backward,
                      dwm_conv2d, gemm_conv2d, get_baseline_transform, load_network,
                      network_report_csv, plan_classic, plan_decomposition, plan_to_json,
-                     reports_to_csv, run_accuracy_suite, speedup_table, winograd_conv2d)
+                     reports_to_csv, reports_to_json, run_accuracy_suite, speedup_table,
+                     winograd_conv2d)
 from dwmconv.bench import parse_accuracy_config, parse_flops_config
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
@@ -106,23 +109,30 @@ def accuracy_report(name: str) -> dict[str, str]:
 
 
 def flops_report(name: str) -> dict[str, str]:
-    """{"csv": text} that ``dwmconv bench --suite flops --config name --out`` writes."""
+    """{format: text} that ``dwmconv bench --suite flops --config name --out`` writes."""
     parsed = _bundled(name, parse_flops_config)
-    return {"csv": reports_to_csv(speedup_table([(spec, out) for spec, out, _ in parsed]))}
+    reports = speedup_table([(spec, out) for spec, out, _ in parsed])
+    return {"csv": reports_to_csv(reports),
+            "json": json.dumps(reports_to_json(reports), indent=2) + "\n"}
 
 
 def analyze_report(name: str) -> dict[str, str]:
-    """{"csv": text} that ``dwmconv analyze --network name --out`` writes."""
+    """{format: text} that ``dwmconv analyze --network name --out`` writes."""
     net = _bundled(name, load_network)
-    return {"csv": network_report_csv(net, *analyze_network(net))}
+    layer_reports, totals = analyze_network(net)
+    doc = {"network": net.name, "layers": [dataclasses.asdict(r) for r in layer_reports],
+           "totals": totals}
+    return {"csv": network_report_csv(net, layer_reports, totals),
+            "json": json.dumps(doc, indent=2) + "\n"}
 
 
-# bundled CLI reports: label, config name, {format: text} builder
+# bundled CLI reports: label, config name, {format: text} builder, and the
+# formats listed last, after every other line (they were added later)
 REPORTS = (
-    ("accuracy-report", "accuracy_14x14.json", accuracy_report),
-    ("flops-report", "flops_14x14.json", flops_report),
-    ("analyze-report", "alexnet.json", analyze_report),
-    ("analyze-report", "googlenet.json", analyze_report),
+    ("accuracy-report", "accuracy_14x14.json", accuracy_report, ()),
+    ("flops-report", "flops_14x14.json", flops_report, ("json",)),
+    ("analyze-report", "alexnet.json", analyze_report, ("json",)),
+    ("analyze-report", "googlenet.json", analyze_report, ("json",)),
 )
 
 
@@ -211,9 +221,10 @@ def listing():
                               ("winograd_conv2d[baseline]", baseline)):
         y = winograd_conv2d(data, weights, spec, *transforms)
         yield f"{digest(y)}  {label} {name} binary32"
-    for label, name, build in REPORTS:
+    for label, name, build, late in REPORTS:
         for fmt, text in build(name).items():
-            yield f"{digest(text)}  {label} {name} {fmt}"
+            if fmt not in late:
+                yield f"{digest(text)}  {label} {name} {fmt}"
     for name, precision, spec, (data, weights, _) in cases():
         out = convolve(data, weights, spec, algo="gemm")
         yield f"{digest(out.y)}  convolve[gemm].y {name} {precision}"
@@ -222,6 +233,9 @@ def listing():
             plan = convolve(data, weights, spec, algo=algo).plan
             text = json.dumps(plan_to_json(plan), indent=2)
             yield f"{digest(text)}  convolve[{algo}].plan {name} {precision}"
+    for label, name, build, late in REPORTS:
+        for fmt in late:
+            yield f"{digest(build(name)[fmt])}  {label} {name} {fmt}"
 
 
 def compare(old: list[str], new: list[str]) -> list[str]:

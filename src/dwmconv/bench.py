@@ -20,7 +20,8 @@ import numpy as np
 from .convspec import ConvSpec
 from .decompose import plan_decomposition
 from .engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
-from .flops import _classic_baseline_plan, flops_direct, flops_dwm, flops_winograd_classic
+from .flops import (REPORT_FIELDS, _classic_baseline_plan, flops_direct, flops_dwm,
+                    flops_winograd_classic, reports_to_json)
 from .tensor import mse
 
 PRECISIONS = ("binary32", "binary64")
@@ -135,7 +136,7 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
     rows = []
     for cfg in configs:
         spec = cfg.spec()
-        classic = _classic_baseline_plan(spec)
+        classic, plan = _classic_baseline_plan(spec), plan_decomposition(spec)
         jobs = [("direct", "binary64")]
         if "binary32" in cfg.precisions:
             jobs.append(("direct", "binary32"))
@@ -159,7 +160,7 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
                         y = winograd_conv2d(data, weights, spec, part.transform_rows,
                                             part.transform_cols, precision=precision)
                     else:
-                        y = dwm_conv2d(data, weights, spec, precision=precision)
+                        y = dwm_conv2d(data, weights, spec, plan, precision)
                     err = mse(y, reference)
                     status = "ok"
                 except FloatingPointError:
@@ -176,8 +177,10 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
 def _parse_entries(doc, kind: str, key: str, build) -> list:
     """[build(index, entry)] over the ``key`` list of a schema-1 ``kind`` document.
 
-    An error names the document, the list or the entry (by index, and by
-    its "name" where it has one) that is at fault.
+    ``build`` pops each key it reads from a copy of the entry, so a key
+    left over is one it never reads, and is refused.  An error names the
+    document, the list or the entry (by index, and by its "name" where it
+    has one) that is at fault.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} must be a JSON object, got {type(doc).__name__}")
@@ -191,7 +194,10 @@ def _parse_entries(doc, kind: str, key: str, build) -> list:
         try:
             if not isinstance(entry, dict):
                 raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
-            built.append(build(i, entry))
+            unread = dict(entry)
+            built.append(build(i, unread))
+            if unread:
+                raise ValueError(f"unknown key {next(iter(unread))!r}")
         except (KeyError, TypeError, ValueError) as exc:
             name = f" {entry['name']!r}" if isinstance(entry, dict) and "name" in entry else ""
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
@@ -201,13 +207,13 @@ def _parse_entries(doc, kind: str, key: str, build) -> list:
 
 def _accuracy_entry(_, entry: dict) -> AccuracyConfig:
     cfg = AccuracyConfig(
-        kernel=as_pair(entry["kernel"], "kernel"),
-        stride=as_pair(entry.get("stride", 1), "stride"),
-        hw=_integer(entry["hw"], "hw"),
-        channels=_integer(entry["channels"], "channels"),
-        filters=_integer(entry["filters"], "filters"),
-        batch=_integer(entry.get("batch", 1), "batch"),
-        precisions=tuple(_list(entry.get("precisions", PRECISIONS), "precisions")),
+        kernel=as_pair(entry.pop("kernel"), "kernel"),
+        stride=as_pair(entry.pop("stride", 1), "stride"),
+        hw=_integer(entry.pop("hw"), "hw"),
+        channels=_integer(entry.pop("channels"), "channels"),
+        filters=_integer(entry.pop("filters"), "filters"),
+        batch=_integer(entry.pop("batch", 1), "batch"),
+        precisions=tuple(_list(entry.pop("precisions", PRECISIONS), "precisions")),
     )
     if min(cfg.channels, cfg.filters, cfg.batch) < 1:
         raise ValueError("channels, filters and batch must be positive")
@@ -275,41 +281,38 @@ def parse_flops_config(doc: dict):
     """(ConvSpec, out_dims, expected) per entry of a flops config document."""
 
     def build(_, entry):
-        spec = ConvSpec(kernel=as_pair(entry["kernel"], "kernel"),
-                        stride=as_pair(entry.get("stride", 1), "stride"))
-        out = as_pair(entry.get("out", doc.get("out", 14)), "out")
+        spec = ConvSpec(kernel=as_pair(entry.pop("kernel"), "kernel"),
+                        stride=as_pair(entry.pop("stride", 1), "stride"))
+        out = as_pair(entry.pop("out", doc.get("out", 14)), "out")
         if min(out) < 1:
             raise ValueError(f"out must be two positive integers, got {out}")
-        expected = entry.get("expected")
+        expected = entry.pop("expected", None)
         if not (expected is None or isinstance(expected, dict) and all(
                 want is None or type(want) in (int, float) for want in expected.values())):
             raise TypeError(f"expected must be a JSON object of numbers or nulls, got {expected!r}")
+        unknown = [key for key in expected or () if key not in REPORT_FIELDS]
+        if unknown:
+            raise ValueError(f"unknown expected key {unknown[0]!r}; expected one of "
+                             f"{', '.join(REPORT_FIELDS)}")
         return spec, out, expected
 
     return _parse_entries(doc, "flops config", "configs", build)
 
 
 def check_flops(reports, expectations) -> list[str]:
-    """Mismatches between FLOP reports and the config's expected values."""
+    """Mismatches between each FLOP report's JSON record (``reports_to_json``)
+    and the config's expected values under the same keys: counts exactly,
+    speedups (floats) to 2 decimals."""
     violations = []
-    for rep, expected in zip(reports, expectations):
-        if not expected:
-            continue
-        label = f"{rep.spec.kernel[0]}x{rep.spec.kernel[1]} s{rep.spec.stride[0]}"
-        for field, actual in (("direct", rep.direct_mults), ("dwm", rep.dwm_mults),
-                              ("winograd", rep.winograd_mults)):
-            if field in expected and expected[field] != actual:
-                violations.append(f"{label}: {field} = {actual}, expected {expected[field]}")
-        for field, actual in (("dwm_speedup", rep.speedup_dwm),
-                              ("winograd_speedup", rep.speedup_winograd)):
-            if field in expected:
-                want = expected[field]
-                if actual is None or want is None:
-                    if actual is not want:
-                        violations.append(f"{label}: {field} = {actual}, expected {want}")
-                elif round(actual, 2) != round(want, 2):
-                    violations.append(
-                        f"{label}: {field} = {actual:.2f}, expected {want:.2f}")
+    for rec, expected in zip(reports_to_json(reports), expectations):
+        label = f"{rec['kernel'][0]}x{rec['kernel'][1]} s{rec['stride'][0]}"
+        for key, want in (expected or {}).items():
+            got = rec[key]
+            if isinstance(got, float) and want is not None:
+                if round(got, 2) != round(want, 2):
+                    violations.append(f"{label}: {key} = {got:.2f}, expected {want:.2f}")
+            elif got != want:
+                violations.append(f"{label}: {key} = {got}, expected {want}")
     return violations
 
 
@@ -322,6 +325,9 @@ class LayerSpec:
     stride: tuple[int, int]
     pad: tuple[int, int, int, int]
     input_hw: tuple[int, int]
+
+    def __post_init__(self):
+        self.spec().out_dims(*self.input_hw)  # the kernel must fit the padded input
 
     def spec(self) -> ConvSpec:
         return ConvSpec(kernel=self.kernel, stride=self.stride, pad=self.pad)
@@ -347,17 +353,15 @@ class LayerReport:
 
 
 def _layer_entry(i: int, entry: dict) -> LayerSpec:
-    layer = LayerSpec(
-        name=_name(entry.get("name", f"layer{i}"), "layer"),
-        in_channels=_integer(entry["in_channels"], "in_channels"),
-        out_channels=_integer(entry["out_channels"], "out_channels"),
-        kernel=as_pair(entry["kernel"], "kernel"),
-        stride=as_pair(entry.get("stride", 1), "stride"),
-        pad=tuple(_integer(p, "pad") for p in entry.get("pad", (0, 0, 0, 0))),
-        input_hw=as_pair(entry["input"], "input"),
+    return LayerSpec(
+        name=_name(entry.pop("name", f"layer{i}"), "layer"),
+        in_channels=_integer(entry.pop("in_channels"), "in_channels"),
+        out_channels=_integer(entry.pop("out_channels"), "out_channels"),
+        kernel=as_pair(entry.pop("kernel"), "kernel"),
+        stride=as_pair(entry.pop("stride", 1), "stride"),
+        pad=tuple(_integer(p, "pad") for p in entry.pop("pad", (0, 0, 0, 0))),
+        input_hw=as_pair(entry.pop("input"), "input"),
     )
-    layer.spec()
-    return layer
 
 
 def load_network(doc: dict) -> NetworkSpec:
@@ -383,10 +387,7 @@ def analyze_network(net: NetworkSpec) -> tuple[list[LayerReport], dict]:
     totals = {"direct": 0, "winograd": 0, "dwm": 0}
     for layer in net.layers:
         spec = layer.spec()
-        try:
-            out = spec.out_dims(*layer.input_hw)
-        except ValueError as exc:
-            raise ValueError(f"malformed layer {layer.name!r}: {exc}") from exc
+        out = spec.out_dims(*layer.input_hw)
         scale = layer.in_channels * layer.out_channels
         direct = flops_direct(spec, out) * scale
         if spec.kernel == (1, 1):

@@ -431,45 +431,6 @@ def _dwm(data: np.ndarray, weights: np.ndarray, plan: DecompositionPlan, precisi
     return _untile(acc, n, oh, ow)
 
 
-def _winograd_backward(dm: np.ndarray, signal: np.ndarray, wt: np.ndarray,
-                       nt_r: NumericTransformSet, nt_c: NumericTransformSet,
-                       oh: int, ow: int):
-    """Signal and weight gradients of one part's tiled F(2, r) forward in
-    ``_dwm``, given A dY At.
-
-    ``dm`` is A dY At per tile, (lr, lc, F, N*TH*TW); ``wt`` the part's
-    tap-major weights (r_r, r_c, F, C), which the weight gradient then
-    overwrites.  Signal gradient: B[(A dY At) . (G g Gt)]Bt per tile,
-    summed over filters in the transform domain, then scatter-added into
-    the overlapping input windows one tap (i, j) at a time with i and j
-    descending, so each element receives its tile contributions in
-    row-major tile order.  Weight gradient: Gt[(A dY At) . (Bt d B)]G,
-    accumulated over tiles and batch in the transform domain.
-    """
-    n, c = signal.shape[:2]
-    p_r, p_c = nt_r.r, nt_c.r
-    lr, lc = p_r + 1, p_c + 1
-    th, tw = _tile_dims(oh, ow)
-
-    u = _axes2(nt_r.g, nt_c.g, wt)                                    # G g Gt: (lr,lc,F,C)
-    m = np.matmul(u.transpose(0, 1, 3, 2), dm)                        # (lr,lc,C,NTT)
-    del u  # as in _dwm: freed before the detransform allocates
-    dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T, m).reshape(lr, lc, c, n, th, tw)  # B m Bt
-    del m
-    dsig = np.zeros((c, n, 2 * th + p_r - 1, 2 * tw + p_c - 1), dtype=dm.dtype)
-    for i in reversed(range(lr)):
-        for j in reversed(range(lc)):
-            dsig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[i, j]
-    del dwin  # peak memory: free it before the weight gradient's own
-
-    v = _data_transform(signal, nt_r, nt_c, th, tw)                   # (lr,lc,C,NTT)
-    m = np.matmul(dm, v.transpose(0, 1, 3, 2))                        # (lr,lc,F,C)
-    del v  # as in _dwm: freed before the detransform
-    dg = _axes2(nt_r.g.T, nt_c.g.T, m, out=wt)                        # Gt m G
-    dsig = dsig.transpose(1, 0, 2, 3)[:, :, :oh + p_r - 1, :ow + p_c - 1]
-    return dsig, dg
-
-
 def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray,
                  weights: np.ndarray, precision=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of dwm_conv2d w.r.t. data and weights.
@@ -477,22 +438,35 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     Aggregation is a plain sum, so every part receives the whole ``grad_out``
     unchanged; no per-part outputs need to be stored.  The taps of
     ``grad_out`` are built once per call, and A dY At once per distinct
-    (row, col) transform pair.  Per-part data gradients scatter back
-    through each part's strided input slice and sum.  The parts' kernel
-    sub-blocks partition the tap-major copy of the weights, and each part
-    overwrites its sub-block with its weight gradient once its kernel
-    transform has read it, so the copy ends as the whole weight gradient
-    and is transposed back once.  Weights stay in the spatial domain;
-    nothing Winograd-transformed persists between calls.
+    (row, col) transform pair, kept until that pair's last part.  Per part,
+    with G g Gt its kernel transform and Bt d B its data transform as in
+    ``_dwm``:
+
+    * data gradient: B[(A dY At) . (G g Gt)]Bt per tile, summed over
+      filters in the transform domain, then scatter-added into the
+      overlapping windows of the part's input slice one tap (i, j) at a
+      time with i and j descending, so each element receives its tile
+      contributions in row-major tile order; the parts' data gradients
+      then add into the padded input through their strided slices;
+    * weight gradient: Gt[(A dY At) . (Bt d B)]G, accumulated over tiles
+      and batch in the transform domain.
+
+    The parts' kernel sub-blocks partition the tap-major copy of the
+    weights, and each part overwrites its sub-block with its weight
+    gradient once its kernel transform has read it, so the copy ends as the
+    whole weight gradient and is transposed back once.  Weights stay in the
+    spatial domain; nothing Winograd-transformed persists between calls.
     """
     spec = plan.spec
     require_tensor4(grad_out, "grad_out")
     dpad, w, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
+    n, c = dpad.shape[:2]
     dt = dpad.dtype
     want = (data.shape[0], weights.shape[0], oh, ow)
     if grad_out.shape != want:
         raise ValueError(f"grad_out shape {grad_out.shape} != {want}")
-    dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, *_tile_dims(oh, ow))  # (2,2,F,NTT)
+    th, tw = _tile_dims(oh, ow)
+    dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, th, tw)            # (2,2,F,NTT)
     wt = _tap_major(w)
     del w  # as in _dwm
     grad_pad = np.zeros_like(dpad)
@@ -506,12 +480,28 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
             if key not in dms:
                 dms[key] = _axes2(nt_r.a_t.T, nt_c.a_t.T, dy)       # (lr,lc,F,NTT)
             dm = dms.pop(key) if last[key] == index else dms[key]
-            g_sig, g_w = _winograd_backward(dm, dpad[:, :, rows, cols], wt[ksel],
-                                            nt_r, nt_c, oh, ow)
-            del dm
+            lr, lc = nt_r.r + 1, nt_c.r + 1
+            u = _axes2(nt_r.g, nt_c.g, wt[ksel])                        # G g Gt: (lr,lc,F,C)
+            m = np.matmul(u.transpose(0, 1, 3, 2), dm)                  # (lr,lc,C,NTT)
+            del u  # as in _dwm: freed before the detransform allocates
+            dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T, m).reshape(lr, lc, c, n, th, tw)  # B m Bt
+            del m
+            g_sig = np.zeros((c, n, 2 * th + lr - 2, 2 * tw + lc - 2), dtype=dt)
+            for i in reversed(range(lr)):
+                for j in reversed(range(lc)):
+                    g_sig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[i, j]
+            del dwin  # peak memory: free it before the weight gradient's own
+
+            v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)  # (lr,lc,C,NTT)
+            m = np.matmul(dm, v.transpose(0, 1, 3, 2))                  # (lr,lc,F,C)
+            del v  # as in _dwm: freed before the detransform
+            g_w = _axes2(nt_r.g.T, nt_c.g.T, m, out=wt[ksel])           # Gt m G
+            del m, dm
+            g_sig = g_sig.transpose(1, 0, 2, 3)[:, :, :oh + lr - 2, :ow + lc - 2]
             _check_part(g_sig, "dwm_backward", plan, index, " data gradient")
             _check_part(g_w, "dwm_backward", plan, index, " weight gradient")
             grad_pad[:, :, rows, cols] += g_sig
+            del g_sig
 
     top, _, left, _ = spec.pad
     h, wd = data.shape[2], data.shape[3]

@@ -53,6 +53,15 @@ class FlopReport:
     speedup_dwm: float
 
 
+# The name of each count a FlopReport gives, in column order: its CSV
+# column, JSON key and flops-config ``expected`` key, with the attribute
+# that holds it.  Multiplication counts are ints, exact; speedups are
+# float ratios, shown and checked to 2 decimals.
+REPORT_FIELDS = {"direct": "direct_mults", "winograd": "winograd_mults",
+                 "winograd_speedup": "speedup_winograd", "dwm": "dwm_mults",
+                 "dwm_speedup": "speedup_dwm"}
+
+
 def is_shift_free(x) -> bool:
     """True iff x is 0 or +-2^k for integer k (so +-1, +-4, +-1/2, ...)."""
     f = Fraction(x)
@@ -152,34 +161,23 @@ def _sci(x: int) -> str:
 
 
 def reports_to_csv(reports) -> str:
-    """Fixed-column CSV: counts in 3-significant-digit scientific notation,
-    speedups to 2 decimals, N/A where classic Winograd does not apply."""
-    lines = [f"# {CONVENTION_NOTE}",
-             "kernel,stride,direct,winograd,winograd_speedup,dwm,dwm_speedup"]
-    for rep in reports:
-        r_h, r_w = rep.spec.kernel
-        s_h, s_w = rep.spec.stride
-        stride = str(s_h) if s_h == s_w else f"{s_h}x{s_w}"
-        wino = "N/A" if rep.winograd_mults is None else _sci(rep.winograd_mults)
-        wino_speed = "N/A" if rep.speedup_winograd is None else f"{rep.speedup_winograd:.2f}"
-        lines.append(
-            f"{r_h}x{r_w},{stride},{_sci(rep.direct_mults)},{wino},{wino_speed},"
-            f"{_sci(rep.dwm_mults)},{rep.speedup_dwm:.2f}")
+    """Fixed-column CSV of the ``reports_to_json`` records: counts in
+    3-significant-digit scientific notation, speedups to 2 decimals, N/A
+    where classic Winograd does not apply."""
+    lines = [f"# {CONVENTION_NOTE}", ",".join(["kernel", "stride", *REPORT_FIELDS])]
+    for rec in reports_to_json(reports):
+        (r_h, r_w), (s_h, s_w) = rec["kernel"], rec["stride"]
+        cells = [f"{r_h}x{r_w}", str(s_h) if s_h == s_w else f"{s_h}x{s_w}"]
+        cells += ["N/A" if v is None else f"{v:.2f}" if isinstance(v, float) else _sci(v)
+                  for v in (rec[key] for key in REPORT_FIELDS)]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def reports_to_json(reports) -> list[dict]:
-    """Exact integer counts and full-precision ratios."""
-    out = []
-    for rep in reports:
-        out.append({
-            "kernel": list(rep.spec.kernel),
-            "stride": list(rep.spec.stride),
-            "out": list(rep.out),
-            "direct": rep.direct_mults,
-            "winograd": rep.winograd_mults,
-            "winograd_speedup": rep.speedup_winograd,
-            "dwm": rep.dwm_mults,
-            "dwm_speedup": rep.speedup_dwm,
-        })
-    return out
+    """Exact integer counts and full-precision ratios, under the keys of
+    ``REPORT_FIELDS``."""
+    return [{"kernel": list(rep.spec.kernel), "stride": list(rep.spec.stride),
+             "out": list(rep.out),
+             **{key: getattr(rep, attr) for key, attr in REPORT_FIELDS.items()}}
+            for rep in reports]

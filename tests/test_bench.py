@@ -168,6 +168,18 @@ def test_flops_suite_reference_values():
         784, 2401, 4900, 7056, 11025, 1225, 2401, 4900, 8281, 11025]
 
 
+def test_check_flops_compares_each_expected_key_with_the_json_record():
+    reports = speedup_table([(ConvSpec(kernel=(3, 3)), (14, 14)),
+                             (ConvSpec(kernel=(3, 3), stride=(2, 2)), (14, 14))])
+    assert bench.check_flops(reports, [
+        {"direct": 1764, "winograd": 784.0, "dwm_speedup": 2.254},
+        {"winograd": None, "winograd_speedup": None}, None]) == []
+    assert bench.check_flops(reports, [{"dwm": 785, "dwm_speedup": 2.26},
+                                       {"winograd": 784, "dwm_speedup": None}]) == [
+        "3x3 s1: dwm = 784, expected 785", "3x3 s1: dwm_speedup = 2.25, expected 2.26",
+        "3x3 s2: winograd = None, expected 784", "3x3 s2: dwm_speedup = 1.44, expected None"]
+
+
 def _single_layer_net(**overrides):
     layer = {"name": "conv", "in_channels": 1, "out_channels": 1, "kernel": [3, 3],
              "stride": [1, 1], "pad": [1, 1, 1, 1], "input": [14, 14]}
@@ -241,6 +253,6 @@ def test_load_network_names_offending_layer():
 
 
 def test_analyze_names_layer_with_impossible_geometry():
-    net = _single_layer_net(name="tiny", input=[2, 2], kernel=[3, 3], pad=[0, 0, 0, 0])
     with pytest.raises(ValueError, match="tiny"):
-        analyze_network(net)
+        analyze_network(_single_layer_net(name="tiny", input=[2, 2], kernel=[3, 3],
+                                          pad=[0, 0, 0, 0]))

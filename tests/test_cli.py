@@ -294,6 +294,16 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
     (ANALYZE, {**_net(), "name": {"a": 1, "b": 2}},
      "network name must be a string without commas, double quotes or line breaks, "
      "got {'a': 1, 'b': 2}"),
+    (ANALYZE, _net(strides=4), "entry 0 'conv1': unknown key 'strides'"),
+    (ACCURACY, _acc(strides=2), "entry 0: unknown key 'strides'"),
+    (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "strides": 2}]},
+     "entry 0: unknown key 'strides'"),
+    (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "expected": {"dwn": 12345}}]},
+     "entry 0: unknown expected key 'dwn'; expected one of direct, winograd, "
+     "winograd_speedup, dwm, dwm_speedup"),
+    (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "expected": {"dwm": 784,
+                                                                 "direct_speedup": 99}}]},
+     "entry 0: unknown expected key 'direct_speedup'"),
 ], ids=["flops-missing-kernel", "flops-array", "accuracy-array", "network-array",
         "configs-not-a-list", "accuracy-stride-0", "flops-out-0", "layer-pad-pair",
         "seeds-not-integers", "unknown-precision", "negative-channels",
@@ -301,7 +311,8 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
         "seed-not-integer", "out-not-integer", "channels-bool", "seed-negative",
         "schema-true", "schema-float", "seeds-a-string", "precisions-an-object",
         "expected-value-a-string", "layer-name-comma", "layer-name-newline",
-        "network-name-object"])
+        "network-name-object", "layer-strides", "accuracy-strides", "flops-strides",
+        "expected-dwn", "expected-direct-speedup"])
 def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, named):
     cfg = tmp_path / "bad.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))

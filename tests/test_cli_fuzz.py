@@ -1,8 +1,9 @@
 """Bounded fuzzing of the CLI's input boundaries.
 
-Malformed geometry flags, damaged tensor files and wrong-typed fields at
-each level of the flops, accuracy and network JSON documents must each end
-in exit 1 or 2 with exactly one ``error:`` line on stderr and no traceback.
+Malformed geometry flags, damaged tensor files, and wrong-typed fields or
+unknown keys at each level of the flops, accuracy and network JSON
+documents must each end in exit 1 or 2 with exactly one ``error:`` line on
+stderr and no traceback.
 Every generated input is malformed by construction, and the suites are
 replaced by stubs that fail the test, so no example reaches a suite run.
 The CLI runs in-process; examples are derandomized and few, to keep the
@@ -147,9 +148,12 @@ NOT_A_NUMBER = st.one_of(
     st.booleans(), st.text(max_size=4),
     st.lists(st.one_of(st.text(max_size=2), st.none()), min_size=1, max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
-NOT_AN_INT = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
-                       NOT_A_NUMBER)
-NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=4),
+# wrong-typed values that look right get a branch of their own: true or
+# 1.0 for an integer, "" or {} for a list
+NOT_AN_INT = st.one_of(st.sampled_from([True, 1.0, 3.0]), st.none(),
+                       st.floats(allow_nan=False, allow_infinity=False), NOT_A_NUMBER)
+NOT_A_LIST = st.one_of(st.sampled_from(["", {}]), st.none(), st.booleans(),
+                       st.integers(-2, 3), st.text(max_size=4),
                        st.floats(allow_nan=False, allow_infinity=False),
                        st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
 # a network or layer name must fit in one plain CSV field
@@ -189,17 +193,23 @@ DOCUMENTS = {
                 | {"pad": NOT_A_LIST, "name": NOT_A_NAME}),
 }
 EXPECTED_KEYS = ("direct", "winograd", "dwm", "winograd_speedup", "dwm_speedup")
+# a key that no builder reads: a near miss of a real one, or any text
+KEYS = st.one_of(st.sampled_from(["strides", "kernels", "Kernel", "dwn", "direct_speedup", ""]),
+                 st.text(max_size=6))
 
 
 @st.composite
 def wrong_typed(draw, kind: str):
     """(argv, document) with one field of ``kind``'s valid document, at the
     top level, in its first entry (the entry itself included) or, for
-    flops, in the entry's expected values, replaced by a wrong-typed value."""
+    flops, in the entry's expected values, replaced by a wrong-typed value;
+    or with a key that is not read added to the first entry or, for flops,
+    to its expected values."""
     argv, doc, key, top, fields = DOCUMENTS[kind]
     doc = json.loads(json.dumps(doc))
     entry = doc[key][0]
-    levels = ["top", "entry", "field"] + (["expected"] if kind == "flops" else [])
+    levels = ["top", "entry", "field", "unknown"]
+    levels += ["expected", "unknown-expected"] if kind == "flops" else []
     level = draw(st.sampled_from(levels))
     if level == "top":
         name = draw(st.sampled_from(sorted(top)))
@@ -209,8 +219,12 @@ def wrong_typed(draw, kind: str):
     elif level == "field":
         name = draw(st.sampled_from(sorted(fields)))
         entry[name] = draw(fields[name])
-    else:
+    elif level == "unknown":
+        entry[draw(KEYS.filter(lambda k: k not in fields))] = draw(st.integers(0, 4))
+    elif level == "expected":
         entry["expected"] = {draw(st.sampled_from(EXPECTED_KEYS)): draw(NOT_A_NUMBER)}
+    else:
+        entry["expected"][draw(KEYS.filter(lambda k: k not in EXPECTED_KEYS))] = 784
     return argv, doc
 
 

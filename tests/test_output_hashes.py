@@ -42,8 +42,10 @@ def test_report_builders_give_the_text_the_cli_writes(tmp_path):
     for argv, build, name in (
             (["bench", "--suite", "flops", "--config"], output_hashes.flops_report,
              "flops_14x14.json"),
-            (["analyze", "--network"], output_hashes.analyze_report, "alexnet.json")):
+            (["analyze", "--network"], output_hashes.analyze_report, "alexnet.json"),
+            (["analyze", "--network"], output_hashes.analyze_report, "googlenet.json")):
         base = tmp_path / name
         assert cli.main([*argv, name, "--out", str(base)]) == 0
-        csv = Path(f"{base}.csv").read_text(encoding="utf-8")
-        assert build(name) == {"csv": csv}
+        written = {fmt: Path(f"{base}.{fmt}").read_text(encoding="utf-8")
+                   for fmt in ("csv", "json")}
+        assert build(name) == written
