@@ -36,7 +36,8 @@ geometry; the Fraction inputs are multiples of 1/4.  Floats hash their dtype, sh
 ``p/q`` text of every element.
 
 After all of those come the bundled CLI reports, each line the SHA-1 of
-the text the CLI writes, built through the library calls the CLI makes:
+the text the CLI writes, the ``to_csv()``/``to_json()`` of the report the
+suite returns:
 ``dwmconv bench --suite accuracy --config accuracy_14x14.json`` (CSV and
 JSON), ``dwmconv bench --suite flops --config flops_14x14.json`` (CSV) and
 ``dwmconv analyze`` on ``alexnet.json`` and ``googlenet.json`` (CSV).
@@ -48,7 +49,6 @@ flops and analyze reports above.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -62,9 +62,8 @@ import numpy as np
 
 from dwmconv import (ConvSpec, analyze_network, convolve, direct_conv2d, dwm_backward,
                      dwm_conv2d, gemm_conv2d, get_baseline_transform, load_network,
-                     network_report_csv, plan_classic, plan_decomposition, plan_to_json,
-                     reports_to_csv, reports_to_json, run_accuracy_suite, speedup_table,
-                     winograd_conv2d)
+                     plan_classic, plan_decomposition, plan_to_json, run_accuracy_suite,
+                     speedup_table, winograd_conv2d)
 from dwmconv.bench import parse_accuracy_config, parse_flops_config
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
@@ -102,28 +101,25 @@ def _bundled(name: str, parse):
     return parse(json.loads(text))
 
 
+def _texts(report) -> dict[str, str]:
+    """{format: text} of the report files the CLI writes for ``report``."""
+    return {"csv": report.to_csv(), "json": json.dumps(report.to_json(), indent=2) + "\n"}
+
+
 def accuracy_report(name: str) -> dict[str, str]:
     """{format: text} that ``dwmconv bench --suite accuracy --config name --out`` writes."""
-    report = run_accuracy_suite(*_bundled(name, parse_accuracy_config))
-    return {"csv": report.to_csv(), "json": json.dumps(report.to_json(), indent=2) + "\n"}
+    return _texts(run_accuracy_suite(*_bundled(name, parse_accuracy_config)))
 
 
 def flops_report(name: str) -> dict[str, str]:
     """{format: text} that ``dwmconv bench --suite flops --config name --out`` writes."""
     parsed = _bundled(name, parse_flops_config)
-    reports = speedup_table([(spec, out) for spec, out, _ in parsed])
-    return {"csv": reports_to_csv(reports),
-            "json": json.dumps(reports_to_json(reports), indent=2) + "\n"}
+    return _texts(speedup_table([(spec, out) for spec, out, _ in parsed]))
 
 
 def analyze_report(name: str) -> dict[str, str]:
     """{format: text} that ``dwmconv analyze --network name --out`` writes."""
-    net = _bundled(name, load_network)
-    layer_reports, totals = analyze_network(net)
-    doc = {"network": net.name, "layers": [dataclasses.asdict(r) for r in layer_reports],
-           "totals": totals}
-    return {"csv": network_report_csv(net, layer_reports, totals),
-            "json": json.dumps(doc, indent=2) + "\n"}
+    return _texts(analyze_network(_bundled(name, load_network)))
 
 
 # bundled CLI reports: label, config name, {format: text} builder, and the

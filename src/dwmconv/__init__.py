@@ -2,15 +2,15 @@
 decomposition, forward/backward engines, a FLOP model and benchmark tools."""
 
 from .bench import (AccuracyConfig, AccuracyReport, AccuracyRow, LayerReport,
-                    LayerSpec, NetworkSpec, analyze_network, check_accuracy_bands,
-                    load_network, network_report_csv, run_accuracy_suite)
+                    LayerSpec, NetworkReport, NetworkSpec, analyze_network,
+                    check_accuracy_bands, load_network, run_accuracy_suite)
 from .convspec import ConvSpec
 from .decompose import (AxisPart, DecompositionPlan, KernelPart, plan_classic,
                         plan_decomposition, plan_to_json)
 from .engines import (ConvOutput, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
                       gemm_conv2d, winograd_conv2d)
-from .flops import (FlopReport, flops_direct, flops_dwm, flops_winograd_classic,
-                    is_shift_free, reports_to_csv, reports_to_json, speedup_table)
+from .flops import (FlopReport, FlopTable, flops_direct, flops_dwm, flops_winograd_classic,
+                    is_shift_free, mult_counts, speedup_table)
 from .tensor import mse, pad_input
 from .tensorfile import read_tensor, write_tensor
 from .transforms import (NumericTransformSet, TransformSet, VerifyResult,

@@ -20,8 +20,7 @@ import numpy as np
 from .convspec import ConvSpec
 from .decompose import plan_decomposition
 from .engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
-from .flops import (REPORT_FIELDS, _classic_baseline_plan, flops_direct, flops_dwm,
-                    flops_winograd_classic, reports_to_json)
+from .flops import REPORT_FIELDS, FlopTable, _classic_baseline_plan, flops_direct, mult_counts
 from .tensor import mse
 
 PRECISIONS = ("binary32", "binary64")
@@ -42,7 +41,7 @@ def _list(value, key: str) -> list | tuple:
 
 
 def _name(value, kind: str) -> str:
-    """A JSON name field that ``network_report_csv`` can write as one plain
+    """A JSON name field that ``NetworkReport.to_csv`` can write as one plain
     CSV field: a string without a comma, double quote or line break
     (``splitlines`` knows every line break)."""
     if not isinstance(value, str) or "," in value or '"' in value \
@@ -299,12 +298,12 @@ def parse_flops_config(doc: dict):
     return _parse_entries(doc, "flops config", "configs", build)
 
 
-def check_flops(reports, expectations) -> list[str]:
-    """Mismatches between each FLOP report's JSON record (``reports_to_json``)
+def check_flops(table: FlopTable, expectations) -> list[str]:
+    """Mismatches between each of the table's JSON records (``to_json``)
     and the config's expected values under the same keys: counts exactly,
     speedups (floats) to 2 decimals."""
     violations = []
-    for rec, expected in zip(reports_to_json(reports), expectations):
+    for rec, expected in zip(table.to_json(), expectations):
         label = f"{rec['kernel'][0]}x{rec['kernel'][1]} s{rec['stride'][0]}"
         for key, want in (expected or {}).items():
             got = rec[key]
@@ -352,6 +351,35 @@ class LayerReport:
     dwm: int
 
 
+@dataclass(frozen=True)
+class NetworkReport:
+    """``analyze_network`` of one network: its layers' counts and the totals."""
+
+    network: str
+    layers: tuple[LayerReport, ...]
+    totals: dict[str, int]
+
+    def to_csv(self) -> str:
+        lines = [f"# network {self.network}: multiplications per input image; winograd "
+                 "total falls back to direct where not applicable",
+                 "layer,kernel,stride,out,direct,winograd,winograd_speedup,dwm,dwm_speedup"]
+
+        def row(name, dims, direct, winograd, dwm):
+            wino = ["N/A"] * 2 if winograd is None else [f"{winograd:.2E}",
+                                                         f"{direct / winograd:.2f}"]
+            return ",".join([name, *dims, f"{direct:.2E}", *wino, f"{dwm:.2E}",
+                             f"{direct / dwm:.2f}"])
+
+        for rep in self.layers:
+            dims = [f"{a}x{b}" for a, b in (rep.kernel, rep.stride, rep.out)]
+            lines.append(row(rep.name, dims, rep.direct, rep.winograd, rep.dwm))
+        lines.append(row("TOTAL", ["-"] * 3, **self.totals))
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
 def _layer_entry(i: int, entry: dict) -> LayerSpec:
     return LayerSpec(
         name=_name(entry.pop("name", f"layer{i}"), "layer"),
@@ -368,14 +396,14 @@ def load_network(doc: dict) -> NetworkSpec:
     """Parse a network JSON document, naming the offending layer on errors.
 
     The network's and each layer's "name" must be a string that fits in one
-    plain CSV field (``_name``), since ``network_report_csv`` writes it
+    plain CSV field (``_name``), since ``NetworkReport.to_csv`` writes it
     unquoted.
     """
     layers = _parse_entries(doc, "network", "layers", _layer_entry)
     return NetworkSpec(name=_name(doc.get("name", "network"), "network"), layers=tuple(layers))
 
 
-def analyze_network(net: NetworkSpec) -> tuple[list[LayerReport], dict]:
+def analyze_network(net: NetworkSpec) -> NetworkReport:
     """Per-layer and total multiplication counts per algorithm, per input image.
 
     1x1 layers pass through unaccelerated (all three columns equal).  The
@@ -388,40 +416,14 @@ def analyze_network(net: NetworkSpec) -> tuple[list[LayerReport], dict]:
     for layer in net.layers:
         spec = layer.spec()
         out = spec.out_dims(*layer.input_hw)
+        counts = ((flops_direct(spec, out),) * 3 if spec.kernel == (1, 1)
+                  else mult_counts(spec, out))
         scale = layer.in_channels * layer.out_channels
-        direct = flops_direct(spec, out) * scale
-        if spec.kernel == (1, 1):
-            wino: int | None = direct
-            dwm = direct
-        else:
-            wino_base = flops_winograd_classic(spec, out)
-            wino = None if wino_base is None else wino_base * scale
-            dwm = flops_dwm(plan_decomposition(spec), out) * scale
+        direct, wino, dwm = (None if c is None else c * scale for c in counts)
         layer_reports.append(LayerReport(
             name=layer.name, kernel=spec.kernel, stride=spec.stride, out=out,
             direct=direct, winograd=wino, dwm=dwm))
         totals["direct"] += direct
         totals["winograd"] += wino if wino is not None else direct
         totals["dwm"] += dwm
-    return layer_reports, totals
-
-
-def network_report_csv(net: NetworkSpec, layer_reports, totals) -> str:
-    lines = [f"# network {net.name}: multiplications per input image; winograd "
-             "total falls back to direct where not applicable",
-             "layer,kernel,stride,out,direct,winograd,winograd_speedup,dwm,dwm_speedup"]
-
-    def fmt(name, kernel, stride, out, direct, wino, dwm):
-        wino_s = "N/A" if wino is None else f"{wino:.2E}"
-        speed_w = "N/A" if wino is None else f"{direct / wino:.2f}"
-        return (f"{name},{kernel},{stride},{out},{direct:.2E},{wino_s},{speed_w},"
-                f"{dwm:.2E},{direct / dwm:.2f}")
-
-    for rep in layer_reports:
-        lines.append(fmt(rep.name, f"{rep.kernel[0]}x{rep.kernel[1]}",
-                         f"{rep.stride[0]}x{rep.stride[1]}",
-                         f"{rep.out[0]}x{rep.out[1]}",
-                         rep.direct, rep.winograd, rep.dwm))
-    lines.append(fmt("TOTAL", "-", "-", "-",
-                     totals["direct"], totals["winograd"], totals["dwm"]))
-    return "\n".join(lines) + "\n"
+    return NetworkReport(network=net.name, layers=tuple(layer_reports), totals=totals)

@@ -8,7 +8,6 @@ byte-identical outputs.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -140,14 +139,15 @@ def cmd_conv(args) -> int:
     return 0
 
 
-def _emit(csv_text: str, json_doc, out_base: str | None) -> int:
-    """Write the .csv and .json reports under ``out_base`` and print the CSV;
+def _emit(report, out_base: str | None) -> int:
+    """Write the report's .csv and .json under ``out_base`` and print the CSV;
     returns 1, after an error line, if a report cannot be written, else 0."""
+    csv_text = report.to_csv()
     if out_base:
         try:
             Path(out_base + ".csv").write_text(csv_text, encoding="utf-8")
             Path(out_base + ".json").write_text(
-                json.dumps(json_doc, indent=2) + "\n", encoding="utf-8")
+                json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
         except OSError as exc:
             return _cannot_write(out_base, exc)
     print(csv_text, end="")
@@ -162,14 +162,12 @@ def cmd_bench(args) -> int:
         return _fail(str(exc))
 
     if args.suite == "flops":
-        reports = flops.speedup_table([(spec, out) for spec, out, _ in parsed])
-        csv_text, json_doc = flops.reports_to_csv(reports), flops.reports_to_json(reports)
-        check = lambda: bench.check_flops(reports, [exp for _, _, exp in parsed])
+        report = flops.speedup_table([(spec, out) for spec, out, _ in parsed])
+        check = lambda: bench.check_flops(report, [exp for _, _, exp in parsed])
     else:
         report = bench.run_accuracy_suite(*parsed)
-        csv_text, json_doc = report.to_csv(), report.to_json()
         check = lambda: bench.check_accuracy_bands(report)
-    if _emit(csv_text, json_doc, args.out):
+    if _emit(report, args.out):
         return 1
     violations = check() if args.check else []
     for v in violations:
@@ -179,13 +177,10 @@ def cmd_bench(args) -> int:
 
 def cmd_analyze(args) -> int:
     try:
-        net = _load_config(args.network, bench.load_network)
-        layer_reports, totals = bench.analyze_network(net)
+        report = bench.analyze_network(_load_config(args.network, bench.load_network))
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    json_doc = {"network": net.name, "layers": [dataclasses.asdict(r) for r in layer_reports],
-                "totals": totals}
-    return _emit(bench.network_report_csv(net, layer_reports, totals), json_doc, args.out)
+    return _emit(report, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -511,21 +511,20 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
 
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
              algo: str = "direct", precision=None) -> ConvOutput:
-    """Run one convolution by name ("direct", "gemm", "winograd", "dwm")
-    through its public engine.  The output carries the plan that ran,
-    ``plan_classic`` for "winograd" and ``plan_decomposition`` for "dwm",
-    and the FLOP-model count of what ran: ``flops_dwm`` of that plan, or
+    """Run one convolution by name ("direct", "gemm", "winograd", "dwm").
+    The direct engines run as themselves; "winograd" and "dwm" run the
+    Winograd body of ``winograd_conv2d``/``dwm_conv2d`` (overflow messages
+    name that engine) on the plan the output carries, ``plan_classic`` or
+    ``plan_decomposition``, built once.  The output also carries the
+    FLOP-model count of what ran: ``flops_dwm`` of that plan, or
     ``flops_direct`` for the two direct engines, which run no plan."""
     if algo in ("direct", "gemm"):
         engine = direct_conv2d if algo == "direct" else gemm_conv2d
         y = engine(data, weights, spec, precision=precision)
         return ConvOutput(y=y, flops=flops_direct(spec, y.shape[2:]), plan=None)
-    if algo == "winograd":
-        plan = plan_classic(spec)
-        y = winograd_conv2d(data, weights, spec, precision=precision)
-    elif algo == "dwm":
-        plan = plan_decomposition(spec)
-        y = dwm_conv2d(data, weights, spec, plan, precision)
-    else:
+    build = {"winograd": plan_classic, "dwm": plan_decomposition}.get(algo)
+    if build is None:
         raise ValueError(f"unknown algorithm {algo!r}; expected direct, gemm, winograd or dwm")
+    plan = build(spec)
+    y = _dwm(data, weights, plan, precision, f"{algo}_conv2d")
     return ConvOutput(y=y, flops=flops_dwm(plan, y.shape[2:]), plan=plan)

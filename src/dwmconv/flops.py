@@ -20,7 +20,7 @@ flops_dwm computes the transform terms anyway rather than assuming them
 away.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
@@ -38,28 +38,28 @@ CONVENTION_NOTE = (
 
 @dataclass(frozen=True)
 class FlopReport:
-    """Multiplication counts and speedups for one convolution configuration.
+    """Multiplication counts and speedups for one convolution configuration,
+    its fields the keys of its JSON record.
 
-    ``winograd_mults``/``speedup_winograd`` are None where classic Winograd
-    does not apply (stride > 1, over 13 taps), rendered as N/A in reports.
+    ``winograd``/``winograd_speedup`` are None where classic Winograd does
+    not apply (stride > 1, over 13 taps), rendered as N/A in reports.
     """
 
-    spec: ConvSpec
+    kernel: tuple[int, int]
+    stride: tuple[int, int]
     out: tuple[int, int]
-    direct_mults: int
-    winograd_mults: int | None
-    dwm_mults: int
-    speedup_winograd: float | None
-    speedup_dwm: float
+    direct: int
+    winograd: int | None
+    winograd_speedup: float | None
+    dwm: int
+    dwm_speedup: float
 
 
-# The name of each count a FlopReport gives, in column order: its CSV
-# column, JSON key and flops-config ``expected`` key, with the attribute
-# that holds it.  Multiplication counts are ints, exact; speedups are
-# float ratios, shown and checked to 2 decimals.
-REPORT_FIELDS = {"direct": "direct_mults", "winograd": "winograd_mults",
-                 "winograd_speedup": "speedup_winograd", "dwm": "dwm_mults",
-                 "dwm_speedup": "speedup_dwm"}
+# The counts a FlopReport gives, in column order: its attributes, CSV
+# columns, JSON keys and flops-config ``expected`` keys.  Multiplication
+# counts are ints, exact; speedups are float ratios, shown and checked to
+# 2 decimals.
+REPORT_FIELDS = ("direct", "winograd", "winograd_speedup", "dwm", "dwm_speedup")
 
 
 def is_shift_free(x) -> bool:
@@ -128,23 +128,11 @@ def flops_dwm(plan: DecompositionPlan, out: tuple[int, int]) -> int:
     return sum(_part_cost(part.transform_rows, part.transform_cols, tiles) for part in plan.parts)
 
 
-def speedup_table(configs) -> list[FlopReport]:
-    """One FlopReport per (ConvSpec, out_dims) pair, ratios from exact counts."""
-    reports = []
-    for spec, out in configs:
-        out = tuple(out)
-        direct = flops_direct(spec, out)
-        wino = flops_winograd_classic(spec, out)
-        dwm = flops_dwm(plan_decomposition(spec), out)
-        reports.append(FlopReport(
-            spec=spec, out=out,
-            direct_mults=direct,
-            winograd_mults=wino,
-            dwm_mults=dwm,
-            speedup_winograd=None if wino is None else direct / wino,
-            speedup_dwm=direct / dwm,
-        ))
-    return reports
+def mult_counts(spec: ConvSpec, out: tuple[int, int]) -> tuple[int, int | None, int]:
+    """(direct, classic Winograd, decomposed) multiplications of ``spec`` at
+    output extent ``out``; the classic count is None where it does not apply."""
+    return (flops_direct(spec, out), flops_winograd_classic(spec, out),
+            flops_dwm(plan_decomposition(spec), out))
 
 
 def _sci(x: int) -> str:
@@ -160,24 +148,38 @@ def _sci(x: int) -> str:
     return f"{q}E{exp:+03d}"
 
 
-def reports_to_csv(reports) -> str:
-    """Fixed-column CSV of the ``reports_to_json`` records: counts in
-    3-significant-digit scientific notation, speedups to 2 decimals, N/A
-    where classic Winograd does not apply."""
-    lines = [f"# {CONVENTION_NOTE}", ",".join(["kernel", "stride", *REPORT_FIELDS])]
-    for rec in reports_to_json(reports):
-        (r_h, r_w), (s_h, s_w) = rec["kernel"], rec["stride"]
-        cells = [f"{r_h}x{r_w}", str(s_h) if s_h == s_w else f"{s_h}x{s_w}"]
-        cells += ["N/A" if v is None else f"{v:.2f}" if isinstance(v, float) else _sci(v)
-                  for v in (rec[key] for key in REPORT_FIELDS)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+@dataclass(frozen=True)
+class FlopTable:
+    """The FLOP sweep: one FlopReport per configuration, in config order."""
+
+    rows: tuple[FlopReport, ...]
+
+    def to_csv(self) -> str:
+        """Fixed-column CSV: counts in 3-significant-digit scientific
+        notation, speedups to 2 decimals, N/A where classic Winograd does
+        not apply."""
+        lines = [f"# {CONVENTION_NOTE}", ",".join(["kernel", "stride", *REPORT_FIELDS])]
+        for rep in self.rows:
+            (r_h, r_w), (s_h, s_w) = rep.kernel, rep.stride
+            cells = [f"{r_h}x{r_w}", str(s_h) if s_h == s_w else f"{s_h}x{s_w}"]
+            cells += ["N/A" if v is None else f"{v:.2f}" if isinstance(v, float) else _sci(v)
+                      for v in (getattr(rep, key) for key in REPORT_FIELDS)]
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> list[dict]:
+        """Exact integer counts and full-precision ratios, one record per row."""
+        return [asdict(rep) for rep in self.rows]
 
 
-def reports_to_json(reports) -> list[dict]:
-    """Exact integer counts and full-precision ratios, under the keys of
-    ``REPORT_FIELDS``."""
-    return [{"kernel": list(rep.spec.kernel), "stride": list(rep.spec.stride),
-             "out": list(rep.out),
-             **{key: getattr(rep, attr) for key, attr in REPORT_FIELDS.items()}}
-            for rep in reports]
+def speedup_table(configs) -> FlopTable:
+    """One FlopReport per (ConvSpec, out_dims) pair, ratios from exact counts."""
+    rows = []
+    for spec, out in configs:
+        out = tuple(out)
+        direct, wino, dwm = mult_counts(spec, out)
+        rows.append(FlopReport(
+            kernel=spec.kernel, stride=spec.stride, out=out, direct=direct, winograd=wino,
+            winograd_speedup=None if wino is None else direct / wino,
+            dwm=dwm, dwm_speedup=direct / dwm))
+    return FlopTable(rows=tuple(rows))

@@ -120,13 +120,13 @@ def test_criterion_4_flop_reference_table():
         }
         configs = [(ConvSpec(kernel=(r, r), stride=(s, s)), out)
                    for s in (1, 2) for r in (3, 5, 7, 9, 11)]
-        for rep in speedup_table(configs):
-            r, s = rep.spec.kernel[0], rep.spec.stride[0]
-            assert rep.direct_mults == direct_want[r]
-            assert rep.dwm_mults == dwm_want[(r, s)]
-            assert round(rep.speedup_dwm, 2) == speedup_want[(r, s)]
+        for rep in speedup_table(configs).rows:
+            r, s = rep.kernel[0], rep.stride[0]
+            assert rep.direct == direct_want[r]
+            assert rep.dwm == dwm_want[(r, s)]
+            assert round(rep.dwm_speedup, 2) == speedup_want[(r, s)]
             if s == 2:
-                assert rep.winograd_mults is None and rep.speedup_winograd is None
+                assert rep.winograd is None and rep.winograd_speedup is None
         # the classic column for r >= 5 follows this model's own declared
         # convention (the published accounting is not recoverable); r = 3 is
         # convention-independent and exact

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,14 +8,13 @@ import pytest
 from dwmconv import bench
 from dwmconv.bench import (AccuracyConfig, AccuracyRow, AccuracyReport, _draw,
                            analyze_network, check_accuracy_bands, load_network,
-                           network_report_csv, run_accuracy_suite)
+                           run_accuracy_suite)
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
 from dwmconv.engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
 from dwmconv.tensor import mse
 from dwmconv.transforms import get_baseline_transform
-from dwmconv.flops import (flops_direct, flops_dwm, flops_winograd_classic, reports_to_csv,
-                           speedup_table)
+from dwmconv.flops import flops_direct, flops_dwm, flops_winograd_classic, speedup_table
 
 SMALL = [AccuracyConfig(kernel=(3, 3), stride=(1, 1), hw=8, channels=4, filters=4),
          AccuracyConfig(kernel=(5, 5), stride=(2, 2), hw=8, channels=4, filters=4)]
@@ -155,26 +155,25 @@ def test_band_checker_reports_overflow_rows():
 
 
 def test_flops_suite_empty_config_is_empty():
-    reports = speedup_table([])
-    assert reports == []
-    assert reports_to_csv(reports).strip().split("\n")[-1].startswith("kernel,")
+    table = speedup_table([])
+    assert table.rows == () and table.to_json() == []
+    assert table.to_csv().strip().split("\n")[-1].startswith("kernel,")
 
 
 def test_flops_suite_reference_values():
     configs = [(ConvSpec(kernel=(r, r), stride=(s, s)), (14, 14))
                for s in (1, 2) for r in (3, 5, 7, 9, 11)]
-    reports = speedup_table(configs)
-    assert [rep.dwm_mults for rep in reports] == [
+    assert [rep.dwm for rep in speedup_table(configs).rows] == [
         784, 2401, 4900, 7056, 11025, 1225, 2401, 4900, 8281, 11025]
 
 
 def test_check_flops_compares_each_expected_key_with_the_json_record():
-    reports = speedup_table([(ConvSpec(kernel=(3, 3)), (14, 14)),
+    table = speedup_table([(ConvSpec(kernel=(3, 3)), (14, 14)),
                              (ConvSpec(kernel=(3, 3), stride=(2, 2)), (14, 14))])
-    assert bench.check_flops(reports, [
+    assert bench.check_flops(table, [
         {"direct": 1764, "winograd": 784.0, "dwm_speedup": 2.254},
         {"winograd": None, "winograd_speedup": None}, None]) == []
-    assert bench.check_flops(reports, [{"dwm": 785, "dwm_speedup": 2.26},
+    assert bench.check_flops(table, [{"dwm": 785, "dwm_speedup": 2.26},
                                        {"winograd": 784, "dwm_speedup": None}]) == [
         "3x3 s1: dwm = 784, expected 785", "3x3 s1: dwm_speedup = 2.25, expected 2.26",
         "3x3 s2: winograd = None, expected 784", "3x3 s2: dwm_speedup = 1.44, expected None"]
@@ -189,29 +188,29 @@ def _single_layer_net(**overrides):
 
 def test_analyze_single_layer_delegates_to_flop_model():
     net = _single_layer_net()
-    layers, totals = analyze_network(net)
-    assert layers[0].out == (14, 14)
-    assert totals == {"direct": 1764, "winograd": 784, "dwm": 784}
+    report = analyze_network(net)
+    assert report.layers[0].out == (14, 14)
+    assert report.totals == {"direct": 1764, "winograd": 784, "dwm": 784}
 
 
 def test_analyze_two_layer_totals_are_additive():
     net = _single_layer_net()
     double = dataclasses.replace(net, layers=net.layers * 2)
-    _, totals = analyze_network(double)
-    assert totals == {"direct": 2 * 1764, "winograd": 2 * 784, "dwm": 2 * 784}
+    assert analyze_network(double).totals == {"direct": 2 * 1764, "winograd": 2 * 784,
+                                              "dwm": 2 * 784}
 
 
 def test_analyze_one_by_one_passes_through():
     net = _single_layer_net(kernel=[1, 1], pad=[0, 0, 0, 0])
-    layers, totals = analyze_network(net)
-    assert layers[0].direct == layers[0].winograd == layers[0].dwm
+    rep = analyze_network(net).layers[0]
+    assert rep.direct == rep.winograd == rep.dwm
 
 
 def test_analyze_strided_layer_scales_by_channels():
     net = _single_layer_net(kernel=[11, 11], stride=[4, 4], pad=[2, 2, 2, 2],
                             input=[224, 224], in_channels=3, out_channels=64)
-    layers, totals = analyze_network(net)
-    rep = layers[0]
+    report = analyze_network(net)
+    rep = report.layers[0]
     assert rep.out == (55, 55)
     assert rep.winograd is None
     spec = ConvSpec(kernel=(11, 11), stride=(4, 4), pad=(2, 2, 2, 2))
@@ -220,13 +219,12 @@ def test_analyze_strided_layer_scales_by_channels():
     # realized speedup is a bit below the even-extent per-tile ratio of 2.15
     # because 55x55 outputs round up to 28x28 tiles
     assert 2.0 <= rep.direct / rep.dwm <= 2.2
-    assert totals["winograd"] == rep.direct  # fallback where not applicable
+    assert report.totals["winograd"] == rep.direct  # fallback where not applicable
 
 
 def test_analyze_rectangular_kernels():
     net = _single_layer_net(kernel=[1, 7], pad=[0, 0, 3, 3])
-    layers, _ = analyze_network(net)
-    rep = layers[0]
+    rep = analyze_network(net).layers[0]
     assert rep.out == (14, 14)
     spec = ConvSpec(kernel=(1, 7), pad=(0, 0, 3, 3))
     assert rep.dwm == flops_dwm(plan_decomposition(spec), (14, 14))
@@ -234,10 +232,18 @@ def test_analyze_rectangular_kernels():
     assert rep.dwm < rep.direct
 
 
+def test_network_json_holds_the_name_layers_and_totals():
+    report = analyze_network(_single_layer_net(stride=[2, 2]))
+    assert json.loads(json.dumps(report.to_json())) == {
+        "network": "single",
+        "layers": [{"name": "conv", "kernel": [3, 3], "stride": [2, 2], "out": [7, 7],
+                    "direct": 441, "winograd": None, "dwm": 400}],
+        "totals": {"direct": 441, "winograd": 441, "dwm": 400}}
+
+
 def test_network_csv_has_total_row():
     net = _single_layer_net()
-    layers, totals = analyze_network(net)
-    text = network_report_csv(net, layers, totals)
+    text = analyze_network(net).to_csv()
     assert text.strip().split("\n")[-1].startswith("TOTAL,")
 
 

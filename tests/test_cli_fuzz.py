@@ -6,7 +6,9 @@ documents must each end in exit 1 or 2 with exactly one ``error:`` line on
 stderr and no traceback.
 Every generated input is malformed by construction, and the suites are
 replaced by stubs that fail the test, so no example reaches a suite run.
-The CLI runs in-process; examples are derandomized and few, to keep the
+The CLI runs in-process; the flag and tensor-file examples are
+derandomized and few, and the config documents are walked once, one
+example per (document, level, field) and near-miss value, to keep the
 module to a few seconds.
 """
 
@@ -144,25 +146,13 @@ def test_damaged_tensor_file(tensors, which, data):
 
 # --- config documents ----------------------------------------------------
 
-NOT_A_NUMBER = st.one_of(
-    st.booleans(), st.text(max_size=4),
-    st.lists(st.one_of(st.text(max_size=2), st.none()), min_size=1, max_size=3),
-    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
-# wrong-typed values that look right get a branch of their own: true or
-# 1.0 for an integer, "" or {} for a list
-NOT_AN_INT = st.one_of(st.sampled_from([True, 1.0, 3.0]), st.none(),
-                       st.floats(allow_nan=False, allow_infinity=False), NOT_A_NUMBER)
-NOT_A_LIST = st.one_of(st.sampled_from(["", {}]), st.none(), st.booleans(),
-                       st.integers(-2, 3), st.text(max_size=4),
-                       st.floats(allow_nan=False, allow_infinity=False),
-                       st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
-# a network or layer name must fit in one plain CSV field
-NOT_A_NAME = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False, allow_infinity=False),
-    st.lists(st.text(max_size=2), max_size=2),
-    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
-    st.tuples(st.text(max_size=3), st.sampled_from([",", "\n", "\r\n", '"', "\u2028"]),
-              st.text(max_size=3)).map("".join))
+# the near misses of a valid value: true or 1.0 for an integer, "" or {}
+# for a list or an object; each field gets those it does not accept
+NEAR_MISSES = (True, 1.0, "", {})
+# "" is a name, but these do not fit in one plain CSV field
+NOT_A_NAME = (True, 1.0, {}, "a,b", 'a"b', "a\nb", "a\r\nb", "a\u2028b")
+NOT_EXPECTED = (True, 1.0, "")  # {} expects nothing
+NOT_A_NUMBER = (True, "", {})   # 1.0 is a number
 
 # the entry has no "out" of its own, so a top-level "out" is read
 FLOPS_DOC = {"schema": 1, "configs": [{"kernel": 3, "stride": 1, "expected": {"dwm": 784}}]}
@@ -177,64 +167,62 @@ NETWORK_DOC = {"schema": 1, "name": "net",
 # field with the wrong-typed values that replace it
 DOCUMENTS = {
     "flops": (("bench", "--suite", "flops", "--check", "--config"), FLOPS_DOC, "configs",
-              {"schema": NOT_AN_INT, "configs": NOT_A_LIST, "out": NOT_AN_INT},
-              {"kernel": NOT_AN_INT, "stride": NOT_AN_INT, "out": NOT_AN_INT,
-               "expected": st.one_of(st.booleans(), st.integers(), st.text(max_size=4),
-                                     st.lists(st.integers(), max_size=2))}),
+              {"schema": NEAR_MISSES, "configs": NEAR_MISSES, "out": NEAR_MISSES},
+              {"kernel": NEAR_MISSES, "stride": NEAR_MISSES, "out": NEAR_MISSES,
+               "expected": NOT_EXPECTED}),
     "accuracy": (("bench", "--suite", "accuracy", "--config"), ACCURACY_DOC, "configs",
-                 {"schema": NOT_AN_INT, "configs": NOT_A_LIST, "seeds": NOT_A_LIST},
-                 {field: NOT_AN_INT for field in
-                  ("kernel", "stride", "hw", "channels", "filters", "batch")}
-                 | {"precisions": NOT_A_LIST}),
+                 {"schema": NEAR_MISSES, "configs": NEAR_MISSES, "seeds": NEAR_MISSES},
+                 {field: NEAR_MISSES for field in
+                  ("kernel", "stride", "hw", "channels", "filters", "batch", "precisions")}),
     "network": (("analyze", "--network"), NETWORK_DOC, "layers",
-                {"schema": NOT_AN_INT, "layers": NOT_A_LIST, "name": NOT_A_NAME},
-                {field: NOT_AN_INT for field in
-                 ("in_channels", "out_channels", "kernel", "stride", "input")}
-                | {"pad": NOT_A_LIST, "name": NOT_A_NAME}),
+                {"schema": NEAR_MISSES, "layers": NEAR_MISSES, "name": NOT_A_NAME},
+                {field: NEAR_MISSES for field in
+                 ("in_channels", "out_channels", "kernel", "stride", "input", "pad")}
+                | {"name": NOT_A_NAME}),
 }
-EXPECTED_KEYS = ("direct", "winograd", "dwm", "winograd_speedup", "dwm_speedup")
-# a key that no builder reads: a near miss of a real one, or any text
-KEYS = st.one_of(st.sampled_from(["strides", "kernels", "Kernel", "dwn", "direct_speedup", ""]),
-                 st.text(max_size=6))
+# keys that no builder reads: near misses of real ones
+UNREAD_KEYS = ("strides", "kernels", "Kernel", "dwn", "direct_speedup", "")
 
 
-@st.composite
-def wrong_typed(draw, kind: str):
-    """(argv, document) with one field of ``kind``'s valid document, at the
-    top level, in its first entry (the entry itself included) or, for
-    flops, in the entry's expected values, replaced by a wrong-typed value;
-    or with a key that is not read added to the first entry or, for flops,
-    to its expected values."""
-    argv, doc, key, top, fields = DOCUMENTS[kind]
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` (keys and list indexes) set to ``value``."""
     doc = json.loads(json.dumps(doc))
-    entry = doc[key][0]
-    levels = ["top", "entry", "field", "unknown"]
-    levels += ["expected", "unknown-expected"] if kind == "flops" else []
-    level = draw(st.sampled_from(levels))
-    if level == "top":
-        name = draw(st.sampled_from(sorted(top)))
-        doc[name] = draw(top[name])
-    elif level == "entry":
-        doc[key][0] = draw(NOT_A_LIST.filter(lambda v: not isinstance(v, dict)))
-    elif level == "field":
-        name = draw(st.sampled_from(sorted(fields)))
-        entry[name] = draw(fields[name])
-    elif level == "unknown":
-        entry[draw(KEYS.filter(lambda k: k not in fields))] = draw(st.integers(0, 4))
-    elif level == "expected":
-        entry["expected"] = {draw(st.sampled_from(EXPECTED_KEYS)): draw(NOT_A_NUMBER)}
-    else:
-        entry["expected"][draw(KEYS.filter(lambda k: k not in EXPECTED_KEYS))] = 784
-    return argv, doc
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return doc
 
 
-@FUZZ
-@given(st.sampled_from(sorted(DOCUMENTS)).flatmap(wrong_typed))
-def test_wrong_typed_config_field(tensors, case):
+def wrong_typed_cases():
+    """(label, argv, document) per near miss of each document: one field at
+    the top level, the first entry itself, or one field of that entry (for
+    flops, one of its expected values too) replaced by each value that field
+    does not accept; or one unread key added to the entry (or, for flops,
+    to its expected values)."""
+    for kind, (argv, doc, key, top, fields) in DOCUMENTS.items():
+        entry = (key, 0)
+        paths = [((name,), values) for name, values in top.items()]
+        paths += [(entry, NEAR_MISSES)]
+        paths += [((*entry, name), values) for name, values in fields.items()]
+        paths += [((*entry, unread), (1,)) for unread in UNREAD_KEYS]
+        if kind == "flops":
+            paths += [((*entry, "expected", name), NOT_A_NUMBER) for name in flops.REPORT_FIELDS]
+            paths += [((*entry, "expected", unread), (784,)) for unread in UNREAD_KEYS]
+        for path, values in paths:
+            for value in values:
+                yield f"{kind} {path} = {value!r}", argv, _replaced(doc, path, value)
+
+
+def test_wrong_typed_config_field(tensors):
     root, _ = tensors
-    argv, doc = case
     path = root / "bad.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run_cli(*argv, str(path))
-    assert_one_error_line(code, err)
-    assert out == "" and str(path) in err
+    for label, argv, doc in wrong_typed_cases():
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            code, out, err = run_cli(*argv, str(path))
+            assert_one_error_line(code, err)
+            assert out == "" and str(path) in err
+        except AssertionError as exc:
+            raise AssertionError(f"{label}: {exc}") from exc

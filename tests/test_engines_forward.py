@@ -479,6 +479,20 @@ def test_convolve_reports_the_plan_that_ran(algo, build):
         assert out.flops == flops_dwm(out.plan, out.y.shape[2:])
 
 
+@pytest.mark.parametrize("algo,builder,engine", [
+    ("winograd", "plan_classic", winograd_conv2d), ("dwm", "plan_decomposition", dwm_conv2d)])
+def test_convolve_builds_its_plan_once(monkeypatch, algo, builder, engine):
+    rng = np.random.default_rng(12)
+    spec = ConvSpec(kernel=(5, 3), pad=(2, 2, 1, 1))
+    d = rng.standard_normal((1, 2, 9, 8))
+    g = rng.standard_normal((3, 2, 5, 3))
+    build, calls = getattr(engines, builder), []
+    monkeypatch.setattr(engines, builder, lambda *args: calls.append(args) or build(*args))
+    y = convolve(d, g, spec, algo=algo).y
+    assert len(calls) == 1
+    assert y.tobytes() == engine(d, g, spec).tobytes()
+
+
 def test_convolve_gemm_is_gemm_conv2d_with_the_direct_count():
     rng = np.random.default_rng(10)
     spec = ConvSpec(kernel=(5, 3), stride=(2, 1), pad=(2, 1, 0, 1))
@@ -628,6 +642,12 @@ OVERFLOW_CASES = {
     "winograd_conv2d": (lambda: winograd_conv2d(_f32((1, 1, 9, 9), 3e38),
                                                 _f32((1, 1, 5, 5), 10), SPEC_5),
                         "winograd_conv2d"),
+    # convolve runs the Winograd body itself, under the public engine's name
+    "convolve-winograd": (lambda: convolve(_f32((1, 1, 9, 9), 3e38), _f32((1, 1, 5, 5), 10),
+                                           SPEC_5, algo="winograd"), "winograd_conv2d"),
+    "convolve-dwm": (lambda: convolve(_f32((1, 1, 9, 9), 3e38), _f32((1, 1, 5, 5), 10),
+                                      SPEC_5, algo="dwm"),
+                     r"dwm_conv2d part 0 \(kernel rows 0,1,2; cols 0,1,2\)"),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -5,8 +6,7 @@ import pytest
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_decomposition
 from dwmconv.flops import (count_non_shift_free, flops_direct, flops_dwm,
-                           flops_winograd_classic, is_shift_free, reports_to_csv,
-                           speedup_table)
+                           flops_winograd_classic, is_shift_free, speedup_table)
 from dwmconv.transforms import get_baseline_transform, get_transform
 
 OUT14 = (14, 14)
@@ -112,21 +112,21 @@ def test_reference_grid_speedups_within_published_band():
 
 def test_one_by_one_has_no_speedup():
     spec = ConvSpec(kernel=(1, 1))
-    rep = speedup_table([(spec, OUT14)])[0]
-    assert rep.direct_mults == rep.dwm_mults == 196
-    assert rep.speedup_dwm == 1.0
+    rep = speedup_table([(spec, OUT14)]).rows[0]
+    assert rep.direct == rep.dwm == 196
+    assert rep.dwm_speedup == 1.0
 
 
 def test_speedup_table_matches_reference_grid():
     configs = [(ConvSpec(kernel=(r, r), stride=(s, s)), OUT14)
                for (r, s) in EXPECTED]
     for rep, ((r, s), (direct_want, dwm_want, speedup_want)) in zip(
-            speedup_table(configs), EXPECTED.items()):
-        assert rep.direct_mults == direct_want
-        assert rep.dwm_mults == dwm_want
-        assert round(rep.speedup_dwm, 2) == speedup_want
+            speedup_table(configs).rows, EXPECTED.items()):
+        assert rep.direct == direct_want
+        assert rep.dwm == dwm_want
+        assert round(rep.dwm_speedup, 2) == speedup_want
         if s > 1:
-            assert rep.winograd_mults is None and rep.speedup_winograd is None
+            assert rep.winograd is None and rep.winograd_speedup is None
 
 
 def test_stride4_11x11_axis_parts_give_15_products_per_axis():
@@ -137,9 +137,19 @@ def test_stride4_11x11_axis_parts_give_15_products_per_axis():
     assert flops_dwm(plan, OUT14) == 49 * 15 * 15 == 11025
 
 
+def test_json_records_give_exact_counts_under_the_report_keys():
+    table = speedup_table([(ConvSpec(kernel=(3, 3)), OUT14),
+                           (ConvSpec(kernel=(3, 3), stride=(2, 2)), (7, 7))])
+    assert json.loads(json.dumps(table.to_json())) == [
+        {"kernel": [3, 3], "stride": [1, 1], "out": [14, 14], "direct": 1764,
+         "winograd": 784, "winograd_speedup": 2.25, "dwm": 784, "dwm_speedup": 2.25},
+        {"kernel": [3, 3], "stride": [2, 2], "out": [7, 7], "direct": 441,
+         "winograd": None, "winograd_speedup": None, "dwm": 400, "dwm_speedup": 1.1025}]
+
+
 def test_csv_formatting():
     configs = [(ConvSpec(kernel=(r, r), stride=(s, s)), OUT14) for (r, s) in EXPECTED]
-    csv_text = reports_to_csv(speedup_table(configs))
+    csv_text = speedup_table(configs).to_csv()
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("#")  # counting convention declared up front
     assert lines[1] == "kernel,stride,direct,winograd,winograd_speedup,dwm,dwm_speedup"
