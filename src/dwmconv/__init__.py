@@ -14,8 +14,7 @@ from .flops import (FlopReport, FlopTable, flops_direct, flops_dwm, flops_winogr
 from .tensor import mse, pad_input
 from .tensorfile import read_tensor, write_tensor
 from .transforms import (NumericTransformSet, TransformSet, VerifyResult,
-                         apply_exact, cook_toom, correlate_exact, default_points,
-                         get_baseline_transform, get_transform, to_float,
-                         transform_to_json, verify_transform)
+                         apply_exact, cook_toom, correlate_exact, get_baseline_transform,
+                         get_transform, to_float, transform_to_json, verify_transform)
 
 __version__ = "0.1.0"

@@ -23,8 +23,6 @@ from .engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
 from .flops import REPORT_FIELDS, FlopTable, _classic_baseline_plan, flops_direct, mult_counts
 from .tensor import mse
 
-PRECISIONS = ("binary32", "binary64")
-
 
 def _integer(value, key: str) -> int:
     """A JSON integer config field; floats and booleans are rejected, not truncated."""
@@ -69,7 +67,6 @@ class AccuracyConfig:
     channels: int
     filters: int
     batch: int = 1
-    precisions: tuple[str, ...] = PRECISIONS
 
     def spec(self) -> ConvSpec:
         pads = []
@@ -136,14 +133,10 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
     for cfg in configs:
         spec = cfg.spec()
         classic, plan = _classic_baseline_plan(spec), plan_decomposition(spec)
-        jobs = [("direct", "binary64")]
-        if "binary32" in cfg.precisions:
-            jobs.append(("direct", "binary32"))
-            if classic is not None:
-                jobs.append(("winograd", "binary32"))
-            jobs.append(("dwm", "binary32"))
-        if "binary64" in cfg.precisions:
-            jobs.append(("dwm", "binary64"))
+        jobs = [("direct", "binary64"), ("direct", "binary32")]
+        if classic is not None:
+            jobs.append(("winograd", "binary32"))
+        jobs += [("dwm", "binary32"), ("dwm", "binary64")]
 
         for seed in seeds:
             data, weights = _draw(cfg, seed)
@@ -212,13 +205,9 @@ def _accuracy_entry(_, entry: dict) -> AccuracyConfig:
         channels=_integer(entry.pop("channels"), "channels"),
         filters=_integer(entry.pop("filters"), "filters"),
         batch=_integer(entry.pop("batch", 1), "batch"),
-        precisions=tuple(_list(entry.pop("precisions", PRECISIONS), "precisions")),
     )
     if min(cfg.channels, cfg.filters, cfg.batch) < 1:
         raise ValueError("channels, filters and batch must be positive")
-    unknown = [p for p in cfg.precisions if p not in PRECISIONS]
-    if unknown:
-        raise ValueError(f"unknown precisions {unknown}; expected {' or '.join(PRECISIONS)}")
     cfg.spec().out_dims(cfg.hw, cfg.hw)
     return cfg
 
@@ -326,6 +315,9 @@ class LayerSpec:
     input_hw: tuple[int, int]
 
     def __post_init__(self):
+        if min(self.in_channels, self.out_channels) < 1:
+            raise ValueError(f"in_channels and out_channels must be positive, got "
+                             f"{self.in_channels} and {self.out_channels}")
         self.spec().out_dims(*self.input_hw)  # the kernel must fit the padded input
 
     def spec(self) -> ConvSpec:
@@ -387,7 +379,7 @@ def _layer_entry(i: int, entry: dict) -> LayerSpec:
         out_channels=_integer(entry.pop("out_channels"), "out_channels"),
         kernel=as_pair(entry.pop("kernel"), "kernel"),
         stride=as_pair(entry.pop("stride", 1), "stride"),
-        pad=tuple(_integer(p, "pad") for p in entry.pop("pad", (0, 0, 0, 0))),
+        pad=tuple(_integer(p, "pad") for p in _list(entry.pop("pad", (0, 0, 0, 0)), "pad")),
         input_hw=as_pair(entry.pop("input"), "input"),
     )
 

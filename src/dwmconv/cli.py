@@ -9,6 +9,7 @@ byte-identical outputs.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -108,8 +109,6 @@ def cmd_conv(args) -> int:
 
     kernel = tuple(weights.shape[2:])
     try:
-        if args.kernel is not None and _parse_ints(args.kernel, "--kernel", 2) != kernel:
-            return _fail(f"--kernel {args.kernel} does not match weights file taps {kernel}")
         spec = ConvSpec(kernel=kernel, stride=_parse_ints(args.stride, "--stride", 2),
                         pad=_parse_ints(args.pad, "--pad", 4))
     except ValueError as exc:
@@ -121,6 +120,11 @@ def cmd_conv(args) -> int:
                      if args.verify else None)
     except (ValueError, FloatingPointError) as exc:
         return _fail(str(exc))
+    if args.out:
+        try:
+            tensorfile.write_tensor(args.out, out.y)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
 
     stats = (f"algo={args.algo} kernel={kernel[0]}x{kernel[1]} "
              f"stride={spec.stride[0]}x{spec.stride[1]} out={out.y.shape[2]}x{out.y.shape[3]} "
@@ -131,11 +135,6 @@ def cmd_conv(args) -> int:
     print(stats)
     if args.dump_plan:
         print(json.dumps(plan_to_json(out.plan), indent=2))
-    if args.out:
-        try:
-            tensorfile.write_tensor(args.out, out.y)
-        except OSError as exc:
-            return _cannot_write(args.out, exc)
     return 0
 
 
@@ -200,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conv", help="run a single convolution on tensor files")
     p.add_argument("--algo", choices=("direct", "gemm", "winograd", "dwm"), required=True)
     p.add_argument("--in", dest="input", required=True, help="input tensor file (DWM1)")
-    p.add_argument("--weights", required=True, help="weights tensor file (F,C,r_h,r_w)")
-    p.add_argument("--kernel", help="kernel taps, must match the weights file")
+    p.add_argument("--weights", required=True,
+                   help="weights tensor file (F,C,r_h,r_w); sets the kernel taps")
     p.add_argument("--stride", default="1", help="stride, one or two integers")
     p.add_argument("--pad", default="0", help="padding: symmetric value or top,bottom,left,right")
     p.add_argument("--precision", choices=("f32", "f64"), help="compute precision")
@@ -230,8 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if any(isinstance(value, list) for value in vars(args).values()):
+        parser.error("'--' is not a flag value")  # Python 3.11's argparse makes "--flag=--" []
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # as the Python docs advise: the exit-time flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("stdout was closed before all output was written")
+    return code
 
 
 if __name__ == "__main__":

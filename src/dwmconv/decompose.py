@@ -103,41 +103,15 @@ class DecompositionPlan:
             raise ValueError(f"kernel tap {tap} lies in no part of the plan")
 
 
-def split_by_size(taps: int) -> list[int]:
-    """Greedy blocks of 3 plus one remainder block, low-order taps first.
-
-    5 -> [3, 2], 7 -> [3, 3, 1], 11 -> [3, 3, 3, 2].
-    """
-    if taps < 1:
-        raise ValueError(f"taps must be positive, got {taps}")
-    blocks = [3] * (taps // 3)
-    if taps % 3:
-        blocks.append(taps % 3)
-    return blocks
-
-
-def split_axis_by_stride(taps: int, stride: int) -> list[tuple[int, int, int]]:
-    """Group taps by index residue modulo the stride.
-
-    Returns (origin, step, residue_taps) triples, one per non-empty residue
-    class; stride 1 is the identity single group.  For stride 2 this is the
-    even/odd split: taps {g0, g2, ...} and {g1, g3, ...}.
-    """
-    if taps < 1 or stride < 1:
-        raise ValueError(f"taps and stride must be positive, got {taps}, {stride}")
-    # residues past the last tap are empty; the others hold ceil((taps - residue) / stride)
-    return [(residue, stride, -(-(taps - residue) // stride))
-            for residue in range(min(stride, taps))]
-
-
 def _axis_parts(taps: int, stride: int) -> list[AxisPart]:
-    """Stride split first, then size split of any residue with > 3 taps."""
+    """One axis's runs: the taps of each stride residue, low residue first,
+    cut into blocks of 3 plus one remainder (5 -> 3+2, 7 -> 3+3+1)."""
     parts = []
-    for origin, step, residue_taps in split_axis_by_stride(taps, stride):
-        offset = 0
-        for block in split_by_size(residue_taps):
-            parts.append(AxisPart(origin=origin + step * offset, step=step, count=block))
-            offset += block
+    for residue in range(min(stride, taps)):  # residues past the last tap are empty
+        residue_taps = len(range(residue, taps, stride))
+        for first in range(0, residue_taps, 3):
+            parts.append(AxisPart(origin=residue + stride * first, step=stride,
+                                  count=min(3, residue_taps - first)))
     return parts
 
 

@@ -44,8 +44,8 @@ BASELINE_POINT_SEQUENCE: tuple[Fraction, ...] = (
 )
 
 _DTYPE_ALIASES = {
-    "binary32": np.float32, "f32": np.float32, "float32": np.float32,
-    "binary64": np.float64, "f64": np.float64, "float64": np.float64,
+    "binary32": np.float32, "f32": np.float32,
+    "binary64": np.float64, "f64": np.float64,
 }
 
 
@@ -100,13 +100,6 @@ class VerifyResult:
     failure: tuple | None = None  # (filt, data, expected, got)
 
 
-def default_points(count: int) -> list[Fraction]:
-    """First ``count`` entries of the fixed interpolation-node sequence."""
-    if count < 0 or count > len(POINT_SEQUENCE):
-        raise ValueError(f"count must be in 0..{len(POINT_SEQUENCE)}, got {count}")
-    return list(POINT_SEQUENCE[:count])
-
-
 def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -150,28 +143,27 @@ def cook_toom(m: int, r: int, points=None) -> TransformSet:
         a_t = [[1, 1, 1, 0], [0, 1, -1, -1]]
 
     r == 1 is special-cased as an identity pass-through (y_k = filt_0 *
-    data_k) rather than a degenerate interpolation system.
+    data_k) rather than a degenerate interpolation system; its nodes are
+    checked like any others, then unused (``points`` is empty).
     """
     if m < 1 or r < 1:
         raise ValueError(f"m and r must be positive, got m={m}, r={r}")
-    if r == 1:
-        size = m  # alpha = m + 1 - 1
-        eye = tuple(tuple(Fraction(int(i == j)) for j in range(size)) for i in range(size))
-        ones = tuple((Fraction(1),) for _ in range(size))
-        return TransformSet(m=m, r=1, points=(), g=ones, b_t=eye, a_t=eye)
-
     alpha = m + r - 1
     if points is None:
         if alpha - 1 > len(POINT_SEQUENCE):
             raise ValueError(
                 f"F({m},{r}) needs {alpha - 1} interpolation nodes, but the default "
                 f"sequence has {len(POINT_SEQUENCE)}; pass the points (--points)")
-        points = default_points(alpha - 1)
+        points = POINT_SEQUENCE[:alpha - 1]
     pts = tuple(Fraction(p) for p in points)
     if len(set(pts)) != len(pts):
         raise ValueError(f"interpolation points must be distinct, got {list(points)}")
     if len(pts) != alpha - 1:
         raise ValueError(f"F({m},{r}) needs {alpha - 1} points, got {len(pts)}")
+    if r == 1:
+        eye = tuple(tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m))
+        ones = tuple((Fraction(1),) for _ in range(m))
+        return TransformSet(m=m, r=1, points=(), g=ones, b_t=eye, a_t=eye)
 
     denom = []
     for i, a in enumerate(pts):
@@ -279,7 +271,7 @@ def get_transform(r: int) -> TransformSet:
 @lru_cache(maxsize=None)
 def get_baseline_transform(r: int) -> TransformSet:
     """Cached F(2, r) of the naive classic-Winograd baseline (integer-first
-    nodes; ``cook_toom`` ignores them at r == 1)."""
+    nodes; ``cook_toom`` checks them but does not use them at r == 1)."""
     if r > len(BASELINE_POINT_SEQUENCE):
         raise ValueError(f"baseline point sequence supports up to {len(BASELINE_POINT_SEQUENCE)} nodes")
     return cook_toom(2, r, BASELINE_POINT_SEQUENCE[:r])

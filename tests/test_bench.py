@@ -104,8 +104,7 @@ def test_accuracy_same_padding_keeps_extent():
 
 def test_accuracy_direct_binary32_error_magnitude_28x28():
     # reference magnitude for 3x3 on a 28x28 map with 128 channels is ~1e-10
-    cfg = AccuracyConfig(kernel=(3, 3), stride=(1, 1), hw=28, channels=128,
-                         filters=128, precisions=("binary32",))
+    cfg = AccuracyConfig(kernel=(3, 3), stride=(1, 1), hw=28, channels=128, filters=128)
     report = run_accuracy_suite([cfg], seeds=[1])
     row = next(r for r in report.rows
                if (r.algorithm, r.precision) == ("direct", "binary32"))

@@ -1,12 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dwmconv import (ConvSpec, cli, convolve, flops_dwm, plan_classic, plan_decomposition,
-                     plan_to_json, tensorfile)
+from dwmconv import (ConvSpec, bench, cli, convolve, flops_dwm, plan_classic,
+                     plan_decomposition, plan_to_json, tensorfile)
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,17 @@ def test_gen_transforms_beyond_the_default_nodes_asks_for_points(capsys):
     assert code == 1 and out == ""
     assert err == ("error: F(2,14) needs 14 interpolation nodes, but the default sequence "
                    "has 13; pass the points (--points)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("2", "1", "--points", "5,6,7"), "F(2,1) needs 1 points, got 3"),
+    (("400", "1"), "F(400,1) needs 399 interpolation nodes, but the default sequence has 13; "
+     "pass the points (--points)"),
+], ids=["r1-three-points", "r1-beyond-the-default-nodes"])
+def test_gen_transforms_checks_the_nodes_at_r1(capsys, argv, message):
+    code, out, err = run_cli(capsys, "gen-transforms", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -133,16 +145,34 @@ def test_conv_winograd_stride2_errors_toward_dwm(tmp_path, capsys):
     assert "dwm" in err
 
 
-def test_conv_kernel_flag_must_match_weights(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ("conv", "--algo", "dwm", "--in", "x.dwm", "--weights", "w.dwm", "--stride=--"),
+    ("gen-transforms", "2", "3", "--points=--"),
+    ("analyze", "--network=--"),
+], ids=["stride", "points", "network"])
+def test_double_dash_flag_value_is_one_error_line(capsys, argv):
+    # Python 3.11's argparse turns "--flag=--" into an empty list, not "--"
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+
+
+def test_conv_refuses_kernel_flag(tmp_path, capsys):
+    # the kernel taps come from the weights file only
     din, win, _, _ = _write_fixture(tmp_path, (1, 1, 8, 8), (1, 1, 3, 3))
-    code, _, err = run_cli(capsys, "conv", "--algo", "direct", "--in", str(din),
-                           "--weights", str(win), "--kernel", "5")
-    assert code != 0 and "kernel" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["conv", "--algo", "direct", "--in", str(din), "--weights", str(win),
+                  "--kernel", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kernel 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [
     ("--stride", "x"), ("--stride", "1,2,3"), ("--pad", "1,2"), ("--pad", "1,,1,1"),
-    ("--kernel", "3,x"),
 ])
 def test_conv_malformed_geometry_flag_is_one_error_line(tmp_path, flag, value):
     din, win, _, _ = _write_fixture(tmp_path, (1, 1, 8, 8), (1, 1, 3, 3))
@@ -271,7 +301,7 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
     (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "out": [0, 14]}]}, "entry 0"),
     (ANALYZE, _net(pad=[1, 1]), "'conv1'"),
     (ACCURACY, {**_acc(), "seeds": ["x"]}, "'seeds'"),
-    (ACCURACY, _acc(precisions=["binary16"]), "entry 0"),
+    (ACCURACY, _acc(precisions=["binary16"]), "entry 0: unknown key 'precisions'"),
     (ACCURACY, _acc(channels=-1), "entry 0"),
     (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "expected": 5}]}, "entry 0"),
     (ACCURACY, "{not json", "bad.json"),
@@ -285,7 +315,6 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
     (FLOPS, {"schema": True, "configs": []}, "unsupported flops config schema True"),
     (ANALYZE, {**_net(), "schema": 1.0}, "unsupported network schema 1.0"),
     (ACCURACY, {**_acc(), "seeds": ""}, "'seeds' must be a list, got ''"),
-    (ACCURACY, _acc(precisions={}), "entry 0: 'precisions' must be a list, got {}"),
     (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "expected": {"dwm_speedup": "x"}}]},
      "entry 0: expected must be a JSON object of numbers or nulls, got {'dwm_speedup': 'x'}"),
     (ANALYZE, _net(name="conv,1"), "entry 0 'conv,1': layer name must be a string without "
@@ -304,15 +333,23 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
     (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "expected": {"dwm": 784,
                                                                  "direct_speedup": 99}}]},
      "entry 0: unknown expected key 'direct_speedup'"),
+    (ANALYZE, _net(in_channels=0), "entry 0 'conv1': in_channels and out_channels must be "
+     "positive, got 0 and 1"),
+    (ANALYZE, _net(out_channels=0), "entry 0 'conv1': in_channels and out_channels must be "
+     "positive, got 1 and 0"),
+    (ANALYZE, _net(in_channels=-2), "entry 0 'conv1': in_channels and out_channels must be "
+     "positive, got -2 and 1"),
+    (ANALYZE, _net(pad=0), "entry 0 'conv1': 'pad' must be a list, got 0"),
 ], ids=["flops-missing-kernel", "flops-array", "accuracy-array", "network-array",
         "configs-not-a-list", "accuracy-stride-0", "flops-out-0", "layer-pad-pair",
         "seeds-not-integers", "unknown-precision", "negative-channels",
         "expected-not-an-object", "bad-json", "kernel-not-integer", "hw-not-integer",
         "seed-not-integer", "out-not-integer", "channels-bool", "seed-negative",
-        "schema-true", "schema-float", "seeds-a-string", "precisions-an-object",
+        "schema-true", "schema-float", "seeds-a-string",
         "expected-value-a-string", "layer-name-comma", "layer-name-newline",
         "network-name-object", "layer-strides", "accuracy-strides", "flops-strides",
-        "expected-dwn", "expected-direct-speedup"])
+        "expected-dwn", "expected-direct-speedup", "layer-in-channels-0",
+        "layer-out-channels-0", "layer-in-channels-negative", "layer-pad-an-int"])
 def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, named):
     cfg = tmp_path / "bad.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -341,6 +378,29 @@ def test_unwritable_out_path_is_one_error_line(tmp_path, command):
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and str(out) in errors[0], proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("analyze", "--network", "alexnet.json"),
+    ("gen-transforms", "2", "3"),
+], ids=lambda command: command[0])
+def test_closed_stdout_is_one_error_line(tmp_path, command):
+    # the pipe's read end is closed before the CLI writes, as when `| head` has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "report"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dwmconv.cli", *command, "--out", str(out)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: stdout was closed before all output was written\n"
+    if command[0] == "analyze":  # the report files are written before stdout
+        report = bench.analyze_network(cli._load_config("alexnet.json", bench.load_network))
+        assert (tmp_path / "report.csv").read_text(encoding="utf-8") == report.to_csv()
+    else:
+        assert json.loads(out.read_text(encoding="utf-8"))["r"] == 3
 
 
 def test_analyze_bundled_alexnet(capsys):

@@ -80,17 +80,9 @@ def malformed_ints(count: int, smallest: int):
     return st.one_of(junk, wrong_count, too_small).map(lambda xs: ",".join(map(str, xs)))
 
 
-# --kernel must match the weights file's 3x3 taps
-WRONG_KERNEL = st.one_of(
-    malformed_ints(2, 1),
-    st.lists(st.integers(1, 9), min_size=1, max_size=2).filter(lambda xs: set(xs) != {3})
-    .map(lambda xs: ",".join(map(str, xs))))
-
-
 @FUZZ
 @given(st.one_of(st.tuples(st.just("--stride"), malformed_ints(2, 1)),
-                 st.tuples(st.just("--pad"), malformed_ints(4, 0)),
-                 st.tuples(st.just("--kernel"), WRONG_KERNEL)),
+                 st.tuples(st.just("--pad"), malformed_ints(4, 0))),
        st.booleans())
 def test_malformed_geometry_flag(tensors, flag_value, joined):
     _, paths = tensors
@@ -146,19 +138,21 @@ def test_damaged_tensor_file(tensors, which, data):
 
 # --- config documents ----------------------------------------------------
 
-# the near misses of a valid value: true or 1.0 for an integer, "" or {}
-# for a list or an object; each field gets those it does not accept
-NEAR_MISSES = (True, 1.0, "", {})
+# the near misses of a valid value: true, 1.0, 0 or -1 for a positive
+# integer, "" or {} for a list or an object; each field gets those it does
+# not accept (a whole field replaced by 0 or -1 is never a list, so
+# "seeds" and "pad" refuse them too, though each accepts a list holding 0)
+NEAR_MISSES = (True, 1.0, "", {}, 0, -1)
 # "" is a name, but these do not fit in one plain CSV field
 NOT_A_NAME = (True, 1.0, {}, "a,b", 'a"b', "a\nb", "a\r\nb", "a\u2028b")
-NOT_EXPECTED = (True, 1.0, "")  # {} expects nothing
-NOT_A_NUMBER = (True, "", {})   # 1.0 is a number
+NOT_EXPECTED = (True, 1.0, "", 0, -1)  # {} expects nothing
+NOT_A_NUMBER = (True, "", {})          # 1.0, 0 and -1 are numbers
 
 # the entry has no "out" of its own, so a top-level "out" is read
 FLOPS_DOC = {"schema": 1, "configs": [{"kernel": 3, "stride": 1, "expected": {"dwm": 784}}]}
 ACCURACY_DOC = {"schema": 1, "seeds": [1],
                 "configs": [{"kernel": 3, "stride": 1, "hw": 8, "channels": 2,
-                             "filters": 2, "batch": 1, "precisions": ["binary32"]}]}
+                             "filters": 2, "batch": 1}]}
 NETWORK_DOC = {"schema": 1, "name": "net",
                "layers": [{"name": "conv1", "in_channels": 1, "out_channels": 1,
                            "kernel": 3, "stride": 1, "pad": [1, 1, 1, 1], "input": 8}]}
@@ -173,7 +167,7 @@ DOCUMENTS = {
     "accuracy": (("bench", "--suite", "accuracy", "--config"), ACCURACY_DOC, "configs",
                  {"schema": NEAR_MISSES, "configs": NEAR_MISSES, "seeds": NEAR_MISSES},
                  {field: NEAR_MISSES for field in
-                  ("kernel", "stride", "hw", "channels", "filters", "batch", "precisions")}),
+                  ("kernel", "stride", "hw", "channels", "filters", "batch")}),
     "network": (("analyze", "--network"), NETWORK_DOC, "layers",
                 {"schema": NEAR_MISSES, "layers": NEAR_MISSES, "name": NOT_A_NAME},
                 {field: NEAR_MISSES for field in

@@ -7,11 +7,18 @@ from hypothesis import strategies as st
 
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import (AxisPart, DecompositionPlan, KernelPart, input_region_for_part,
-                               plan_decomposition, split_axis_by_stride, split_by_size)
+                               plan_decomposition)
 from dwmconv.engines import dwm_backward, dwm_conv2d
 from dwmconv.transforms import cook_toom, get_transform
 
 from reference import oracle_conv
+
+
+def _axis_runs(taps, stride):
+    """(origin, step, count) of each run ``plan_decomposition`` cuts one
+    kernel axis of ``taps`` taps at ``stride`` into, in plan order."""
+    plan = plan_decomposition(ConvSpec(kernel=(taps, 1), stride=(stride, 1)))
+    return [(p.row.origin, p.row.step, p.row.count) for p in plan.parts]
 
 
 @pytest.mark.parametrize("taps,blocks", [
@@ -19,25 +26,27 @@ from reference import oracle_conv
     (6, [3, 3]), (7, [3, 3, 1]), (11, [3, 3, 3, 2]),
 ])
 def test_split_by_size(taps, blocks):
-    got = split_by_size(taps)
-    assert got == blocks
-    assert sum(got) == taps
+    # greedy blocks of 3 plus one remainder, low-order taps first
+    origins = [sum(blocks[:i]) for i in range(len(blocks))]
+    assert _axis_runs(taps, 1) == [(o, 1, b) for o, b in zip(origins, blocks)]
 
 
 def test_split_axis_by_stride_parity():
-    assert split_axis_by_stride(3, 2) == [(0, 2, 2), (1, 2, 1)]
-    assert split_axis_by_stride(5, 2) == [(0, 2, 3), (1, 2, 2)]
-    assert split_axis_by_stride(7, 2) == [(0, 2, 4), (1, 2, 3)]
+    # stride 2 is the even/odd split; a residue with over 3 taps is cut in blocks
+    assert _axis_runs(3, 2) == [(0, 2, 2), (1, 2, 1)]
+    assert _axis_runs(5, 2) == [(0, 2, 3), (1, 2, 2)]
+    assert _axis_runs(7, 2) == [(0, 2, 3), (6, 2, 1), (1, 2, 3)]
 
 
 def test_split_axis_by_stride_identity():
-    for taps in (1, 3, 7, 11):
-        assert split_axis_by_stride(taps, 1) == [(0, 1, taps)]
+    # stride 1 has one residue: a single run up to 3 taps
+    for taps in (1, 2, 3):
+        assert _axis_runs(taps, 1) == [(0, 1, taps)]
 
 
 def test_split_axis_omits_empty_residues():
-    assert split_axis_by_stride(1, 4) == [(0, 4, 1)]
-    assert split_axis_by_stride(2, 4) == [(0, 4, 1), (1, 4, 1)]
+    assert _axis_runs(1, 4) == [(0, 4, 1)]
+    assert _axis_runs(2, 4) == [(0, 4, 1), (1, 4, 1)]
 
 
 def _part_geoms(plan):

@@ -187,14 +187,14 @@ def test_winograd_1d_delta_filter_passes_signal_through():
     # row axis is a pass-through F(2,1), column axis F(2,3)
     d = np.arange(4, dtype=np.float64).reshape(1, 1, 1, 4) + 1.0
     g = np.array([1.0, 0.0, 0.0]).reshape(1, 1, 1, 3)
-    y = winograd_conv2d(d, g, ConvSpec(kernel=(1, 3)), cook_toom(2, 1, []), get_transform(3))
+    y = winograd_conv2d(d, g, ConvSpec(kernel=(1, 3)), cook_toom(2, 1), get_transform(3))
     np.testing.assert_allclose(y, [[[[1.0, 2.0]]]], atol=1e-14)
 
 
 def test_winograd_1d_box_filter():
     d = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4)
     g = np.ones((1, 1, 1, 3))
-    y = winograd_conv2d(d, g, ConvSpec(kernel=(1, 3)), cook_toom(2, 1, []), get_transform(3))
+    y = winograd_conv2d(d, g, ConvSpec(kernel=(1, 3)), cook_toom(2, 1), get_transform(3))
     np.testing.assert_allclose(y, [[[[6.0, 9.0]]]], atol=1e-14)
 
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from dwmconv.transforms import (apply_exact, cook_toom, correlate_exact,
-                                default_points, get_baseline_transform,
-                                get_transform, to_float, transform_to_json,
-                                verify_transform)
+                                get_baseline_transform, get_transform, to_float,
+                                transform_to_json, verify_transform)
 
 # The F(2,3) and F(2,5) triples as published and shipped in production
 # Winograd kernels; cook_toom must reproduce them entry for entry.
@@ -32,13 +31,30 @@ def as_fracs(rows):
 
 
 def test_default_points_prefixes():
-    assert default_points(3) == [F(0), F(1), F(-1)]
-    assert default_points(5) == [F(0), F(1), F(-1), F(2), F(-2)]
+    # F(2, r) takes the first r entries of the default node sequence
+    assert get_transform(3).points == (F(0), F(1), F(-1))
+    assert get_transform(5).points == (F(0), F(1), F(-1), F(2), F(-2))
 
 
 def test_default_points_rejects_large_count():
-    with pytest.raises(ValueError):
-        default_points(14)
+    with pytest.raises(ValueError, match="needs 14 interpolation nodes"):
+        get_transform(14)
+
+
+def test_r1_checks_its_nodes_like_any_r():
+    with pytest.raises(ValueError, match=r"^F\(2,1\) needs 1 points, got 3$"):
+        cook_toom(2, 1, [5, 6, 7])
+    with pytest.raises(ValueError, match=r"^F\(2,1\) needs 1 points, got 0$"):
+        cook_toom(2, 1, [])
+    with pytest.raises(ValueError, match="interpolation points must be distinct"):
+        cook_toom(2, 1, [5, 5])
+    with pytest.raises(ValueError, match=r"^F\(15,1\) needs 14 interpolation nodes, but the "
+                                         r"default sequence has 13; pass the points"):
+        cook_toom(15, 1)
+    # the nodes are checked, then unused: every r == 1 transform is the identity
+    assert cook_toom(2, 1, [5]) == get_transform(1) == get_baseline_transform(1)
+    assert get_transform(1).points == ()
+    assert verify_transform(cook_toom(14, 1), trials=2).ok
 
 
 def test_cook_toom_beyond_the_default_nodes_asks_for_points():
@@ -63,7 +79,7 @@ def test_f25_matches_published_matrices():
 
 
 def test_r1_is_identity_pass_through():
-    ts = cook_toom(2, 1, [])
+    ts = cook_toom(2, 1)
     assert ts.alpha == 2
     assert ts.g == ((F(1),), (F(1),))
     assert ts.b_t == ((F(1), F(0)), (F(0), F(1)))
