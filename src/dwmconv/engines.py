@@ -30,7 +30,7 @@ from .convspec import ConvSpec
 from .decompose import (DecompositionPlan, input_region_for_part, plan_classic,
                         plan_decomposition)
 from .flops import flops_direct, flops_dwm
-from .tensor import accumulate, check_finite, pad_input, require_tensor4
+from .tensor import _finite, accumulate, check_finite, pad_input, require_tensor4
 from .transforms import (NumericTransformSet, TransformSet, precision_dtype, to_exact_arrays,
                          to_float)
 
@@ -68,8 +68,8 @@ def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
         with np.errstate(over="ignore"):
             y = x.astype(dt)
     scanned = x if y.dtype == _OBJECT else y
-    if scanned.dtype != _OBJECT and not np.isfinite(scanned).all():
-        if scanned is x or (x.dtype != _OBJECT and not np.isfinite(x).all()):
+    if scanned.dtype != _OBJECT and not _finite(scanned):
+        if scanned is x or (x.dtype != _OBJECT and not _finite(x)):
             raise ValueError(f"{name} contains NaN or Inf")
         raise ValueError(f"{name} does not fit in {y.dtype}")
     return y
@@ -172,29 +172,21 @@ def _data_transform(signal: np.ndarray, nt_r: NumericTransformSet,
     return _axes2(nt_r.b_t, nt_c.b_t, _taps(signal, nt_r.r + 1, nt_c.r + 1, th, tw))
 
 
-# Bytes of weights per block of the tap-major copy: a block that fits in
-# L1 is read once while its transpose is written.
-_TAP_BLOCK_BYTES = 32 << 10
+# Bytes of weights per block of the tap-major copy: medians of 31 copies, ms,
+# 256->256 binary32, 1 CPU ("old": per filter over 32 kB, else 32 kB blocks):
+#   block              old  32 kB 128 kB 256 kB 512 kB   1 MB
+#   11x11             16.9   24.5   17.4   12.9   13.7   20.9
+#   sum 3x3 to 11x11  27.8   37.2   27.5   23.6   24.6   32.4
+_TAP_BLOCK_BYTES = 256 << 10
 
 
 def _tap_major(w: np.ndarray) -> np.ndarray:
-    """(F, C, r_h, r_w) weights -> contiguous tap-major (r_h, r_w, F, C).
-
-    Where a 32 kB block holds at least one whole filter, the (F*C, r_h*r_w)
-    view of contiguous weights is copied transposed one block of rows at a
-    time: 256->256 3x3 binary32 weights then take about 35 % less time than
-    one filter at a time, and AlexNet conv1 (3 channels) about 85 % less.
-    Larger filters are copied one at a time, which for 7x7 and more at 256
-    channels is faster than blocks of rows (1.2-1.5x at 9x9 and 11x11) and
-    than one transposed copy of the whole tensor (2.7x at 11x11).
-    """
+    """(F, C, r_h, r_w) weights -> contiguous tap-major (r_h, r_w, F, C): the
+    (F*C, r_h*r_w) view, which ``reshape`` copies if it must, copied
+    transposed one block of rows (at least one row) at a time."""
     f, c, r_h, r_w = w.shape
     wt = np.empty((r_h, r_w, f, c), dtype=w.dtype)
-    step = _TAP_BLOCK_BYTES // (r_h * r_w * w.itemsize)
-    if step < max(c, 1) or not w.flags.c_contiguous:
-        for fi in range(f):
-            wt[:, :, fi] = w[fi].transpose(1, 2, 0)
-        return wt
+    step = max(1, _TAP_BLOCK_BYTES // (r_h * r_w * w.itemsize))
     src, dst = w.reshape(f * c, r_h * r_w), wt.reshape(r_h * r_w, f * c)
     for i in range(0, f * c, step):
         dst[:, i:i + step] = src[i:i + step].T
@@ -216,10 +208,9 @@ def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
 
 def _check_part(x: np.ndarray, engine: str, plan: DecompositionPlan, index: int,
                 result: str = "") -> None:
-    """check_finite on one part's result, naming the part by index and
-    kernel taps when the plan has more than one; the label is formatted
-    only when the check fails."""
-    if x.dtype != _OBJECT and not np.isfinite(x).all():
+    """check_finite on one part's result, naming the part (index and kernel
+    taps) if the plan has several; the label is formatted only on failure."""
+    if x.dtype != _OBJECT and not _finite(x):
         if len(plan.parts) > 1:
             engine = f"{engine} part {index} ({plan.parts[index].label})"
         check_finite(x, engine + result)

@@ -157,7 +157,8 @@ def cook_toom(m: int, r: int, points=None) -> TransformSet:
         points = POINT_SEQUENCE[:alpha - 1]
     pts = tuple(Fraction(p) for p in points)
     if len(set(pts)) != len(pts):
-        raise ValueError(f"interpolation points must be distinct, got {list(points)}")
+        raise ValueError(
+            f"interpolation points must be distinct, got [{', '.join(map(str, pts))}]")
     if len(pts) != alpha - 1:
         raise ValueError(f"F({m},{r}) needs {alpha - 1} points, got {len(pts)}")
     if r == 1:

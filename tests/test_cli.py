@@ -39,7 +39,13 @@ def test_gen_transforms_f25_highlight_rows(capsys):
 def test_gen_transforms_rejects_duplicate_points(capsys):
     code, _, err = run_cli(capsys, "gen-transforms", "2", "3", "--points", "0,0")
     assert code != 0
-    assert "distinct" in err
+    assert err == "error: interpolation points must be distinct, got [0, 0]\n"
+
+
+def test_gen_transforms_names_equal_points_as_rationals(capsys):
+    code, out, err = run_cli(capsys, "gen-transforms", "2", "3", "--points", "1/2,0.5")
+    assert code == 1 and out == ""
+    assert err == "error: interpolation points must be distinct, got [1/2, 1/2]\n"
 
 
 def test_gen_transforms_rejects_bad_rational(capsys):

@@ -9,8 +9,8 @@ import pytest
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_classic, plan_decomposition
 from dwmconv import engines
-from dwmconv.engines import (_aligned_empty, _axes2, convolve, direct_conv2d, dwm_backward,
-                             dwm_conv2d, gemm_conv2d, winograd_conv2d)
+from dwmconv.engines import (_aligned_empty, _axes2, _tap_major, convolve, direct_conv2d,
+                             dwm_backward, dwm_conv2d, gemm_conv2d, winograd_conv2d)
 from dwmconv.flops import flops_direct, flops_dwm, flops_winograd_classic
 from dwmconv.transforms import (cook_toom, get_baseline_transform, get_transform,
                                 to_exact_arrays, to_float)
@@ -324,6 +324,30 @@ def test_blocked_transform_has_the_one_shot_bits(monkeypatch, dt, into_out):
         width = max(4, block_bytes // (mat_r.shape[0] * x.shape[1] * itemsize))
         spanned.add(min(-(-x[0, 0].size // width), 2))
     assert spanned == {1, 2}  # one block, and several
+
+
+TAP_MAJOR_CASES = {
+    # 256 channels: a binary32 filter is 9 kB at 3x3 and 49 kB at 7x7
+    "3x3-256": lambda rng: rng.standard_normal((256, 256, 3, 3)).astype(np.float32),
+    "7x7-256": lambda rng: rng.standard_normal((256, 256, 7, 7)).astype(np.float32),
+    "binary64": lambda rng: rng.standard_normal((64, 32, 5, 5)),
+    "view": lambda rng: rng.standard_normal((12, 9, 5, 6)).astype(np.float32)[::2, 1:8, :, ::-1],
+    # F*C = 7300 rows against a step of 7281: the last block is partial
+    "partial-block": lambda rng: rng.standard_normal((100, 73, 3, 3)).astype(np.float32),
+    "no-filters": lambda rng: np.zeros((0, 4, 3, 3), dtype=np.float32),
+    "no-channels": lambda rng: np.zeros((4, 0, 3, 3), dtype=np.float32),
+    # one 257x257 binary32 row is larger than a block: the step clamps to 1
+    "row-beyond-block": lambda rng: rng.standard_normal((2, 1, 257, 257)).astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("case", TAP_MAJOR_CASES)
+def test_tap_major_is_the_contiguous_transpose(case):
+    w = TAP_MAJOR_CASES[case](np.random.default_rng(16))
+    want = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    got = _tap_major(w)
+    assert got.flags.c_contiguous and got.dtype == w.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_dwm_degenerate_3x3_is_bit_identical_to_winograd():

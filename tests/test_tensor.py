@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwmconv.tensor import accumulate, mse, pad_input
+from dwmconv.tensor import _finite, accumulate, mse, pad_input
 
 
 def test_pad_zero_is_identity():
@@ -36,6 +38,14 @@ def test_pad_rejects_negative():
     d = np.zeros((1, 1, 2, 2), dtype=np.float64)
     with pytest.raises(ValueError):
         pad_input(d, (-1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pad_rejects_nonfinite_input_as_a_value_error(value):
+    d = np.zeros((1, 2, 3, 3), dtype=np.float32)
+    d[0, 1, 2, 0] = value
+    with pytest.raises(ValueError, match=r"^pad_input: d contains NaN or Inf$"):
+        pad_input(d, (1, 1, 1, 1))
 
 
 @given(top=st.integers(0, 3), bottom=st.integers(0, 3),
@@ -113,3 +123,15 @@ def test_mse_requires_binary64_reference():
         mse(x, x)
     with pytest.raises(ValueError):
         mse(x, np.zeros((1, 1, 2, 3), dtype=np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("value", [None, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(0,), (1,), (3, 0, 5), (257,), (2, 3, 11, 11)])
+def test_finite_agrees_with_isfinite_all(dtype, value, shape):
+    x = np.random.default_rng(8).standard_normal(shape).astype(dtype)
+    if value is not None and x.size:
+        x.reshape(-1)[x.size // 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _finite(x) is bool(np.isfinite(x).all())
