@@ -44,8 +44,11 @@ JSON), ``dwmconv bench --suite flops --config flops_14x14.json`` (CSV) and
 Then, per geometry and precision again: ``convolve`` ``y``/``flops`` for
 "gemm", and for "dwm" and "winograd" (where the geometry admits it) the
 plan ``convolve`` reports, as the SHA-1 of its ``plan_to_json`` text as
-``dwmconv conv --dump-plan`` prints it.  Last come the JSON texts of the
-flops and analyze reports above.
+``dwmconv conv --dump-plan`` prints it.  Then come the JSON texts of the
+flops and analyze reports above.  Last is binary32 ``dwm_conv2d`` on the
+classic full-width 7x7 inputs: its plan's 1-tap parts transform 256x256
+kernels, so they run ``_axes2``'s blocked branch, which the small
+geometries' 1-tap parts do not reach.
 """
 
 import argparse
@@ -232,6 +235,10 @@ def listing():
     for label, name, build, late in REPORTS:
         for fmt in late:
             yield f"{digest(build(name)[fmt])}  {label} {name} {fmt}"
+    name, kernel, pad, dims, extent = CLASSIC_FULL_WIDTH
+    spec = ConvSpec(kernel=kernel, pad=pad)
+    data, weights, _ = inputs(100 + len(FULL_WIDTH), spec, dims, extent, "binary32")
+    yield f"{digest(dwm_conv2d(data, weights, spec))}  dwm_conv2d {name} binary32"
 
 
 def compare(old: list[str], new: list[str]) -> list[str]:

@@ -79,10 +79,12 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
                     default_dtype=None):
     """The prologue every engine shares: check data and weights against
     ``spec``, resolve the element type (from ``precision``, else
-    ``default_dtype``, else data's), cast data, then weights, to it with
-    one NaN/Inf check each (``_cast``), pad.
+    ``default_dtype``, else data's), cast data to it with one NaN/Inf check
+    (``_cast``), pad.  The caller casts the weights next, so that a fault in
+    data is named first: the direct engines by ``_cast``, the Winograd
+    bodies inside their tap-major copy (``_tap_major``).
 
-    Returns (padded data, weights, output extents).
+    Returns (padded data, element type, output extents).
     """
     require_tensor4(data, "data")
     require_tensor4(weights, "weights")
@@ -96,9 +98,7 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
         dt = precision_dtype(precision)
     else:
         dt = data.dtype if default_dtype is None else default_dtype
-    d = _cast(data, dt, "data")
-    w = _cast(weights, dt, "weights")
-    return pad_input(d, spec.pad), w, out_dims
+    return pad_input(_cast(data, dt, "data"), spec.pad), dt, out_dims
 
 
 # Operand bytes per block of a matrix stage: im2col columns per channel
@@ -134,10 +134,10 @@ def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
     # One shot, rows before the result: allocating the result first left the
     # accuracy sweep's peak RSS 10 MB higher in 3 of 12 runs (glibc heap layout).
     if blocks <= 1:
-        rows = np.matmul(mat_r, x.reshape(a, -1)).reshape(p, b, -1)
+        rows = _matmul(mat_r, x.reshape(a, -1)).reshape(p, b, -1)
         if out is None:
-            return np.matmul(mat_c, rows).reshape(p, q, *rest)
-        np.matmul(mat_c, rows, out=out.reshape(p, q, -1))
+            return _matmul(mat_c, rows).reshape(p, q, *rest)
+        _matmul(mat_c, rows, out=out.reshape(p, q, -1))
         return out
     if out is None:
         out = np.empty((p, q, *rest), dtype=dt)
@@ -146,9 +146,22 @@ def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
     for k in range(blocks):  # t1 - t0 >= 2, as t / blocks > width / 2 >= 2
         t0, t1 = k * t // blocks, (k + 1) * t // blocks
         rows = buf[:, :, :t1 - t0]
-        np.matmul(mat_r, x3[:, :, t0:t1].transpose(1, 0, 2), out=rows.transpose(1, 0, 2))
-        np.matmul(mat_c, rows, out=y[:, :, t0:t1])
+        _matmul(mat_r, x3[:, :, t0:t1].transpose(1, 0, 2), out=rows.transpose(1, 0, 2))
+        _matmul(mat_c, rows, out=y[:, :, t0:t1])
     return out
+
+
+def _matmul(mat: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.matmul(mat, x, out=out)``, bit for bit.  A one-column ``mat`` (G
+    of F(2, 1)) runs as the broadcast multiply it equals: numpy runs the
+    matmul of a (p, 1) by a (1, n) operand without BLAS, about ten times
+    slower.  A float product then gets ``+ 0``, as matmul's float sums
+    start from zero (so -0.0 ends as +0.0); its object sums start from the
+    first product."""
+    if mat.shape[1] != 1:
+        return np.matmul(mat, x, out=out)
+    y = np.multiply(mat, x, out=out)
+    return y if y.dtype == _OBJECT else np.add(y, 0, out=y)
 
 
 def _taps(x: np.ndarray, lr: int, lc: int, th: int, tw: int) -> np.ndarray:
@@ -177,19 +190,38 @@ def _data_transform(signal: np.ndarray, nt_r: NumericTransformSet,
 #   block              old  32 kB 128 kB 256 kB 512 kB   1 MB
 #   11x11             16.9   24.5   17.4   12.9   13.7   20.9
 #   sum 3x3 to 11x11  27.8   37.2   27.5   23.6   24.6   32.4
+# With each block scanned before its copy, medians of 31, 64 kB to 1 MB:
+#   sum 3x3 to 11x11  64 kB 32.8, 128 kB 23.9, 256 kB 22.1, 512 kB 22.4, 1 MB 23.1
 _TAP_BLOCK_BYTES = 256 << 10
 
 
-def _tap_major(w: np.ndarray) -> np.ndarray:
-    """(F, C, r_h, r_w) weights -> contiguous tap-major (r_h, r_w, F, C): the
-    (F*C, r_h*r_w) view, which ``reshape`` copies if it must, copied
-    transposed one block of rows (at least one row) at a time."""
-    f, c, r_h, r_w = w.shape
-    wt = np.empty((r_h, r_w, f, c), dtype=w.dtype)
-    step = max(1, _TAP_BLOCK_BYTES // (r_h * r_w * w.itemsize))
+def _tap_major(weights: np.ndarray, dt) -> np.ndarray:
+    """(F, C, r_h, r_w) weights -> contiguous tap-major (r_h, r_w, F, C) in
+    element type ``dt``: the (F*C, r_h*r_w) view of the cast weights, which
+    ``reshape`` copies if it must, copied transposed one block of rows (at
+    least one row) at a time.
+
+    Each float block is scanned for NaN/Inf just before its copy: the
+    scan's sequential read brings the block into cache for the copy's
+    strided reads, so at 11x11 256->256 binary32 scan and copy together
+    took less time than the copy alone (1 CPU).  The first block that
+    fails has ``_cast`` name the fault in ``weights`` (a NaN or Inf, or a
+    value beyond ``dt``'s range), which raises.  In the exact object type
+    ``_cast`` scans float weights up front."""
+    f, c, r_h, r_w = weights.shape
+    if dt == _OBJECT:
+        w = _cast(weights, dt, "weights")
+    else:
+        with np.errstate(over="ignore"):
+            w = weights.astype(dt, copy=False)
+    wt = np.empty((r_h, r_w, f, c), dtype=dt)
+    step = max(1, _TAP_BLOCK_BYTES // (r_h * r_w * wt.itemsize))
     src, dst = w.reshape(f * c, r_h * r_w), wt.reshape(r_h * r_w, f * c)
     for i in range(0, f * c, step):
-        dst[:, i:i + step] = src[i:i + step].T
+        block = src[i:i + step]
+        if dt != _OBJECT and not _finite(block):
+            _cast(weights, dt, "weights")  # raises: the cast holds this block
+        dst[:, i:i + step] = block.T
     return wt
 
 
@@ -263,13 +295,13 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     the filters-last copy is as large as the weights, and for a call with
     a cast it exists beside the cast until that is dropped.
     """
-    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
+    dpad, dt, out_dims = _checked_inputs(data, weights, spec, precision)
+    w = _cast(weights, dt, "weights")
     n, c, h_pad, w_pad = dpad.shape
     f = w.shape[0]
     oh, ow = out_dims
     r_h, r_w = spec.kernel
     s_h, s_w = spec.stride
-    dt = dpad.dtype
     wl = np.ascontiguousarray(w.transpose(1, 2, 3, 0))  # (C, r_h, r_w, F)
     del w  # the cast weights, if a cast made them: only the filters-last copy is read
     phases = min(s_w, r_w)  # a stride beyond the kernel leaves column phases unused
@@ -306,13 +338,13 @@ def gemm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     order.  The summation order within a block is BLAS's, so results agree
     with direct_conv2d up to rounding (exactly, in the object-dtype mode).
     """
-    dpad, w, out_dims = _checked_inputs(data, weights, spec, precision)
+    dpad, dt, out_dims = _checked_inputs(data, weights, spec, precision)
+    w = _cast(weights, dt, "weights")
     n, c = dpad.shape[:2]
     f = w.shape[0]
     oh, ow = out_dims
     r_h, r_w = spec.kernel
     s_h, s_w = spec.stride
-    dt = dpad.dtype
     xt = dpad.transpose(1, 0, 2, 3)
     block = max(1, _GEMM_BLOCK_BYTES // max(1, r_h * r_w * n * oh * ow * dt.itemsize))
     y = None
@@ -396,16 +428,15 @@ def _dwm(data: np.ndarray, weights: np.ndarray, plan: DecompositionPlan, precisi
     in the GEMM's tile layout (2, 2, F, N*TH*TW); windows past the slice's
     edge read zeros, and ``_untile`` crops what they feed.
     """
-    dpad, w, out_dims = _checked_inputs(data, weights, plan.spec, precision)
+    dpad, dt, out_dims = _checked_inputs(data, weights, plan.spec, precision)
+    wt = _tap_major(weights, dt)
     n = dpad.shape[0]
     oh, ow = out_dims
     th, tw = _tile_dims(oh, ow)
-    wt = _tap_major(w)
-    del w  # the cast weights, if a cast made them: only the tap-major copy is read
 
     acc = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for index, _, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dpad.dtype, out_dims):
+        for index, _, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, out_dims):
             v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)  # (lr,lc,C,NTT)
             u = _axes2(nt_r.g, nt_c.g, wt[ksel])                       # G g Gt: (lr,lc,F,C)
             m = np.matmul(u, v)                                        # (lr,lc,F,NTT)
@@ -450,16 +481,14 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     """
     spec = plan.spec
     require_tensor4(grad_out, "grad_out")
-    dpad, w, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
+    dpad, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
+    wt = _tap_major(weights, dt)
     n, c = dpad.shape[:2]
-    dt = dpad.dtype
     want = (data.shape[0], weights.shape[0], oh, ow)
     if grad_out.shape != want:
         raise ValueError(f"grad_out shape {grad_out.shape} != {want}")
     th, tw = _tile_dims(oh, ow)
     dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, th, tw)            # (2,2,F,NTT)
-    wt = _tap_major(w)
-    del w  # as in _dwm
     grad_pad = np.zeros_like(dpad)
     dms = {}  # A dY At per (row, col) transform pair, until its last part
     pair = lambda part: (id(part.transform_rows), id(part.transform_cols))

@@ -25,9 +25,20 @@ def require_tensor4(x, name: str = "tensor") -> np.ndarray:
 
 
 def _finite(x: np.ndarray) -> bool:
-    """No NaN or Inf in float ``x``: a NaN propagates through min and max, an
-    Inf is one of them; unlike ``np.isfinite(x).all()``, no boolean copy."""
-    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+    """No NaN or Inf in float ``x``.  On C-contiguous ``x`` one BLAS pass
+    decides: the dot product of ``x`` with itself is finite only when every
+    element is.  Only when it is not (a NaN or Inf, or finite values whose
+    squares overflow), or on any other layout, do min and max decide: a NaN
+    propagates through them and an Inf is one of them.  Unlike
+    ``np.isfinite(x).all()``, neither builds a boolean copy."""
+    if x.size == 0:
+        return True
+    if x.flags.c_contiguous:
+        v = x.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # the value decides
+            if np.isfinite(np.dot(v, v)):
+                return True
+    return bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
 def check_finite(x: np.ndarray, op: str) -> np.ndarray:

@@ -293,6 +293,17 @@ def _transform_operands(rng, dt):
                 return x.transpose(0, 1, 3, 2) if transposed else x
             x = np.matmul(operand(m, k, a_t), operand(k, n, b_t))
             yield ts_r, ts_c, matrix(numeric(ts_r)), matrix(numeric(ts_c)), x
+    # kernel transforms with G of F(2, 1), one column, on operands holding
+    # -0.0 and +0.0 (as Python floats in the object type), in one block and
+    # in several: matmul's float sums start from +0.0, its object sums from
+    # the first product
+    one, three = get_transform(1), get_transform(3)
+    for ts_r, ts_c in ((one, one), (one, three), (three, one)):
+        for rest in ((1, 3), (3, 5)):
+            x = rng.standard_normal((ts_r.r, ts_c.r, *rest))
+            x.reshape(-1)[::3] = -0.0
+            x.reshape(-1)[1::5] = 0.0
+            yield ts_r, ts_c, numeric(ts_r).g, numeric(ts_c).g, x.astype(dt)
 
 
 @pytest.mark.parametrize("into_out", [False, True], ids=["new", "out"])
@@ -316,8 +327,8 @@ def test_blocked_transform_has_the_one_shot_bits(monkeypatch, dt, into_out):
             got = _axes2(mat_r, mat_c, x)
         label = (ts_r.r, ts_r.points, ts_c.r, ts_c.points, x.shape)
         assert got.dtype == want.dtype and got.shape == want.shape, label
-        if dt == object:
-            assert got.tolist() == want.tolist(), label
+        if dt == object:  # repr tells -0.0 from 0.0, and a Fraction from a float
+            assert list(map(repr, got.flat)) == list(map(repr, want.flat)), label
         else:
             assert got.tobytes() == want.tobytes(), label
         itemsize = np.dtype(dt).itemsize
@@ -345,7 +356,7 @@ TAP_MAJOR_CASES = {
 def test_tap_major_is_the_contiguous_transpose(case):
     w = TAP_MAJOR_CASES[case](np.random.default_rng(16))
     want = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    got = _tap_major(w)
+    got = _tap_major(w, w.dtype)
     assert got.flags.c_contiguous and got.dtype == w.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -604,6 +615,63 @@ def test_inputs_are_checked_data_first():
     w[0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="^data does not fit in float32$"):
         dwm_conv2d(d, w, SPEC_PAD1, precision=np.float32)
+
+
+@pytest.mark.parametrize("precision", [None, np.float32], ids=["own", "binary32"])
+@pytest.mark.parametrize("engine", NAMED_INPUT_ENGINES)
+def test_nan_data_is_named_before_inf_weights(engine, precision):
+    d, w, dy = _named_inputs("data", np.nan)
+    w[1, 0, 2, 1] = np.inf
+    with pytest.raises(ValueError, match="^data contains NaN or Inf$"):
+        NAMED_INPUT_ENGINES[engine](d, w, dy, precision=precision)
+
+
+@pytest.mark.parametrize("precision", [None, np.float32], ids=["own", "binary32"])
+@pytest.mark.parametrize("grad_out", ["wrong-shape", "nan"])
+def test_nan_weights_are_named_before_a_bad_grad_out(grad_out, precision):
+    d, w, dy = _named_inputs("weights", np.nan)
+    if grad_out == "wrong-shape":
+        dy = np.ones((1, 2, 6, 5))
+    else:
+        dy[0, 1, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="^weights contains NaN or Inf$"):
+        NAMED_INPUT_ENGINES["dwm_backward"](d, w, dy, precision=precision)
+
+
+# (100, 73, 3, 3) binary32 weights: F*C = 7300 rows of 9 taps, against a
+# tap-major block step of 7281 rows, so the second block is 19 rows
+BLOCK_FAULT_AT = {"first": (0, 0, 0, 0), "last-block": (99, 63, 1, 2)}
+BLOCK_ENGINES = ("dwm_conv2d", "dwm_backward")
+
+
+def _block_inputs(dtype=np.float32):
+    return (np.ones((1, 73, 6, 6), dtype=dtype), np.ones((100, 73, 3, 3), dtype=dtype),
+            np.ones((1, 100, 6, 6), dtype=dtype))
+
+
+@pytest.mark.parametrize("where", BLOCK_FAULT_AT)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("engine", BLOCK_ENGINES)
+def test_every_block_of_the_tap_major_copy_is_checked(engine, value, where):
+    step = engines._TAP_BLOCK_BYTES // (9 * 4)  # rows per block
+    f, c = BLOCK_FAULT_AT[where][:2]
+    assert step == 7281 and (f * 73 + c >= step) == (where == "last-block")
+    d, w, dy = _block_inputs()
+    w[BLOCK_FAULT_AT[where]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^weights contains NaN or Inf$"):
+            NAMED_INPUT_ENGINES[engine](d, w, dy)
+
+
+@pytest.mark.parametrize("engine", BLOCK_ENGINES)
+def test_binary64_weights_beyond_binary32_are_named_in_the_last_block(engine):
+    d, w, dy = _block_inputs(np.float64)
+    w[BLOCK_FAULT_AT["last-block"]] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^weights does not fit in float32$"):
+            NAMED_INPUT_ENGINES[engine](d, w, dy, precision=np.float32)
 
 
 ENTRY_MISUSE = {

@@ -125,13 +125,27 @@ def test_mse_requires_binary64_reference():
         mse(x, np.zeros((1, 1, 2, 3), dtype=np.float64))
 
 
+# finite values whose squares overflow the scan's dot product
+HUGE = {np.float32: (1e20, 3e38), np.float64: (1e160,)}
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("value", [None, np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("shape", [(0,), (1,), (3, 0, 5), (257,), (2, 3, 11, 11)])
 def test_finite_agrees_with_isfinite_all(dtype, value, shape):
-    x = np.random.default_rng(8).standard_normal(shape).astype(dtype)
-    if value is not None and x.size:
-        x.reshape(-1)[x.size // 2] = value
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _finite(x) is bool(np.isfinite(x).all())
+    rng = np.random.default_rng(8)
+    for scale in ("normal", "huge"):
+        for layout in ("contiguous", "view"):  # a view takes every other last-axis element
+            whole = (*shape[:-1], 2 * shape[-1]) if layout == "view" else shape
+            x = rng.standard_normal(whole)
+            if scale == "huge":
+                x = np.sign(x) * rng.choice(HUGE[dtype], size=whole)
+            x = x.astype(dtype)
+            if layout == "view":
+                x = x[..., ::2]
+                assert x.size <= 1 or not x.flags.c_contiguous
+            if value is not None and x.size:
+                x[np.unravel_index(x.size // 2, x.shape)] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _finite(x) is bool(np.isfinite(x).all()), (scale, layout)
