@@ -29,7 +29,7 @@ engine.  Last come the full-width lines: binary32 ``dwm_conv2d`` and both
 256->256 shape, forward only, and AlexNet conv1 and conv4), whose
 256-channel GEMMs are large enough for BLAS to block them, then binary32
 ``winograd_conv2d`` on the paper's 7x7 256->256 shape, with the default
-and with the baseline transforms.  Precisions:
+plan and with ``plan_classic`` over the baseline transforms.  Precisions:
 binary32, binary64 and exact ``Fraction`` (object arrays; reduced extents,
 since exact arithmetic is slow).  Inputs are drawn from a fixed seed per
 geometry; the Fraction inputs are multiples of 1/4.  Floats hash their dtype, shape and bytes; Fractions hash the
@@ -215,11 +215,9 @@ def listing():
     name, kernel, pad, dims, extent = CLASSIC_FULL_WIDTH
     spec = ConvSpec(kernel=kernel, pad=pad)
     data, weights, _ = inputs(100 + len(FULL_WIDTH), spec, dims, extent, "binary32")
-    baseline = get_baseline_transform(kernel[0]), get_baseline_transform(kernel[1])
-    for label, transforms in (("winograd_conv2d", (None, None)),
-                              ("winograd_conv2d[baseline]", baseline)):
-        y = winograd_conv2d(data, weights, spec, *transforms)
-        yield f"{digest(y)}  {label} {name} binary32"
+    baseline = plan_classic(spec, *map(get_baseline_transform, kernel))
+    for label, plan in (("winograd_conv2d", None), ("winograd_conv2d[baseline]", baseline)):
+        yield f"{digest(winograd_conv2d(data, weights, spec, plan))}  {label} {name} binary32"
     for label, name, build, late in REPORTS:
         for fmt, text in build(name).items():
             if fmt not in late:

@@ -127,7 +127,8 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
 
     Every row is its public engine's result on the (config, seed) draw at
     the row's precision; "winograd" is classic Winograd over the naive
-    baseline transforms, not the accuracy-tuned ones.
+    baseline transforms, not the accuracy-tuned ones.  Both plans are
+    built once per config, and every row of the config runs on them.
     """
     rows = []
     for cfg in configs:
@@ -148,9 +149,7 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
                     elif algo == "direct":
                         y = direct_conv2d(data, weights, spec, precision=precision)
                     elif algo == "winograd":
-                        part = classic.parts[0]
-                        y = winograd_conv2d(data, weights, spec, part.transform_rows,
-                                            part.transform_cols, precision=precision)
+                        y = winograd_conv2d(data, weights, spec, classic, precision)
                     else:
                         y = dwm_conv2d(data, weights, spec, plan, precision)
                     err = mse(y, reference)

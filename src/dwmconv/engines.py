@@ -31,8 +31,7 @@ from .decompose import (DecompositionPlan, input_region_for_part, plan_classic,
                         plan_decomposition)
 from .flops import flops_direct, flops_dwm
 from .tensor import _finite, accumulate, check_finite, pad_input, require_tensor4
-from .transforms import (NumericTransformSet, TransformSet, precision_dtype, to_exact_arrays,
-                         to_float)
+from .transforms import NumericTransformSet, precision_dtype, to_exact_arrays, to_float
 
 _OBJECT = np.dtype(object)
 
@@ -51,12 +50,6 @@ class ConvOutput:
     plan: DecompositionPlan | None
 
 
-def _numeric_for(ts: TransformSet, dtype) -> NumericTransformSet:
-    if np.dtype(dtype) == _OBJECT:
-        return to_exact_arrays(ts)
-    return to_float(ts, np.dtype(dtype))
-
-
 def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
     """``x`` in element type ``dt``, checked by one NaN/Inf scan: of the
     result, or of ``x`` when ``dt`` is the exact object type.  Only when
@@ -68,8 +61,8 @@ def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
         with np.errstate(over="ignore"):
             y = x.astype(dt)
     scanned = x if y.dtype == _OBJECT else y
-    if scanned.dtype != _OBJECT and not _finite(scanned):
-        if scanned is x or (x.dtype != _OBJECT and not _finite(x)):
+    if not _finite(scanned):
+        if scanned is x or not _finite(x):
             raise ValueError(f"{name} contains NaN or Inf")
         raise ValueError(f"{name} does not fit in {y.dtype}")
     return y
@@ -219,7 +212,7 @@ def _tap_major(weights: np.ndarray, dt) -> np.ndarray:
     src, dst = w.reshape(f * c, r_h * r_w), wt.reshape(r_h * r_w, f * c)
     for i in range(0, f * c, step):
         block = src[i:i + step]
-        if dt != _OBJECT and not _finite(block):
+        if not _finite(block):
             _cast(weights, dt, "weights")  # raises: the cast holds this block
         dst[:, i:i + step] = block.T
     return wt
@@ -230,11 +223,12 @@ def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
     numeric row and column transforms, and its kernel sub-block and its
     padded-input region, each as the (rows, cols) slices of the spatial
     axes that index it.  A built plan is checked, so neither leaves its
-    array (``input_region_for_part``)."""
+    array (``input_region_for_part``).  Transforms are exact in the
+    object type, else rounded to ``dt`` (``to_float``)."""
+    numeric = to_exact_arrays if dt == _OBJECT else lambda ts: to_float(ts, dt)
     for index, part in enumerate(plan.parts):
         ksel = tuple(slice(t.start, t.stop, t.step) for t in (part.row.taps, part.col.taps))
-        yield (index, part, _numeric_for(part.transform_rows, dt),
-               _numeric_for(part.transform_cols, dt), ksel,
+        yield (index, part, numeric(part.transform_rows), numeric(part.transform_cols), ksel,
                input_region_for_part(part, out_dims))
 
 
@@ -242,7 +236,7 @@ def _check_part(x: np.ndarray, engine: str, plan: DecompositionPlan, index: int,
                 result: str = "") -> None:
     """check_finite on one part's result, naming the part (index and kernel
     taps) if the plan has several; the label is formatted only on failure."""
-    if x.dtype != _OBJECT and not _finite(x):
+    if not _finite(x):
         if len(plan.parts) > 1:
             engine = f"{engine} part {index} ({plan.parts[index].label})"
         check_finite(x, engine + result)
@@ -389,15 +383,17 @@ def _untile(tiles: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
 
 
 def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
-                    ts_rows: TransformSet | None = None, ts_cols: TransformSet | None = None,
-                    precision=None) -> np.ndarray:
+                    plan: DecompositionPlan | None = None, precision=None) -> np.ndarray:
     """Classic tiled Winograd correlation: one F(2, r) per axis, stride 1 only.
 
-    The row and column transforms default to ``get_transform`` of each
-    axis's taps.  Strided convolutions and kernels beyond the point
-    sequence are out of this engine's reach; dwm_conv2d runs them.
+    ``plan`` defaults to ``plan_classic(spec)``, the one part that covers
+    the whole kernel with ``get_transform`` of each axis's taps; a plan
+    with other transforms comes from ``plan_classic``'s own arguments.
+    Strided convolutions and kernels beyond the point sequence are out of
+    this engine's reach (``plan_classic`` refuses them); dwm_conv2d runs
+    them.
     """
-    return _dwm(data, weights, plan_classic(spec, ts_rows, ts_cols), precision,
+    return _dwm(data, weights, spec, plan_classic(spec) if plan is None else plan, precision,
                 "winograd_conv2d")
 
 
@@ -405,30 +401,39 @@ def dwm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
                plan: DecompositionPlan | None = None, precision=None) -> np.ndarray:
     """Decomposed Winograd convolution for any kernel size and stride.
 
-    Pads the input once and copies the weights once to tap-major order;
-    each plan part then runs tiled Winograd at stride 1 on a view of its
-    kernel sub-block and its strided input slice.  The parts' tiles are
-    summed in plan order in the tile layout, and the sum is untiled and
-    cropped once.  Equals direct_conv2d up to float rounding (exactly, in
-    the object-dtype test mode).
+    ``plan`` defaults to ``plan_decomposition(spec)``.  Pads the input once
+    and copies the weights once to tap-major order; each plan part then
+    runs tiled Winograd at stride 1 on a view of its kernel sub-block and
+    its strided input slice.  The parts' tiles are summed in plan order in
+    the tile layout, and the sum is untiled and cropped once.  Equals
+    direct_conv2d up to float rounding (exactly, in the object-dtype test
+    mode).
     """
-    if plan is None:
-        plan = plan_decomposition(spec)
-    elif plan.spec != spec:
+    return _dwm(data, weights, spec, plan_decomposition(spec) if plan is None else plan,
+                precision, "dwm_conv2d")
+
+
+def _check_plan(plan, spec: ConvSpec | None = None) -> None:
+    """Refuse a ``plan`` that is not a DecompositionPlan, or one built for
+    another ConvSpec than ``spec`` (when given)."""
+    if not isinstance(plan, DecompositionPlan):
+        raise TypeError(f"plan must be a DecompositionPlan, got {type(plan).__name__}")
+    if spec is not None and plan.spec != spec:
         raise ValueError("plan was built for a different ConvSpec")
-    return _dwm(data, weights, plan, precision, "dwm_conv2d")
 
 
-def _dwm(data: np.ndarray, weights: np.ndarray, plan: DecompositionPlan, precision,
-         engine: str) -> np.ndarray:
-    """The Winograd forward body: the checked prologue, then ``plan`` (built
-    for the inputs' ConvSpec); overflow messages name ``engine``.
+def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: DecompositionPlan,
+         precision, engine: str) -> np.ndarray:
+    """The Winograd forward body of both public engines: the checked
+    prologue, then ``plan``, which must have been built for ``spec``;
+    overflow messages name ``engine``.
 
     Each part is a tiled F(2, r) correlation of its stride-1 input slice,
     in the GEMM's tile layout (2, 2, F, N*TH*TW); windows past the slice's
     edge read zeros, and ``_untile`` crops what they feed.
     """
-    dpad, dt, out_dims = _checked_inputs(data, weights, plan.spec, precision)
+    _check_plan(plan, spec)
+    dpad, dt, out_dims = _checked_inputs(data, weights, spec, precision)
     wt = _tap_major(weights, dt)
     n = dpad.shape[0]
     oh, ow = out_dims
@@ -479,6 +484,7 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     whole weight gradient and is transposed back once.  Weights stay in the
     spatial domain; nothing Winograd-transformed persists between calls.
     """
+    _check_plan(plan)
     spec = plan.spec
     require_tensor4(grad_out, "grad_out")
     dpad, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
@@ -531,20 +537,20 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
 
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
              algo: str = "direct", precision=None) -> ConvOutput:
-    """Run one convolution by name ("direct", "gemm", "winograd", "dwm").
-    The direct engines run as themselves; "winograd" and "dwm" run the
-    Winograd body of ``winograd_conv2d``/``dwm_conv2d`` (overflow messages
-    name that engine) on the plan the output carries, ``plan_classic`` or
-    ``plan_decomposition``, built once.  The output also carries the
-    FLOP-model count of what ran: ``flops_dwm`` of that plan, or
-    ``flops_direct`` for the two direct engines, which run no plan."""
-    if algo in ("direct", "gemm"):
-        engine = direct_conv2d if algo == "direct" else gemm_conv2d
+    """Run one convolution by name ("direct", "gemm", "winograd", "dwm")
+    with its public engine.  "winograd" and "dwm" get the plan the output
+    carries, ``plan_classic`` or ``plan_decomposition``, built once.  The
+    output also carries the FLOP-model count of what ran: ``flops_dwm`` of
+    that plan, or ``flops_direct`` for the two direct engines, which run no
+    plan."""
+    runs = {"direct": (direct_conv2d, None), "gemm": (gemm_conv2d, None),
+            "winograd": (winograd_conv2d, plan_classic), "dwm": (dwm_conv2d, plan_decomposition)}
+    if algo not in runs:
+        raise ValueError(f"unknown algorithm {algo!r}; expected direct, gemm, winograd or dwm")
+    engine, build = runs[algo]
+    if build is None:
         y = engine(data, weights, spec, precision=precision)
         return ConvOutput(y=y, flops=flops_direct(spec, y.shape[2:]), plan=None)
-    build = {"winograd": plan_classic, "dwm": plan_decomposition}.get(algo)
-    if build is None:
-        raise ValueError(f"unknown algorithm {algo!r}; expected direct, gemm, winograd or dwm")
     plan = build(spec)
-    y = _dwm(data, weights, plan, precision, f"{algo}_conv2d")
+    y = engine(data, weights, spec, plan, precision)
     return ConvOutput(y=y, flops=flops_dwm(plan, y.shape[2:]), plan=plan)

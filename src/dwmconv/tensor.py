@@ -25,13 +25,14 @@ def require_tensor4(x, name: str = "tensor") -> np.ndarray:
 
 
 def _finite(x: np.ndarray) -> bool:
-    """No NaN or Inf in float ``x``.  On C-contiguous ``x`` one BLAS pass
-    decides: the dot product of ``x`` with itself is finite only when every
-    element is.  Only when it is not (a NaN or Inf, or finite values whose
-    squares overflow), or on any other layout, do min and max decide: a NaN
-    propagates through them and an Inf is one of them.  Unlike
-    ``np.isfinite(x).all()``, neither builds a boolean copy."""
-    if x.size == 0:
+    """No NaN or Inf in float ``x``; always True for an object (exact
+    ``Fraction``) array, so callers need no dtype guard.  On C-contiguous
+    ``x`` one BLAS pass decides: the dot product of ``x`` with itself is
+    finite only when every element is.  Only when it is not (a NaN or Inf,
+    or finite values whose squares overflow), or on any other layout, do
+    min and max decide: a NaN propagates through them and an Inf is one of
+    them.  Unlike ``np.isfinite(x).all()``, neither builds a boolean copy."""
+    if x.size == 0 or x.dtype == np.dtype(object):
         return True
     if x.flags.c_contiguous:
         v = x.reshape(-1)
@@ -42,7 +43,7 @@ def _finite(x: np.ndarray) -> bool:
 
 
 def check_finite(x: np.ndarray, op: str) -> np.ndarray:
-    if x.dtype in FLOAT_DTYPES and not _finite(x):
+    if not _finite(x):
         raise FloatingPointError(f"{op} produced non-finite values")
     return x
 
@@ -50,7 +51,7 @@ def check_finite(x: np.ndarray, op: str) -> np.ndarray:
 def pad_input(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
     """Zero-pad the spatial axes by (top, bottom, left, right)."""
     require_tensor4(d)
-    if d.dtype in FLOAT_DTYPES and not _finite(d):
+    if not _finite(d):
         raise ValueError("pad_input: d contains NaN or Inf")
     top, bottom, left, right = (int(p) for p in pad)
     if min(top, bottom, left, right) < 0:

@@ -21,6 +21,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .tensor import FLOAT_DTYPES
+
 ExactMatrix = tuple[tuple[Fraction, ...], ...]
 
 # Interpolation nodes used when the caller does not supply any.  The prefix
@@ -57,7 +59,7 @@ def precision_dtype(precision) -> np.dtype:
         except KeyError:
             raise ValueError(f"unknown precision {precision!r}") from None
     dt = np.dtype(precision)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
+    if dt not in FLOAT_DTYPES:
         raise ValueError(f"unsupported precision {precision!r}")
     return dt
 

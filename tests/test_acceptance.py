@@ -10,7 +10,7 @@ import numpy as np
 
 from dwmconv.bench import AccuracyConfig, check_accuracy_bands, run_accuracy_suite
 from dwmconv.convspec import ConvSpec
-from dwmconv.decompose import plan_decomposition
+from dwmconv.decompose import plan_classic, plan_decomposition
 from dwmconv.engines import dwm_backward, dwm_conv2d, winograd_conv2d
 from dwmconv.flops import flops_dwm, flops_winograd_classic, speedup_table
 from dwmconv.transforms import cook_toom, get_transform, verify_transform
@@ -175,7 +175,8 @@ def test_criterion_6_degeneracy():
             data = rng.standard_normal((2, 3, 14, 14)).astype(dtype)
             weights = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
             via_dwm = dwm_conv2d(data, weights, spec)
-            via_classic = winograd_conv2d(data, weights, spec, get_transform(3))
+            via_classic = winograd_conv2d(data, weights, spec,
+                                          plan_classic(spec, get_transform(3)))
             assert via_dwm.tobytes() == via_classic.tobytes(), str(dtype)
         out = (14, 14)
         assert flops_dwm(plan_decomposition(spec), out) == 784

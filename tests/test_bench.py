@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from dwmconv import bench
+from dwmconv import bench, engines, flops
 from dwmconv.bench import (AccuracyConfig, AccuracyRow, AccuracyReport, _draw,
                            analyze_network, check_accuracy_bands, load_network,
                            run_accuracy_suite)
 from dwmconv.convspec import ConvSpec
-from dwmconv.decompose import plan_decomposition
+from dwmconv.decompose import plan_classic, plan_decomposition
 from dwmconv.engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
 from dwmconv.tensor import mse
 from dwmconv.transforms import get_baseline_transform
@@ -67,9 +67,9 @@ def test_accuracy_suite_rows_equal_the_public_engines():
                   ("dwm", "binary32"): dwm_conv2d(data, weights, spec, precision="binary32"),
                   ("dwm", "binary64"): dwm_conv2d(data, weights, spec, precision="binary64")}
         if spec.stride == (1, 1):
-            public["winograd", "binary32"] = winograd_conv2d(
-                data, weights, spec, get_baseline_transform(cfg.kernel[0]),
-                get_baseline_transform(cfg.kernel[1]), precision="binary32")
+            baseline = plan_classic(spec, *map(get_baseline_transform, cfg.kernel))
+            public["winograd", "binary32"] = winograd_conv2d(data, weights, spec, baseline,
+                                                             precision="binary32")
         for _ in public:
             row = next(rows)
             assert row.mse == mse(public[row.algorithm, row.precision], reference)
@@ -95,6 +95,20 @@ def test_accuracy_suite_calls_each_public_engine_once_per_row(monkeypatch):
                                if (r.algorithm, r.precision) != ("direct", "binary64"))
     assert calls == {"gemm_conv2d": len(SMALL) * 2, "direct_conv2d": rows["direct"],
                      "winograd_conv2d": rows["winograd"], "dwm_conv2d": rows["dwm"]}
+
+
+@pytest.mark.parametrize("builder", ["plan_classic", "plan_decomposition"])
+def test_accuracy_suite_builds_each_plan_once_per_config(monkeypatch, builder):
+    # every binding a row could build through: the suite's, the FLOP model's, the engines'
+    built = []
+    for module in (bench, flops, engines):
+        build = getattr(module, builder, None)
+        if build is not None:
+            monkeypatch.setattr(module, builder,
+                                lambda spec, *args, build=build: built.append(spec) or
+                                build(spec, *args))
+    run_accuracy_suite(SMALL, seeds=[1, 2])
+    assert built == [cfg.spec() for cfg in SMALL]
 
 
 def test_accuracy_same_padding_keeps_extent():

@@ -187,14 +187,16 @@ def test_winograd_1d_delta_filter_passes_signal_through():
     # row axis is a pass-through F(2,1), column axis F(2,3)
     d = np.arange(4, dtype=np.float64).reshape(1, 1, 1, 4) + 1.0
     g = np.array([1.0, 0.0, 0.0]).reshape(1, 1, 1, 3)
-    y = winograd_conv2d(d, g, ConvSpec(kernel=(1, 3)), cook_toom(2, 1), get_transform(3))
+    spec = ConvSpec(kernel=(1, 3))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, cook_toom(2, 1), get_transform(3)))
     np.testing.assert_allclose(y, [[[[1.0, 2.0]]]], atol=1e-14)
 
 
 def test_winograd_1d_box_filter():
     d = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4)
     g = np.ones((1, 1, 1, 3))
-    y = winograd_conv2d(d, g, ConvSpec(kernel=(1, 3)), cook_toom(2, 1), get_transform(3))
+    spec = ConvSpec(kernel=(1, 3))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, cook_toom(2, 1), get_transform(3)))
     np.testing.assert_allclose(y, [[[[6.0, 9.0]]]], atol=1e-14)
 
 
@@ -202,8 +204,9 @@ def test_winograd_single_tile_matches_direct():
     rng = np.random.default_rng(2)
     d = rng.standard_normal((1, 1, 4, 4))
     g = rng.standard_normal((1, 1, 3, 3))
-    y = winograd_conv2d(d, g, ConvSpec(kernel=(3, 3)), get_transform(3))
-    want = direct_conv2d(d, g, ConvSpec(kernel=(3, 3)))
+    spec = ConvSpec(kernel=(3, 3))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform(3)))
+    want = direct_conv2d(d, g, spec)
     assert np.max(np.abs(y - want)) <= 1e-13
 
 
@@ -212,7 +215,7 @@ def test_winograd_multi_tile_multichannel_matches_oracle():
     spec = ConvSpec(kernel=(3, 3))
     d = rng.standard_normal((2, 3, 10, 12))
     g = rng.standard_normal((4, 3, 3, 3))
-    y = winograd_conv2d(d, g, spec, get_transform(3))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform(3)))
     np.testing.assert_allclose(y, oracle_conv(d, g, spec), atol=1e-12)
 
 
@@ -220,9 +223,10 @@ def test_winograd_truncates_odd_output_extent():
     rng = np.random.default_rng(4)
     d = rng.standard_normal((1, 2, 7, 9))  # outputs 5 x 7, both odd
     g = rng.standard_normal((2, 2, 3, 3))
-    y = winograd_conv2d(d, g, ConvSpec(kernel=(3, 3)), get_transform(3))
+    spec = ConvSpec(kernel=(3, 3))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform(3)))
     assert y.shape == (1, 2, 5, 7)
-    np.testing.assert_allclose(y, oracle_conv(d, g, ConvSpec(kernel=(3, 3))), atol=1e-12)
+    np.testing.assert_allclose(y, oracle_conv(d, g, spec), atol=1e-12)
 
 
 def test_winograd_stride_guard_points_to_dwm():
@@ -368,7 +372,7 @@ def test_dwm_degenerate_3x3_is_bit_identical_to_winograd():
         d = rng.standard_normal((2, 3, 14, 14)).astype(dtype)
         g = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
         via_dwm = dwm_conv2d(d, g, spec)
-        via_winograd = winograd_conv2d(d, g, spec, get_transform(3))
+        via_winograd = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform(3)))
         assert via_dwm.tobytes() == via_winograd.tobytes()
 
 
@@ -690,18 +694,48 @@ def test_every_entry_checks_its_inputs_with_one_message(engine, misuse):
                                     np.ones((1, 2, 6, 6)))
 
 
-@pytest.mark.parametrize("spec,transforms,message", [
-    (ConvSpec(kernel=(3, 3), stride=(2, 2), pad=(1, 1, 1, 1)), (), "stride-1 only"),
-    (ConvSpec(kernel=(14, 3)), (), "at most 13 taps per axis"),
-    (SPEC_PAD1, (get_transform(5),), r"transform taps \(5, 3\) do not match kernel \(3, 3\)"),
-    (SPEC_PAD1, (get_transform(3), get_transform(2)),
-     r"transform taps \(3, 2\) do not match kernel \(3, 3\)"),
-    (SPEC_PAD1, (cook_toom(3, 3),), "m == 2"),
-])
-def test_winograd_rejects_what_it_cannot_run(spec, transforms, message):
+@pytest.mark.parametrize("spec,message", [
+    (ConvSpec(kernel=(3, 3), stride=(2, 2), pad=(1, 1, 1, 1)), "stride-1 only"),
+    (ConvSpec(kernel=(14, 3)), "at most 13 taps per axis"),
+], ids=["stride2", "14taps"])
+def test_winograd_rejects_what_it_cannot_run(spec, message):
     d, w = np.ones((1, 2, 16, 16)), np.ones((2, 2, *spec.kernel))
     with pytest.raises(ValueError, match=message):
-        winograd_conv2d(d, w, spec, *transforms)
+        winograd_conv2d(d, w, spec)
+
+
+@pytest.mark.parametrize("transforms,message", [
+    ((get_transform(5),), r"transform taps \(5, 3\) do not match kernel \(3, 3\)"),
+    ((get_transform(3), get_transform(2)),
+     r"transform taps \(3, 2\) do not match kernel \(3, 3\)"),
+    ((cook_toom(3, 3),), "m == 2"),
+], ids=["rows5", "cols2", "m3"])
+def test_plan_classic_rejects_transforms_it_cannot_use(transforms, message):
+    with pytest.raises(ValueError, match=message):
+        plan_classic(SPEC_PAD1, *transforms)
+
+
+@pytest.mark.parametrize("engine", [winograd_conv2d, dwm_conv2d], ids=lambda f: f.__name__)
+def test_winograd_engines_refuse_a_plan_for_another_spec(engine):
+    d, w = np.ones((1, 2, 8, 8)), np.ones((2, 2, 3, 3))
+    with pytest.raises(ValueError, match="^plan was built for a different ConvSpec$"):
+        engine(d, w, SPEC_PAD1, plan_classic(ConvSpec(kernel=(3, 3))))
+
+
+PLAN_ENTRIES = {
+    "winograd_conv2d": lambda d, w, plan: winograd_conv2d(d, w, SPEC_PAD1, plan),
+    "dwm_conv2d": lambda d, w, plan: dwm_conv2d(d, w, SPEC_PAD1, plan),
+    "dwm_backward": lambda d, w, plan: dwm_backward(np.ones((1, 2, 8, 8)), plan, d, w),
+}
+
+
+@pytest.mark.parametrize("entry", PLAN_ENTRIES)
+def test_a_plan_that_is_no_plan_is_refused_by_name(entry):
+    # a TransformSet where the plan goes: the call form before plans, (d, w, spec, ts)
+    d, w = np.ones((1, 2, 8, 8)), np.ones((2, 2, 3, 3))
+    message = "^plan must be a DecompositionPlan, got TransformSet$"
+    with pytest.raises(TypeError, match=message):
+        PLAN_ENTRIES[entry](d, w, get_transform(3))
 
 
 def _f32(shape, value):

@@ -1,11 +1,12 @@
 import warnings
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwmconv.tensor import _finite, accumulate, mse, pad_input
+from dwmconv.tensor import _finite, accumulate, check_finite, mse, pad_input
 
 
 def test_pad_zero_is_identity():
@@ -149,3 +150,12 @@ def test_finite_agrees_with_isfinite_all(dtype, value, shape):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert _finite(x) is bool(np.isfinite(x).all()), (scale, layout)
+
+
+def test_exact_arrays_pass_every_finite_check():
+    # Fractions hold no NaN or Inf, so the exact mode needs no dtype guard
+    x = np.array([F(1, 3), F(-2, 7)], dtype=object).reshape(1, 1, 1, 2)
+    assert _finite(x) is True
+    assert check_finite(x, "exact") is x
+    padded = pad_input(x, (0, 0, 1, 0))
+    assert padded.dtype == object and padded.tolist() == [[[[0, F(1, 3), F(-2, 7)]]]]
