@@ -51,15 +51,14 @@ class ConvOutput:
 
 
 def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
-    """``x`` in element type ``dt``, checked by one NaN/Inf scan: of the
-    result, or of ``x`` when ``dt`` is the exact object type.  Only when
-    that scan fails is ``x`` scanned again, to tell a NaN or Inf it holds
-    from a value beyond ``dt``'s range."""
-    if x.dtype == dt:
-        y = x
-    else:
-        with np.errstate(over="ignore"):
-            y = x.astype(dt)
+    """``x`` in element type ``dt`` (``x`` itself if it has that type),
+    checked by one NaN/Inf scan: of the result, or of ``x`` when ``dt`` is
+    the exact object type.  Only when that scan fails is ``x`` scanned
+    again, to tell a NaN or Inf it holds from a value beyond ``dt``'s
+    range.  Every input of every engine is cast and checked here: whole,
+    or one block at a time by ``_tap_major``."""
+    with np.errstate(over="ignore"):
+        y = x.astype(dt, copy=False)
     scanned = x if y.dtype == _OBJECT else y
     if not _finite(scanned):
         if scanned is x or not _finite(x):
@@ -73,9 +72,10 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     """The prologue every engine shares: check data and weights against
     ``spec``, resolve the element type (from ``precision``, else
     ``default_dtype``, else data's), cast data to it with one NaN/Inf check
-    (``_cast``), pad.  The caller casts the weights next, so that a fault in
-    data is named first: the direct engines by ``_cast``, the Winograd
-    bodies inside their tap-major copy (``_tap_major``).
+    (``_cast``), pad.  The caller casts the weights next, also through
+    ``_cast``, so that a fault in data is named first: the direct engines
+    whole, the Winograd bodies one block at a time inside their tap-major
+    copy (``_tap_major``).
 
     Returns (padded data, element type, output extents).
     """
@@ -190,31 +190,23 @@ _TAP_BLOCK_BYTES = 256 << 10
 
 def _tap_major(weights: np.ndarray, dt) -> np.ndarray:
     """(F, C, r_h, r_w) weights -> contiguous tap-major (r_h, r_w, F, C) in
-    element type ``dt``: the (F*C, r_h*r_w) view of the cast weights, which
-    ``reshape`` copies if it must, copied transposed one block of rows (at
-    least one row) at a time.
+    element type ``dt``: the (F*C, r_h*r_w) view of the weights, which
+    ``reshape`` copies if it must, cast, checked and copied transposed one
+    block of rows (at least one row) at a time, so no cast of the whole
+    array exists beside the copy.
 
-    Each float block is scanned for NaN/Inf just before its copy: the
+    ``_cast`` scans each block for NaN/Inf just before its copy: the
     scan's sequential read brings the block into cache for the copy's
     strided reads, so at 11x11 256->256 binary32 scan and copy together
     took less time than the copy alone (1 CPU).  The first block that
-    fails has ``_cast`` name the fault in ``weights`` (a NaN or Inf, or a
-    value beyond ``dt``'s range), which raises.  In the exact object type
-    ``_cast`` scans float weights up front."""
+    fails raises, naming the fault ``_cast`` finds in that block (a NaN or
+    Inf, or a value beyond ``dt``'s range)."""
     f, c, r_h, r_w = weights.shape
-    if dt == _OBJECT:
-        w = _cast(weights, dt, "weights")
-    else:
-        with np.errstate(over="ignore"):
-            w = weights.astype(dt, copy=False)
     wt = np.empty((r_h, r_w, f, c), dtype=dt)
     step = max(1, _TAP_BLOCK_BYTES // (r_h * r_w * wt.itemsize))
-    src, dst = w.reshape(f * c, r_h * r_w), wt.reshape(r_h * r_w, f * c)
+    src, dst = weights.reshape(f * c, r_h * r_w), wt.reshape(r_h * r_w, f * c)
     for i in range(0, f * c, step):
-        block = src[i:i + step]
-        if not _finite(block):
-            _cast(weights, dt, "weights")  # raises: the cast holds this block
-        dst[:, i:i + step] = block.T
+        dst[:, i:i + step] = _cast(src[i:i + step], dt, "weights").T
     return wt
 
 

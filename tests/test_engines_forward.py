@@ -678,6 +678,32 @@ def test_binary64_weights_beyond_binary32_are_named_in_the_last_block(engine):
             NAMED_INPUT_ENGINES[engine](d, w, dy, precision=np.float32)
 
 
+@pytest.mark.parametrize("first", ["too-large", "nan"])
+@pytest.mark.parametrize("engine", ("direct_conv2d", "gemm_conv2d", *BLOCK_ENGINES))
+def test_faults_in_two_blocks_are_named_as_the_cast_meets_them(engine, first):
+    # a value beyond binary32 in the first tap-major block, a NaN in the
+    # last, or the two swapped: the Winograd engines cast and check block by
+    # block, so they name the first block's fault; the direct engines cast
+    # the whole array, so they name the NaN in either order
+    d, w, dy = _block_inputs(np.float64)
+    faults = (1e39, np.nan) if first == "too-large" else (np.nan, 1e39)
+    w[BLOCK_FAULT_AT["first"]], w[BLOCK_FAULT_AT["last-block"]] = faults
+    fault = ("does not fit in float32" if engine in BLOCK_ENGINES and first == "too-large"
+             else "contains NaN or Inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^weights {fault}$"):
+            NAMED_INPUT_ENGINES[engine](d, w, dy, precision=np.float32)
+
+
+@pytest.mark.parametrize("engine", ("winograd_conv2d", *BLOCK_ENGINES))
+def test_exact_mode_names_nan_in_float_weights(engine):
+    d, w, dy = _named_inputs("weights", np.nan)
+    d, dy = (np.vectorize(F, otypes=[object])(x.astype(int)) for x in (d, dy))
+    with pytest.raises(ValueError, match="^weights contains NaN or Inf$"):
+        NAMED_INPUT_ENGINES[engine](d, w, dy)
+
+
 ENTRY_MISUSE = {
     "channels": ((1, 2, 6, 6), (2, 3, 3, 3), "channel mismatch: data has 2, weights have 3"),
     "taps": ((1, 2, 6, 6), (2, 2, 5, 5), "weights taps (5, 5) do not match kernel (3, 3)"),
@@ -824,21 +850,30 @@ MEMORY_CASES = {
 }
 
 
-@pytest.mark.parametrize("engine", MEMORY_CASES)
-def test_binary32_weights_live_once_beside_the_kernel_transform(engine):
+@pytest.mark.parametrize("engine,channels", [
+    *(pytest.param(engine, 64, id=engine) for engine in MEMORY_CASES),
+    *(pytest.param(engine, 128, id=f"{engine}-128")
+      for engine in ("winograd_conv2d", "dwm_conv2d")),
+])
+def test_binary32_weights_live_once_beside_the_kernel_transform(engine, channels):
     """On float64 inputs computed in binary32, an engine holds the tap-major
     copy of the weights and the largest part's kernel transform U, but
-    neither the binary32 cast of the weights beside them nor U's
+    neither a binary32 cast of the whole weights beside them nor U's
     half-transformed rows at full size: the traced peak of the call stays
-    below those two plus 2 MB (64->64 channels, 11x11 taps, 14x14 input)."""
+    below those two plus 2 MB (C->C channels, 11x11 taps, 14x14 input).
+
+    At 64 channels the whole cast (1.98 MB) would fit in the 2 MB slack;
+    at 128 (7.9 MB) it would not.  ``dwm_backward`` runs at 64 only: it
+    ends holding two weight copies, the tap-major gradient and its
+    transposed return."""
     fn, plan = MEMORY_CASES[engine]
     rng = np.random.default_rng(15)
-    d = rng.standard_normal((1, 64, 14, 14))
-    w = rng.standard_normal((64, 64, 11, 11))
-    dy = rng.standard_normal((1, 64, 4, 4))
+    d = rng.standard_normal((1, channels, 14, 14))
+    w = rng.standard_normal((channels, channels, 11, 11))
+    dy = rng.standard_normal((1, channels, 4, 4))
     tap_major = w.size * 4
     points = max(p.transform_rows.alpha * p.transform_cols.alpha for p in plan.parts)
-    largest_u = points * 64 * 64 * 4
+    largest_u = points * channels * channels * 4
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
