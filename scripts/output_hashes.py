@@ -48,7 +48,9 @@ plan ``convolve`` reports, as the SHA-1 of its ``plan_to_json`` text as
 flops and analyze reports above.  Last is binary32 ``dwm_conv2d`` on the
 classic full-width 7x7 inputs: its plan's 1-tap parts transform 256x256
 kernels, so they run ``_axes2``'s blocked branch, which the small
-geometries' 1-tap parts do not reach.
+geometries' 1-tap parts do not reach.  After it comes binary32
+``direct_conv2d`` on float64 draws of a 64->64 11x11 layer, whose weights
+are cast in several tiles on their way into the filters-last copy.
 """
 
 import argparse
@@ -96,6 +98,9 @@ FULL_WIDTH = (
 
 # classic winograd_conv2d at full width: name, kernel, pad, (N, C, F), input (H, W)
 CLASSIC_FULL_WIDTH = ("paper14-7x7-full", (7, 7), (3, 3, 3, 3), (1, 256, 256), (14, 14))
+
+# binary32 direct_conv2d on float64 draws: name, kernel, pad, (N, C, F), input (H, W)
+DIRECT_CAST = ("64x64-11x11-float64-draw", (11, 11), (5, 5, 5, 5), (1, 64, 64), (14, 14))
 
 
 def _bundled(name: str, parse):
@@ -237,6 +242,11 @@ def listing():
     spec = ConvSpec(kernel=kernel, pad=pad)
     data, weights, _ = inputs(100 + len(FULL_WIDTH), spec, dims, extent, "binary32")
     yield f"{digest(dwm_conv2d(data, weights, spec))}  dwm_conv2d {name} binary32"
+    name, kernel, pad, dims, extent = DIRECT_CAST
+    spec = ConvSpec(kernel=kernel, pad=pad)
+    data, weights, _ = inputs(101 + len(FULL_WIDTH), spec, dims, extent, "binary64")
+    y = direct_conv2d(data, weights, spec, precision="binary32")
+    yield f"{digest(y)}  direct_conv2d {name} binary32"
 
 
 def compare(old: list[str], new: list[str]) -> list[str]:

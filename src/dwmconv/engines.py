@@ -56,7 +56,7 @@ def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
     the exact object type.  Only when that scan fails is ``x`` scanned
     again, to tell a NaN or Inf it holds from a value beyond ``dt``'s
     range.  Every input of every engine is cast and checked here: whole,
-    or one block at a time by ``_tap_major``."""
+    or one block at a time by ``_tap_major`` and ``direct_conv2d``."""
     with np.errstate(over="ignore"):
         y = x.astype(dt, copy=False)
     scanned = x if y.dtype == _OBJECT else y
@@ -73,9 +73,9 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     ``spec``, resolve the element type (from ``precision``, else
     ``default_dtype``, else data's), cast data to it with one NaN/Inf check
     (``_cast``), pad.  The caller casts the weights next, also through
-    ``_cast``, so that a fault in data is named first: the direct engines
-    whole, the Winograd bodies one block at a time inside their tap-major
-    copy (``_tap_major``).
+    ``_cast``, so that a fault in data is named first: ``gemm_conv2d``
+    whole, the other engines one block at a time inside their transposed
+    copy (``direct_conv2d``'s filters-last one, ``_tap_major``).
 
     Returns (padded data, element type, output extents).
     """
@@ -185,6 +185,7 @@ def _data_transform(signal: np.ndarray, nt_r: NumericTransformSet,
 #   sum 3x3 to 11x11  27.8   37.2   27.5   23.6   24.6   32.4
 # With each block scanned before its copy, medians of 31, 64 kB to 1 MB:
 #   sum 3x3 to 11x11  64 kB 32.8, 128 kB 23.9, 256 kB 22.1, 512 kB 22.4, 1 MB 23.1
+# ``direct_conv2d`` casts its filters-last copy in tiles of the same size.
 _TAP_BLOCK_BYTES = 256 << 10
 
 
@@ -267,35 +268,45 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
       (N, H_pad, ceil(W_pad / s_w), F), so that the window of tap (ky, kx)
       is a view whose rows are ow*F contiguous elements;
     * the weights are copied once per call to filters-last (C, r_h, r_w, F)
-      order, and the cast is dropped; per (channel, kernel row) one buffer
-      is filled from that copy with the row's weights repeated over ow,
-      (r_w, ow, F).  Filling it from the (F, C, r_h, r_w) weights instead
-      gathers each value ow times at a stride of C*r_h*r_w elements.
+      order; per (channel, kernel row) one buffer is filled from that copy
+      with the row's weights repeated over ow, (r_w, ow, F).  Filling it
+      from the (F, C, r_h, r_w) weights instead gathers each value ow
+      times at a stride of C*r_h*r_w elements.
 
     These four buffers (running sum, product, data, weights) start on
     64-byte boundaries (``_aligned_empty``): at 11x11 256->256 a tap's
     multiply then takes about half the time.  Neither the layout nor the
     alignment changes any operation or its order.  The data buffer holds
     about N*H_pad*W_pad*F elements: 590 kB for the 11x11 256->256 14x14
-    sweep shape in binary32, 13 MB for AlexNet conv1 (224x224, 64 filters);
-    the filters-last copy is as large as the weights, and for a call with
-    a cast it exists beside the cast until that is dropped.
+    sweep shape in binary32, 13 MB for AlexNet conv1 (224x224, 64 filters).
+    The filters-last copy is as large as the weights in the element type.
+    It is built from column tiles of at most 256 kB of the (F, C*r_h*r_w)
+    weights, each cast and checked (``_cast``) and then copied transposed,
+    so no cast of the whole weights exists beside it; the first tile that
+    fails raises, naming its own fault.
     """
     dpad, dt, out_dims = _checked_inputs(data, weights, spec, precision)
-    w = _cast(weights, dt, "weights")
-    n, c, h_pad, w_pad = dpad.shape
-    f = w.shape[0]
+    f, c, r_h, r_w = weights.shape
+    n, _, h_pad, w_pad = dpad.shape
     oh, ow = out_dims
-    r_h, r_w = spec.kernel
     s_h, s_w = spec.stride
-    wl = np.ascontiguousarray(w.transpose(1, 2, 3, 0))  # (C, r_h, r_w, F)
-    del w  # the cast weights, if a cast made them: only the filters-last copy is read
+    wl = np.empty((c, r_h, r_w, f), dtype=dt)
+    step = max(1, _TAP_BLOCK_BYTES // max(1, f * wl.itemsize))  # columns per tile
+    src, dst = weights.reshape(f, c * r_h * r_w), wl.reshape(c * r_h * r_w, f)
+    for i in range(0, c * r_h * r_w, step):
+        dst[i:i + step] = _cast(src[:, i:i + step], dt, "weights").T
     phases = min(s_w, r_w)  # a stride beyond the kernel leaves column phases unused
-    xb = _aligned_empty((phases, n, h_pad, -(-w_pad // s_w), f), dt)
+    wq = -(-w_pad // s_w)
+    xb = _aligned_empty((phases, n, h_pad, wq, f), dt)
     y = _aligned_empty((n, oh, ow * f), dt)
     y[...] = 0
     prod = _aligned_empty(y.shape, dt)
     wb = _aligned_empty((r_w, ow, f), dt)
+    # every tap's window and weight row, built once as views that follow the
+    # in-place refills below, so the tap loop runs only its multiply and add
+    xv, wv = xb.reshape(phases, n, h_pad, wq * f), wb.reshape(r_w, ow * f)
+    taps = [[(xv[kx % s_w, :, ky:ky + s_h * oh:s_h, kx // s_w * f:(kx // s_w + ow) * f],
+              wv[kx]) for kx in range(r_w)] for ky in range(r_h)]
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for ci in range(c):
             for q in range(phases):
@@ -303,12 +314,9 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
                 xb[q, :, :, :cols.shape[2]] = cols[..., None]
             for ky in range(r_h):
                 wb[...] = wl[ci, ky, :, None]
-                rows = xb[:, :, ky:ky + s_h * oh:s_h]
-                for kx in range(r_w):
-                    k0 = kx // s_w
-                    win = rows[kx % s_w, :, :, k0:k0 + ow].reshape(n, oh, ow * f)  # a view
-                    np.multiply(win, wb[kx].reshape(-1), out=prod)
-                    np.add(y, prod, out=y)
+                for win, w_row in taps[ky]:
+                    np.multiply(win, w_row, prod)
+                    np.add(y, prod, y)
     y = y.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
     return check_finite(np.ascontiguousarray(y), "direct_conv2d")
 
@@ -331,16 +339,16 @@ def gemm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     oh, ow = out_dims
     r_h, r_w = spec.kernel
     s_h, s_w = spec.stride
-    xt = dpad.transpose(1, 0, 2, 3)
+    # (C, r_h, r_w, N, oh, ow): element (ci, ky, kx, ni, oy, ox) is padded
+    # data (ni, ci, oy*s_h + ky, ox*s_w + kx), a view
+    windows = np.lib.stride_tricks.sliding_window_view(dpad, (r_h, r_w), axis=(2, 3))
+    windows = windows[:, :, ::s_h, ::s_w].transpose(1, 4, 5, 0, 2, 3)
     block = max(1, _GEMM_BLOCK_BYTES // max(1, r_h * r_w * n * oh * ow * dt.itemsize))
     y = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for c0 in range(0, c, block):
             c1 = min(c, c0 + block)
-            cols = np.empty((c1 - c0, r_h, r_w, n, oh, ow), dtype=dt)
-            for ky in range(r_h):
-                for kx in range(r_w):
-                    cols[:, ky, kx] = xt[c0:c1, :, ky:ky + s_h * oh:s_h, kx:kx + s_w * ow:s_w]
+            cols = np.ascontiguousarray(windows[c0:c1])
             k = (c1 - c0) * r_h * r_w
             part = np.matmul(w[:, c0:c1].reshape(f, k), cols.reshape(k, n * oh * ow))
             y = part if y is None else np.add(y, part, out=y)

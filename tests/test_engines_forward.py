@@ -683,8 +683,9 @@ def test_binary64_weights_beyond_binary32_are_named_in_the_last_block(engine):
 def test_faults_in_two_blocks_are_named_as_the_cast_meets_them(engine, first):
     # a value beyond binary32 in the first tap-major block, a NaN in the
     # last, or the two swapped: the Winograd engines cast and check block by
-    # block, so they name the first block's fault; the direct engines cast
-    # the whole array, so they name the NaN in either order
+    # block, so they name the first block's fault; gemm_conv2d casts the
+    # whole array, and both faults fall in direct_conv2d's first tile, so
+    # they name the NaN in either order
     d, w, dy = _block_inputs(np.float64)
     faults = (1e39, np.nan) if first == "too-large" else (np.nan, 1e39)
     w[BLOCK_FAULT_AT["first"]], w[BLOCK_FAULT_AT["last-block"]] = faults
@@ -694,6 +695,21 @@ def test_faults_in_two_blocks_are_named_as_the_cast_meets_them(engine, first):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^weights {fault}$"):
             NAMED_INPUT_ENGINES[engine](d, w, dy, precision=np.float32)
+
+
+@pytest.mark.parametrize("first", ["too-large", "nan"])
+def test_direct_names_the_fault_of_the_first_weight_tile_that_fails(first):
+    # the (F, C*r_h*r_w) = (100, 657) view of the weights is cast in tiles of
+    # 655 binary32 columns, so tap (72, 2, 2), column 656, is in the second
+    d, w, dy = _block_inputs(np.float64)
+    assert engines._TAP_BLOCK_BYTES // (100 * 4) == 655
+    faults = (1e39, np.nan) if first == "too-large" else (np.nan, 1e39)
+    w[0, 0, 0, 0], w[99, 72, 2, 2] = faults
+    fault = "does not fit in float32" if first == "too-large" else "contains NaN or Inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^weights {fault}$"):
+            NAMED_INPUT_ENGINES["direct_conv2d"](d, w, dy, precision=np.float32)
 
 
 @pytest.mark.parametrize("engine", ("winograd_conv2d", *BLOCK_ENGINES))
@@ -840,6 +856,8 @@ def test_float32_overflow_in_cropped_tile_entries_raises_nothing(axis):
 
 WIDE_11X11 = ConvSpec(kernel=(11, 11))
 MEMORY_CASES = {
+    "direct_conv2d": (lambda d, w, dy: direct_conv2d(d, w, WIDE_11X11, precision="binary32"),
+                      None),
     "winograd_conv2d": (lambda d, w, dy: winograd_conv2d(d, w, WIDE_11X11, precision="binary32"),
                         plan_classic(WIDE_11X11)),
     "dwm_conv2d": (lambda d, w, dy: dwm_conv2d(d, w, WIDE_11X11, precision="binary32"),
@@ -853,14 +871,16 @@ MEMORY_CASES = {
 @pytest.mark.parametrize("engine,channels", [
     *(pytest.param(engine, 64, id=engine) for engine in MEMORY_CASES),
     *(pytest.param(engine, 128, id=f"{engine}-128")
-      for engine in ("winograd_conv2d", "dwm_conv2d")),
+      for engine in ("direct_conv2d", "winograd_conv2d", "dwm_conv2d")),
 ])
 def test_binary32_weights_live_once_beside_the_kernel_transform(engine, channels):
-    """On float64 inputs computed in binary32, an engine holds the tap-major
-    copy of the weights and the largest part's kernel transform U, but
-    neither a binary32 cast of the whole weights beside them nor U's
+    """On float64 inputs computed in binary32, a Winograd engine holds the
+    tap-major copy of the weights and the largest part's kernel transform
+    U, but neither a binary32 cast of the whole weights beside them nor U's
     half-transformed rows at full size: the traced peak of the call stays
     below those two plus 2 MB (C->C channels, 11x11 taps, 14x14 input).
+    ``direct_conv2d`` holds its filters-last copy of the weights and its
+    four working buffers, and no whole cast either.
 
     At 64 channels the whole cast (1.98 MB) would fit in the 2 MB slack;
     at 128 (7.9 MB) it would not.  ``dwm_backward`` runs at 64 only: it
@@ -871,9 +891,12 @@ def test_binary32_weights_live_once_beside_the_kernel_transform(engine, channels
     d = rng.standard_normal((1, channels, 14, 14))
     w = rng.standard_normal((channels, channels, 11, 11))
     dy = rng.standard_normal((1, channels, 4, 4))
-    tap_major = w.size * 4
-    points = max(p.transform_rows.alpha * p.transform_cols.alpha for p in plan.parts)
-    largest_u = points * channels * channels * 4
+    weights_copy = w.size * 4
+    if plan is None:  # data (1, 14, 14, F), sum and product (1, 4, 4F), weight rows (11, 4, F)
+        beside = (14 * 14 + 2 * 4 * 4 + 11 * 4) * channels * 4
+    else:  # the largest part's U
+        points = max(p.transform_rows.alpha * p.transform_cols.alpha for p in plan.parts)
+        beside = points * channels * channels * 4
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -882,4 +905,4 @@ def test_binary32_weights_live_once_beside_the_kernel_transform(engine, channels
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < tap_major + largest_u + (2 << 20), (peak, tap_major, largest_u)
+    assert peak < weights_copy + beside + (2 << 20), (peak, weights_copy, beside)
