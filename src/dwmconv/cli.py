@@ -120,6 +120,11 @@ def cmd_conv(args) -> int:
                      if args.verify else None)
     except (ValueError, FloatingPointError) as exc:
         return _fail(str(exc))
+    except MemoryError:
+        h, w = data.shape[2:]
+        top, bottom, left, right = spec.pad
+        return _fail(f"--pad {args.pad}: input {h}x{w} padded to "
+                     f"{h + top + bottom}x{w + left + right} does not fit in memory")
     if args.out:
         try:
             tensorfile.write_tensor(args.out, out.y)
@@ -164,7 +169,12 @@ def cmd_bench(args) -> int:
         report = flops.speedup_table([(spec, out) for spec, out, _ in parsed])
         check = lambda: bench.check_flops(report, [exp for _, _, exp in parsed])
     else:
-        report = bench.run_accuracy_suite(*parsed)
+        try:
+            report = bench.run_accuracy_suite(*parsed)
+        except MemoryError:
+            return _fail(f"{args.config}: a config does not fit in memory")
+        except ValueError as exc:  # numpy refuses a draw's shape before allocating it
+            return _fail(f"{args.config}: a config is too large for an array ({exc})")
         check = lambda: bench.check_accuracy_bands(report)
     if _emit(report, args.out):
         return 1

@@ -94,12 +94,19 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     return pad_input(_cast(data, dt, "data"), spec.pad), dt, out_dims
 
 
-# Operand bytes per block of a matrix stage: im2col columns per channel
-# block in ``gemm_conv2d``, half-transformed rows per block in ``_axes2``.
-# im2col blocks of 4 MB raised the peak RSS of a one-seed 14x14 accuracy
-# sweep by 5 MB over the sequential reference's; at 1 MB it stays within
-# 2 MB, for about 10 % more BLAS time at 11x11.
+# im2col column bytes per channel block in ``gemm_conv2d``; the blocks fix
+# that engine's bits.  Blocks of 4 MB raised the peak RSS of a one-seed
+# 14x14 accuracy sweep by 5 MB over the sequential reference's; at 1 MB it
+# stays within 2 MB, for about 10 % more BLAS time at 11x11.
 _GEMM_BLOCK_BYTES = 1 << 20
+
+# Bytes of one block's whole working set in ``_axes2``: its input, its
+# half-transformed rows and its output.  1 MB is half of a 2 MB L2 cache,
+# which leaves room for BLAS's packed panels.  Counting the rows alone at
+# the same budget let a block reach about 3 MB; bounding all of it cut the
+# transform stages of an AlexNet training step by 1 to 2 ms, from 23 to
+# 28 ms (binary32, one BLAS thread on a 2-vCPU Xeon, 2 MB of L2 per core).
+_STAGE_BLOCK_BYTES = 1 << 20
 
 
 def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
@@ -110,19 +117,20 @@ def _axes2(mat_r: np.ndarray, mat_c: np.ndarray, x: np.ndarray,
     must merge into one without a copy (as in any slice of the first two
     axes of a contiguous array), so that the reshape below is a view.
 
-    The axes after the first two are taken in blocks whose half-transformed
-    (p, b, block) rows stay within ``_GEMM_BLOCK_BYTES``; an operand that
-    fits in one block runs in one shot.  Every BLAS call keeps the one-shot
-    form's M and K, so each element is summed in the same order.  A block
-    is at least 2 wide: numpy would run a 1-wide one as a gemv, whose order
-    differs.
+    The axes after the first two are taken in blocks whose whole working
+    set, input (a, b, block), half-transformed rows (p, b, block) and output
+    (p, q, block), stays within ``_STAGE_BLOCK_BYTES``, half of a 2 MB L2
+    cache; an operand whose whole working set fits runs in one shot.  Every
+    BLAS call keeps the one-shot form's M and K, so each element is summed
+    in the same order.  A block is at least 2 wide: numpy would run a
+    1-wide one as a gemv, whose order differs.
     """
     a, b, *rest = x.shape
     p, q = mat_r.shape[0], mat_c.shape[0]
     x3 = x.reshape(a, b, -1)
     t = x3.shape[2]
     dt = np.result_type(mat_r, mat_c, x)
-    width = max(4, _GEMM_BLOCK_BYTES // (p * b * dt.itemsize))
+    width = max(4, _STAGE_BLOCK_BYTES // ((a * b + p * b + p * q) * dt.itemsize))
     blocks = -(-t // width)
     # One shot, rows before the result: allocating the result first left the
     # accuracy sweep's peak RSS 10 MB higher in 3 of 12 runs (glibc heap layout).

@@ -49,7 +49,11 @@ def check_finite(x: np.ndarray, op: str) -> np.ndarray:
 
 
 def pad_input(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
-    """Zero-pad the spatial axes by (top, bottom, left, right)."""
+    """Zero-pad the spatial axes by (top, bottom, left, right).
+
+    A padded shape numpy refuses to allocate (a dimension or byte count
+    beyond its index type) raises ``MemoryError``, as any other array too
+    large for memory does, naming the padded shape."""
     require_tensor4(d)
     if not _finite(d):
         raise ValueError("pad_input: d contains NaN or Inf")
@@ -57,7 +61,12 @@ def pad_input(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
     if min(top, bottom, left, right) < 0:
         raise ValueError(f"pad values must be non-negative, got {pad}")
     n, c, h, w = d.shape
-    out = np.zeros((n, c, h + top + bottom, w + left + right), dtype=d.dtype)
+    shape = (n, c, h + top + bottom, w + left + right)
+    try:
+        out = np.zeros(shape, dtype=d.dtype)
+    except ValueError as exc:  # numpy's size limit, checked before allocating
+        raise MemoryError(f"padded input {'x'.join(map(str, shape))} is too large "
+                          f"for an array") from exc
     out[:, :, top:top + h, left:left + w] = d
     return out
 

@@ -204,6 +204,32 @@ def test_conv_float32_overflow_is_one_error_line(tmp_path, algo):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize("algo", ["direct", "gemm", "winograd", "dwm"])
+def test_conv_oversized_pad_is_one_error_line(tmp_path, capsys, algo):
+    """numpy refuses the padded shape before allocating anything."""
+    din, win, _, _ = _write_fixture(tmp_path, (1, 1, 8, 8), (1, 1, 3, 3))
+    pad = "99999999999999999999"
+    code, out, err = run_cli(capsys, "conv", "--algo", algo, "--in", str(din),
+                             "--weights", str(win), "--pad", pad)
+    extent = 8 + 2 * int(pad)
+    assert code == 1 and out == ""
+    assert err == (f"error: --pad {pad}: input 8x8 padded to {extent}x{extent} "
+                   f"does not fit in memory\n")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_conv_out_of_memory_names_the_padded_extent(tmp_path, capsys, monkeypatch):
+    din, win, _, _ = _write_fixture(tmp_path, (1, 1, 8, 8), (1, 1, 3, 3))
+    monkeypatch.setattr(cli, "convolve", _out_of_memory)
+    code, out, err = run_cli(capsys, "conv", "--algo", "dwm", "--in", str(din),
+                             "--weights", str(win), "--pad", "1,2,3,4")
+    assert code == 1 and out == ""
+    assert err == "error: --pad 1,2,3,4: input 8x8 padded to 11x15 does not fit in memory\n"
+
+
 @pytest.mark.parametrize("algo,taps,stride", [
     ("direct", 5, 2), ("winograd", 3, 1), ("dwm", 5, 2), ("dwm", 3, 1),
 ])
@@ -365,6 +391,25 @@ def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, nam
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and named in errors[0], err
     assert "Traceback" not in err and out == ""
+
+
+def test_bench_out_of_memory_names_the_config(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "acc.json"
+    cfg.write_text(json.dumps(_acc()))
+    monkeypatch.setattr(bench, "run_accuracy_suite", _out_of_memory)
+    code, out, err = run_cli(capsys, "bench", "--suite", "accuracy", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: {cfg}: a config does not fit in memory\n"
+
+
+def test_bench_config_beyond_numpys_size_limit_names_the_config(tmp_path, capsys):
+    """numpy refuses the draw's shape before allocating anything."""
+    cfg = tmp_path / "acc.json"
+    cfg.write_text(json.dumps(_acc(hw=10**20)))
+    code, out, err = run_cli(capsys, "bench", "--suite", "accuracy", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cfg}: a config is too large for an array (")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", [

@@ -318,7 +318,7 @@ def test_blocked_transform_has_the_one_shot_bits(monkeypatch, dt, into_out):
     byte for byte, with the block bytes cut so that small operands span one
     to many blocks, on every operand kind of ``_transform_operands``."""
     block_bytes = 64  # blocks of the least width, 4, on every operand here
-    monkeypatch.setattr("dwmconv.engines._GEMM_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr("dwmconv.engines._STAGE_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(14)
     spanned = set()
     for ts_r, ts_c, mat_r, mat_c, x in _transform_operands(rng, dt):
@@ -335,10 +335,58 @@ def test_blocked_transform_has_the_one_shot_bits(monkeypatch, dt, into_out):
             assert list(map(repr, got.flat)) == list(map(repr, want.flat)), label
         else:
             assert got.tobytes() == want.tobytes(), label
-        itemsize = np.dtype(dt).itemsize
-        width = max(4, block_bytes // (mat_r.shape[0] * x.shape[1] * itemsize))
-        spanned.add(min(-(-x[0, 0].size // width), 2))
+        spanned.add(min(-(-x[0, 0].size // _stage_width(mat_r, mat_c, x, block_bytes)), 2))
     assert spanned == {1, 2}  # one block, and several
+
+
+def _stage_width(mat_r, mat_c, x, block_bytes=1 << 20):
+    """Columns per block of ``_axes2``: its input (a, b), rows (p, b) and
+    output (p, q) within ``block_bytes``, at least 4."""
+    (p, a), (q, b) = mat_r.shape, mat_c.shape
+    itemsize = np.result_type(mat_r, mat_c, x).itemsize
+    return max(4, block_bytes // ((a * b + p * b + p * q) * itemsize))
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["binary32", "binary64"])
+@pytest.mark.parametrize("stage,shape", [
+    ("detransform", (4, 4, 64, 784)),      # At m A of F(2, 3), 64 filters of 28x28 tiles
+    ("kernel", (3, 3, 384, 256)),          # G g Gt of F(2, 3), AlexNet conv4's weights
+    ("detransform-fits", (4, 4, 8, 100)),  # whole working set 175 kB in binary64
+], ids=["detransform", "kernel", "detransform-fits"])
+def test_transform_blocks_bound_the_whole_working_set(monkeypatch, dt, stage, shape):
+    """_axes2 runs ceil(t / width) blocks of two matrix stages each, the
+    width set by a 1 MB budget over the block's input, rows and output;
+    an operand whose whole working set fits runs in one shot."""
+    nt = to_float(get_transform(3), dt)
+    mat = nt.g if stage == "kernel" else nt.a_t
+    x = np.random.default_rng(28).standard_normal(shape).astype(dt)
+    calls = []
+
+    def counted(mat, x, out=None):
+        calls.append(x.shape)
+        return np.matmul(mat, x, out=out)
+
+    monkeypatch.setattr(engines, "_matmul", counted)
+    got = _axes2(mat, mat, x)
+    t = x[0, 0].size
+    blocks = -(-t // _stage_width(mat, mat, x))
+    assert len(calls) == 2 * blocks
+    assert (blocks == 1) == (stage == "detransform-fits")
+    assert got.tobytes() == _one_shot_axes2(mat, mat, x).tobytes()
+
+
+@pytest.mark.parametrize("engine", [gemm_conv2d, dwm_conv2d])
+def test_stage_budget_leaves_every_engine_bit(monkeypatch, engine):
+    """The transform blocks' budget at its least value moves no bit of
+    ``dwm_conv2d``, and none of ``gemm_conv2d``, whose im2col blocks keep
+    their own budget."""
+    rng = np.random.default_rng(29)
+    d = rng.standard_normal((2, 8, 12, 12)).astype(np.float32)
+    w = rng.standard_normal((4, 8, 5, 5)).astype(np.float32)
+    spec = ConvSpec(kernel=(5, 5), pad=(2, 2, 2, 2))
+    want = engine(d, w, spec)
+    monkeypatch.setattr(engines, "_STAGE_BLOCK_BYTES", 1)
+    assert engine(d, w, spec).tobytes() == want.tobytes()
 
 
 TAP_MAJOR_CASES = {

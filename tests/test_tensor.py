@@ -41,6 +41,17 @@ def test_pad_rejects_negative():
         pad_input(d, (-1, 0, 0, 0))
 
 
+@pytest.mark.parametrize("pad,padded", [
+    ((10**20, 0, 0, 0), f"1x2x{10**20 + 2}x2"),   # a dimension beyond numpy's index type
+    ((0, 0, 10**18, 0), f"1x2x2x{10**18 + 2}"),   # a byte count beyond it
+], ids=["dimension", "bytes"])
+def test_pad_beyond_numpys_size_limit_is_a_memory_error(pad, padded):
+    """numpy refuses these shapes before allocating anything."""
+    d = np.zeros((1, 2, 2, 2), dtype=np.float32)
+    with pytest.raises(MemoryError, match=rf"^padded input {padded} is too large for an array$"):
+        pad_input(d, pad)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_pad_rejects_nonfinite_input_as_a_value_error(value):
     d = np.zeros((1, 2, 3, 3), dtype=np.float32)
