@@ -50,7 +50,11 @@ classic full-width 7x7 inputs: its plan's 1-tap parts transform 256x256
 kernels, so they run ``_axes2``'s blocked branch, which the small
 geometries' 1-tap parts do not reach.  After it comes binary32
 ``direct_conv2d`` on float64 draws of a 64->64 11x11 layer, whose weights
-are cast in several tiles on their way into the filters-last copy.
+are cast in several tiles on their way into the filters-last copy.  Last
+are binary32 ``direct_conv2d`` lines on the strided stems at real widths,
+AlexNet conv1 (3->64, 11x11, stride 4) and GoogLeNet's first layer (3->64,
+7x7, stride 2), both on 224x224 inputs, whose tap windows are strided
+views of the engine's data buffer.
 """
 
 import argparse
@@ -101,6 +105,12 @@ CLASSIC_FULL_WIDTH = ("paper14-7x7-full", (7, 7), (3, 3, 3, 3), (1, 256, 256), (
 
 # binary32 direct_conv2d on float64 draws: name, kernel, pad, (N, C, F), input (H, W)
 DIRECT_CAST = ("64x64-11x11-float64-draw", (11, 11), (5, 5, 5, 5), (1, 64, 64), (14, 14))
+
+# binary32 direct_conv2d on strided stems: name, kernel, stride, pad, (N, C, F), input (H, W)
+STRIDED_DIRECT = (
+    ("alexnet-conv1-full", (11, 11), (4, 4), (2, 2, 2, 2), (1, 3, 64), (224, 224)),
+    ("googlenet-stem-full", (7, 7), (2, 2), (3, 3, 3, 3), (1, 3, 64), (224, 224)),
+)
 
 
 def _bundled(name: str, parse):
@@ -247,6 +257,10 @@ def listing():
     data, weights, _ = inputs(101 + len(FULL_WIDTH), spec, dims, extent, "binary64")
     y = direct_conv2d(data, weights, spec, precision="binary32")
     yield f"{digest(y)}  direct_conv2d {name} binary32"
+    for seed, (name, kernel, stride, pad, dims, extent) in enumerate(STRIDED_DIRECT, 105):
+        spec = ConvSpec(kernel=kernel, stride=stride, pad=pad)
+        data, weights, _ = inputs(seed, spec, dims, extent, "binary32")
+        yield f"{digest(direct_conv2d(data, weights, spec))}  direct_conv2d {name} binary32"
 
 
 def compare(old: list[str], new: list[str]) -> list[str]:

@@ -52,8 +52,10 @@ def _name(value, kind: str) -> str:
 def as_pair(value, key: str) -> tuple[int, int]:
     """Normalize a scalar or 2-sequence integer config field to an (h, w) pair."""
     if isinstance(value, (list, tuple)):
-        a, b = value
-        return _integer(a, key), _integer(b, key)
+        if len(value) != 2:
+            raise TypeError(f"{key!r} must be an integer or a list of two integers, "
+                            f"got {value!r}")
+        return _integer(value[0], key), _integer(value[1], key)
     return _integer(value, key), _integer(value, key)
 
 

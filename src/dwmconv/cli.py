@@ -169,12 +169,19 @@ def cmd_bench(args) -> int:
         report = flops.speedup_table([(spec, out) for spec, out, _ in parsed])
         check = lambda: bench.check_flops(report, [exp for _, _, exp in parsed])
     else:
-        try:
-            report = bench.run_accuracy_suite(*parsed)
-        except MemoryError:
-            return _fail(f"{args.config}: a config does not fit in memory")
-        except ValueError as exc:  # numpy refuses a draw's shape before allocating it
-            return _fail(f"{args.config}: a config is too large for an array ({exc})")
+        configs, seeds = parsed
+        rows = []
+        # one config at a time, so an error can name it; the suite loops over
+        # configs before seeds, so the joined rows are the suite's own report
+        for i, cfg in enumerate(configs):
+            entry = f"{args.config}: config entry {i} (kernel {cfg.kernel[0]}x{cfg.kernel[1]})"
+            try:
+                rows += bench.run_accuracy_suite([cfg], seeds).rows
+            except MemoryError:
+                return _fail(f"{entry} does not fit in memory")
+            except ValueError as exc:  # numpy refuses a draw's shape before allocating it
+                return _fail(f"{entry} is too large for an array ({exc})")
+        report = bench.AccuracyReport(rows=tuple(rows))
         check = lambda: bench.check_accuracy_bands(report)
     if _emit(report, args.out):
         return 1

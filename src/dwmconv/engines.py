@@ -266,15 +266,13 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
 
     Each output element accumulates in a fixed order: channel ascending,
     then kernel row, then kernel column, one product and one add per tap
-    in the element type.  The layout is chosen so that both ufuncs of a
-    tap run over whole output rows of ow*F contiguous elements:
+    in the element type.  Every buffer keeps the filters last:
 
-    * the running sum (and one product buffer) is (N, oh, ow*F), filters
-      last;
+    * the running sum (and one product buffer) is (N, oh, ow, F);
     * per input channel, the padded channel image is copied, repeated over
-      the filters, into one buffer per column phase q = kx mod s_w,
-      (N, H_pad, ceil(W_pad / s_w), F), so that the window of tap (ky, kx)
-      is a view whose rows are ow*F contiguous elements;
+      the filters, into one (N, H_pad, W_pad, F) buffer; the window of tap
+      (ky, kx) is a strided view of it, whose rows are ow*F contiguous
+      elements at column stride 1 and ow runs of F beyond;
     * the weights are copied once per call to filters-last (C, r_h, r_w, F)
       order; per (channel, kernel row) one buffer is filled from that copy
       with the row's weights repeated over ow, (r_w, ow, F).  Filling it
@@ -285,7 +283,7 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     64-byte boundaries (``_aligned_empty``): at 11x11 256->256 a tap's
     multiply then takes about half the time.  Neither the layout nor the
     alignment changes any operation or its order.  The data buffer holds
-    about N*H_pad*W_pad*F elements: 590 kB for the 11x11 256->256 14x14
+    N*H_pad*W_pad*F elements: 590 kB for the 11x11 256->256 14x14
     sweep shape in binary32, 13 MB for AlexNet conv1 (224x224, 64 filters).
     The filters-last copy is as large as the weights in the element type.
     It is built from column tiles of at most 256 kB of the (F, C*r_h*r_w)
@@ -303,30 +301,24 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     src, dst = weights.reshape(f, c * r_h * r_w), wl.reshape(c * r_h * r_w, f)
     for i in range(0, c * r_h * r_w, step):
         dst[i:i + step] = _cast(src[:, i:i + step], dt, "weights").T
-    phases = min(s_w, r_w)  # a stride beyond the kernel leaves column phases unused
-    wq = -(-w_pad // s_w)
-    xb = _aligned_empty((phases, n, h_pad, wq, f), dt)
-    y = _aligned_empty((n, oh, ow * f), dt)
+    xb = _aligned_empty((n, h_pad, w_pad, f), dt)
+    y = _aligned_empty((n, oh, ow, f), dt)
     y[...] = 0
     prod = _aligned_empty(y.shape, dt)
     wb = _aligned_empty((r_w, ow, f), dt)
     # every tap's window and weight row, built once as views that follow the
     # in-place refills below, so the tap loop runs only its multiply and add
-    xv, wv = xb.reshape(phases, n, h_pad, wq * f), wb.reshape(r_w, ow * f)
-    taps = [[(xv[kx % s_w, :, ky:ky + s_h * oh:s_h, kx // s_w * f:(kx // s_w + ow) * f],
-              wv[kx]) for kx in range(r_w)] for ky in range(r_h)]
+    taps = [[(xb[:, ky:ky + s_h * oh:s_h, kx:kx + s_w * ow:s_w], wb[kx])
+             for kx in range(r_w)] for ky in range(r_h)]
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for ci in range(c):
-            for q in range(phases):
-                cols = dpad[:, ci, :, q::s_w]
-                xb[q, :, :, :cols.shape[2]] = cols[..., None]
+            xb[...] = dpad[:, ci, :, :, None]
             for ky in range(r_h):
                 wb[...] = wl[ci, ky, :, None]
                 for win, w_row in taps[ky]:
                     np.multiply(win, w_row, prod)
                     np.add(y, prod, y)
-    y = y.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-    return check_finite(np.ascontiguousarray(y), "direct_conv2d")
+    return check_finite(np.ascontiguousarray(y.transpose(0, 3, 1, 2)), "direct_conv2d")
 
 
 def gemm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,

@@ -72,20 +72,15 @@ def pad_input(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
 
 
 def accumulate(acc: np.ndarray, addend: np.ndarray) -> np.ndarray:
-    """Element-wise sum of two 4-D arrays with identical shape and precision.
+    """Element-wise sum of two arrays of the same shape and precision,
+    checked for NaN/Inf.
 
-    The axes need not be N,C,H,W: ``dwm_conv2d`` sums its parts' outputs
-    in the Winograd tile layout (2, 2, F, N*TH*TW) and untiles the total
-    once.  Accumulation runs in the operands' own precision.  Callers chaining
-    several accumulations must fold left-to-right so float results are
-    bit-reproducible run to run.
+    ``dwm_conv2d`` sums its parts' outputs in the Winograd tile layout
+    (2, 2, F, N*TH*TW) and untiles the total once.  Accumulation runs in
+    the operands' own precision.  Callers chaining several accumulations
+    must fold left-to-right so float results are bit-reproducible run to
+    run.
     """
-    require_tensor4(acc, "acc")
-    require_tensor4(addend, "addend")
-    if acc.shape != addend.shape:
-        raise ValueError(f"shape mismatch: {acc.shape} vs {addend.shape}")
-    if acc.dtype != addend.dtype:
-        raise TypeError(f"precision mismatch: {acc.dtype} vs {addend.dtype}")
     return check_finite(acc + addend, "accumulate")
 
 

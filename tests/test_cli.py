@@ -372,6 +372,14 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
     (ANALYZE, _net(in_channels=-2), "entry 0 'conv1': in_channels and out_channels must be "
      "positive, got -2 and 1"),
     (ANALYZE, _net(pad=0), "entry 0 'conv1': 'pad' must be a list, got 0"),
+    (ACCURACY, _acc(kernel=[3, 3, 3]),
+     "entry 0: 'kernel' must be an integer or a list of two integers, got [3, 3, 3]"),
+    (ACCURACY, _acc(kernel=[]),
+     "entry 0: 'kernel' must be an integer or a list of two integers, got []"),
+    (FLOPS, {"schema": 1, "configs": [{"kernel": 3, "stride": [1, 2, 3]}]},
+     "entry 0: 'stride' must be an integer or a list of two integers, got [1, 2, 3]"),
+    (ANALYZE, _net(input=[8]),
+     "entry 0 'conv1': 'input' must be an integer or a list of two integers, got [8]"),
 ], ids=["flops-missing-kernel", "flops-array", "accuracy-array", "network-array",
         "configs-not-a-list", "accuracy-stride-0", "flops-out-0", "layer-pad-pair",
         "seeds-not-integers", "unknown-precision", "negative-channels",
@@ -381,7 +389,9 @@ FLOPS, ACCURACY, ANALYZE = ("bench", "--suite", "flops"), ("bench", "--suite", "
         "expected-value-a-string", "layer-name-comma", "layer-name-newline",
         "network-name-object", "layer-strides", "accuracy-strides", "flops-strides",
         "expected-dwn", "expected-direct-speedup", "layer-in-channels-0",
-        "layer-out-channels-0", "layer-in-channels-negative", "layer-pad-an-int"])
+        "layer-out-channels-0", "layer-in-channels-negative", "layer-pad-an-int",
+        "accuracy-kernel-of-three", "accuracy-kernel-empty", "flops-stride-of-three",
+        "layer-input-of-one"])
 def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, named):
     cfg = tmp_path / "bad.json"
     cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -395,11 +405,20 @@ def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, nam
 
 def test_bench_out_of_memory_names_the_config(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "acc.json"
-    cfg.write_text(json.dumps(_acc()))
-    monkeypatch.setattr(bench, "run_accuracy_suite", _out_of_memory)
+    doc = _acc()
+    doc["configs"].append({**doc["configs"][0], "kernel": [5, 3]})
+    cfg.write_text(json.dumps(doc))
+    suite = bench.run_accuracy_suite
+
+    def second_out_of_memory(configs, seeds):
+        if configs[0].kernel == (5, 3):
+            raise MemoryError
+        return suite(configs, seeds)
+
+    monkeypatch.setattr(bench, "run_accuracy_suite", second_out_of_memory)
     code, out, err = run_cli(capsys, "bench", "--suite", "accuracy", "--config", str(cfg))
     assert code == 1 and out == ""
-    assert err == f"error: {cfg}: a config does not fit in memory\n"
+    assert err == f"error: {cfg}: config entry 1 (kernel 5x3) does not fit in memory\n"
 
 
 def test_bench_config_beyond_numpys_size_limit_names_the_config(tmp_path, capsys):
@@ -408,7 +427,8 @@ def test_bench_config_beyond_numpys_size_limit_names_the_config(tmp_path, capsys
     cfg.write_text(json.dumps(_acc(hw=10**20)))
     code, out, err = run_cli(capsys, "bench", "--suite", "accuracy", "--config", str(cfg))
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {cfg}: a config is too large for an array (")
+    assert err.startswith(f"error: {cfg}: config entry 0 (kernel 3x3) is too large for an "
+                          f"array (")
     assert len(err.splitlines()) == 1
 
 

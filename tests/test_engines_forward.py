@@ -62,7 +62,8 @@ def test_direct_5x5_stride2_matches_oracle_exactly():
 
 def _random_geometries(rng, count):
     """(spec, N, C, F, H, W) with kernels up to 5x5 and strides up to 6, so
-    that some strides exceed the kernel (a column phase is unused)."""
+    that some strides exceed the kernel (some input rows and columns are
+    never read)."""
     for _ in range(count):
         r_h, r_w = (int(v) for v in rng.integers(1, 6, size=2))
         s_h, s_w = (int(v) for v in rng.integers(1, 7, size=2))
