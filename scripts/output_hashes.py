@@ -54,7 +54,10 @@ are cast in several tiles on their way into the filters-last copy.  Last
 are binary32 ``direct_conv2d`` lines on the strided stems at real widths,
 AlexNet conv1 (3->64, 11x11, stride 4) and GoogLeNet's first layer (3->64,
 7x7, stride 2), both on 224x224 inputs, whose tap windows are strided
-views of the engine's data buffer.
+views of the engine's data buffer.  After them come binary32 ``dwm_conv2d``
+and both ``dwm_backward`` gradients on AlexNet conv2 at full width (64->192,
+5x5, 27x27): four parts summed in the tile layout and an odd output extent,
+so the untile drops a tile row and column.
 """
 
 import argparse
@@ -111,6 +114,10 @@ STRIDED_DIRECT = (
     ("alexnet-conv1-full", (11, 11), (4, 4), (2, 2, 2, 2), (1, 3, 64), (224, 224)),
     ("googlenet-stem-full", (7, 7), (2, 2), (3, 3, 3, 3), (1, 3, 64), (224, 224)),
 )
+
+# binary32 dwm_conv2d and dwm_backward on the one stride-1 multi-part layer of
+# AlexNet: name, kernel, pad, (N, C, F), input (H, W)
+MULTI_PART_FULL_WIDTH = ("alexnet-conv2-full", (5, 5), (2, 2, 2, 2), (1, 64, 192), (27, 27))
 
 
 def _bundled(name: str, parse):
@@ -261,6 +268,13 @@ def listing():
         spec = ConvSpec(kernel=kernel, stride=stride, pad=pad)
         data, weights, _ = inputs(seed, spec, dims, extent, "binary32")
         yield f"{digest(direct_conv2d(data, weights, spec))}  direct_conv2d {name} binary32"
+    name, kernel, pad, dims, extent = MULTI_PART_FULL_WIDTH
+    spec = ConvSpec(kernel=kernel, pad=pad)
+    data, weights, grad_out = inputs(105 + len(STRIDED_DIRECT), spec, dims, extent, "binary32")
+    yield f"{digest(dwm_conv2d(data, weights, spec))}  dwm_conv2d {name} binary32"
+    grad_d, grad_w = dwm_backward(grad_out, plan_decomposition(spec), data, weights)
+    yield f"{digest(grad_d)}  dwm_backward[data] {name} binary32"
+    yield f"{digest(grad_w)}  dwm_backward[weights] {name} binary32"
 
 
 def compare(old: list[str], new: list[str]) -> list[str]:

@@ -266,15 +266,24 @@ def check_accuracy_bands(report: AccuracyReport) -> list[str]:
     return violations
 
 
+def _out(value) -> tuple[int, int]:
+    """A flops config's positive ``out`` extents, as an (h, w) pair."""
+    out = as_pair(value, "out")
+    if min(out) < 1:
+        raise ValueError(f"out must be two positive integers, got {out}")
+    return out
+
+
 def parse_flops_config(doc: dict):
-    """(ConvSpec, out_dims, expected) per entry of a flops config document."""
+    """(ConvSpec, out_dims, expected) per entry of a flops config document.
+
+    An entry without ``out`` takes the document's, which defaults to 14 and
+    is checked once, as a field of the document, even with no entries."""
 
     def build(_, entry):
         spec = ConvSpec(kernel=as_pair(entry.pop("kernel"), "kernel"),
                         stride=as_pair(entry.pop("stride", 1), "stride"))
-        out = as_pair(entry.pop("out", doc.get("out", 14)), "out")
-        if min(out) < 1:
-            raise ValueError(f"out must be two positive integers, got {out}")
+        out = _out(entry.pop("out")) if "out" in entry else None
         expected = entry.pop("expected", None)
         if not (expected is None or isinstance(expected, dict) and all(
                 want is None or type(want) in (int, float) for want in expected.values())):
@@ -285,7 +294,12 @@ def parse_flops_config(doc: dict):
                              f"{', '.join(REPORT_FIELDS)}")
         return spec, out, expected
 
-    return _parse_entries(doc, "flops config", "configs", build)
+    entries = _parse_entries(doc, "flops config", "configs", build)
+    try:
+        default = _out(doc.get("out", 14))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"flops config {exc}") from exc
+    return [(spec, out or default, expected) for spec, out, expected in entries]
 
 
 def check_flops(table: FlopTable, expectations) -> list[str]:

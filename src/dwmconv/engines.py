@@ -30,7 +30,7 @@ from .convspec import ConvSpec
 from .decompose import (DecompositionPlan, input_region_for_part, plan_classic,
                         plan_decomposition)
 from .flops import flops_direct, flops_dwm
-from .tensor import _finite, accumulate, check_finite, pad_input, require_tensor4
+from .tensor import _finite, _pad, accumulate, check_finite, require_tensor4
 from .transforms import NumericTransformSet, precision_dtype, to_exact_arrays, to_float
 
 _OBJECT = np.dtype(object)
@@ -72,10 +72,11 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     """The prologue every engine shares: check data and weights against
     ``spec``, resolve the element type (from ``precision``, else
     ``default_dtype``, else data's), cast data to it with one NaN/Inf check
-    (``_cast``), pad.  The caller casts the weights next, also through
-    ``_cast``, so that a fault in data is named first: ``gemm_conv2d``
-    whole, the other engines one block at a time inside their transposed
-    copy (``direct_conv2d``'s filters-last one, ``_tap_major``).
+    (``_cast``), pad without scanning again (``tensor._pad``).  The caller
+    casts the weights next, also through ``_cast``, so that a fault in
+    data is named first: ``gemm_conv2d`` whole, the other engines one
+    block at a time inside their transposed copy (``direct_conv2d``'s
+    filters-last one, ``_tap_major``).
 
     Returns (padded data, element type, output extents).
     """
@@ -91,7 +92,7 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
         dt = precision_dtype(precision)
     else:
         dt = data.dtype if default_dtype is None else default_dtype
-    return pad_input(_cast(data, dt, "data"), spec.pad), dt, out_dims
+    return _pad(_cast(data, dt, "data"), spec.pad), dt, out_dims
 
 
 # im2col column bytes per channel block in ``gemm_conv2d``; the blocks fix
@@ -375,11 +376,22 @@ def _zero_cropped(tiles: np.ndarray, n: int, oh: int, ow: int) -> None:
 
 
 def _untile(tiles: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
-    """(2, 2, F, N*TH*TW) tiles -> (N, F, oh, ow), cropping odd extents."""
+    """(2, 2, F, N*TH*TW) tiles -> (N, F, oh, ow), cropping odd extents.
+
+    Tile entry (i, j) holds the outputs of rows i::2 and columns j::2, so
+    the result is four slice copies, one per tile phase, whose inner loops
+    run along whole tile rows (a copy through the 6-axis transpose of the
+    tiles runs loops two elements long); an odd extent drops the last tile
+    row or column of its phase 1."""
     th, tw = _tile_dims(oh, ow)
     f = tiles.shape[2]
-    y = tiles.reshape(2, 2, f, n, th, tw).transpose(3, 2, 4, 0, 5, 1)
-    return np.ascontiguousarray(y.reshape(n, f, 2 * th, 2 * tw)[:, :, :oh, :ow])
+    grid = tiles.reshape(2, 2, f, n, th, tw)
+    y = np.empty((n, f, oh, ow), dtype=tiles.dtype)
+    for i in range(2):
+        for j in range(2):
+            phase = grid[i, j, :, :, :(oh + 1 - i) // 2, :(ow + 1 - j) // 2]
+            y[:, :, i::2, j::2] = phase.transpose(1, 0, 2, 3)
+    return y
 
 
 def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
@@ -430,7 +442,14 @@ def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: Decomposit
 
     Each part is a tiled F(2, r) correlation of its stride-1 input slice,
     in the GEMM's tile layout (2, 2, F, N*TH*TW); windows past the slice's
-    edge read zeros, and ``_untile`` crops what they feed.
+    edge read zeros, and ``_untile`` crops what they feed.  Each part's
+    tiles go straight from the detransform into ``accumulate``, and the
+    untiled result is scanned for NaN/Inf once.  Only when that scan or an
+    ``accumulate`` fails does the loop run again, ``checked``: each part's
+    cropped tile entries are zeroed and its tiles scanned before they are
+    summed, so the message names the part, or else the aggregation, that
+    overflowed first, and a non-finite value only in cropped entries
+    raises nothing.
     """
     _check_plan(plan, spec)
     dpad, dt, out_dims = _checked_inputs(data, weights, spec, precision)
@@ -439,23 +458,33 @@ def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: Decomposit
     oh, ow = out_dims
     th, tw = _tile_dims(oh, ow)
 
-    acc = None
-    with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for index, _, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, out_dims):
-            v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)  # (lr,lc,C,NTT)
-            u = _axes2(nt_r.g, nt_c.g, wt[ksel])                       # G g Gt: (lr,lc,F,C)
-            m = np.matmul(u, v)                                        # (lr,lc,F,NTT)
-            # u and v are freed before the detransform allocates, m before
-            # the next part's transforms: with either kept alive longer, one
-            # process running two one-seed accuracy sweeps peaked at 221 MB
-            # RSS instead of 198 (glibc heap layout; 1 CPU, one BLAS thread).
-            del u, v
-            tiles = _axes2(nt_r.a_t, nt_c.a_t, m)                      # At m A: (2,2,F,NTT)
-            del m
-            _zero_cropped(tiles, n, oh, ow)  # so that what the crop drops raises nothing
-            _check_part(tiles, engine, plan, index)
-            acc = tiles if acc is None else accumulate(acc, tiles)
-    return _untile(acc, n, oh, ow)
+    for checked in (False, True):
+        acc = None
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported by the scans
+                for index, _, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, out_dims):
+                    v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)
+                    u = _axes2(nt_r.g, nt_c.g, wt[ksel])               # G g Gt: (lr,lc,F,C)
+                    m = np.matmul(u, v)                                # (lr,lc,F,NTT)
+                    # u and v are freed before the detransform allocates, m
+                    # before the next part's transforms: with either kept
+                    # alive longer, one process running two one-seed accuracy
+                    # sweeps peaked at 221 MB RSS instead of 198 (glibc heap
+                    # layout; 1 CPU, one BLAS thread).
+                    del u, v
+                    tiles = _axes2(nt_r.a_t, nt_c.a_t, m)              # At m A: (2,2,F,NTT)
+                    del m
+                    if checked:
+                        _zero_cropped(tiles, n, oh, ow)
+                        _check_part(tiles, engine, plan, index)
+                    acc = tiles if acc is None else accumulate(acc, tiles)
+        except FloatingPointError:  # from accumulate, or a part when checked
+            if checked:
+                raise
+            continue
+        y = _untile(acc, n, oh, ow)
+        if checked or _finite(y):
+            return y
 
 
 def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray,
@@ -483,6 +512,14 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     gradient once its kernel transform has read it, so the copy ends as the
     whole weight gradient and is transposed back once.  Weights stay in the
     spatial domain; nothing Winograd-transformed persists between calls.
+
+    The two results are scanned for NaN/Inf once each, whole and
+    contiguous, before the copies that are returned: the padded data
+    gradient and the tap-major weight gradient.  Only when either scan
+    fails does the loop run again, ``checked``, over a fresh tap-major
+    copy: each part's data and weight gradients are then scanned as they
+    are made, naming the part, and last the unpadded data gradient, so a
+    sum that overflows only in the padding raises nothing.
     """
     _check_plan(plan)
     spec = plan.spec
@@ -495,44 +532,52 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
         raise ValueError(f"grad_out shape {grad_out.shape} != {want}")
     th, tw = _tile_dims(oh, ow)
     dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, th, tw)            # (2,2,F,NTT)
-    grad_pad = np.zeros_like(dpad)
-    dms = {}  # A dY At per (row, col) transform pair, until its last part
     pair = lambda part: (id(part.transform_rows), id(part.transform_cols))
     last = {pair(part): index for index, part in enumerate(plan.parts)}
 
-    with np.errstate(over="ignore", invalid="ignore"):  # reported per part, below
-        for index, part, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, (oh, ow)):
-            key = pair(part)
-            if key not in dms:
-                dms[key] = _axes2(nt_r.a_t.T, nt_c.a_t.T, dy)       # (lr,lc,F,NTT)
-            dm = dms.pop(key) if last[key] == index else dms[key]
-            lr, lc = nt_r.r + 1, nt_c.r + 1
-            u = _axes2(nt_r.g, nt_c.g, wt[ksel])                        # G g Gt: (lr,lc,F,C)
-            m = np.matmul(u.transpose(0, 1, 3, 2), dm)                  # (lr,lc,C,NTT)
-            del u  # as in _dwm: freed before the detransform allocates
-            dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T, m).reshape(lr, lc, c, n, th, tw)  # B m Bt
-            del m
-            g_sig = np.zeros((c, n, 2 * th + lr - 2, 2 * tw + lc - 2), dtype=dt)
-            for i in reversed(range(lr)):
-                for j in reversed(range(lc)):
-                    g_sig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[i, j]
-            del dwin  # peak memory: free it before the weight gradient's own
+    for checked in (False, True):
+        if checked:  # the first pass wrote its weight gradient over the copy
+            wt = _tap_major(weights, dt)
+        grad_pad = np.zeros_like(dpad)
+        dms = {}  # A dY At per (row, col) transform pair, until its last part
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the scans
+            for index, part, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, (oh, ow)):
+                key = pair(part)
+                if key not in dms:
+                    dms[key] = _axes2(nt_r.a_t.T, nt_c.a_t.T, dy)   # (lr,lc,F,NTT)
+                dm = dms.pop(key) if last[key] == index else dms[key]
+                lr, lc = nt_r.r + 1, nt_c.r + 1
+                u = _axes2(nt_r.g, nt_c.g, wt[ksel])                    # G g Gt: (lr,lc,F,C)
+                m = np.matmul(u.transpose(0, 1, 3, 2), dm)              # (lr,lc,C,NTT)
+                del u  # as in _dwm: freed before the detransform allocates
+                dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T, m).reshape(lr, lc, c, n, th, tw)
+                del m
+                g_sig = np.zeros((c, n, 2 * th + lr - 2, 2 * tw + lc - 2), dtype=dt)
+                for i in reversed(range(lr)):
+                    for j in reversed(range(lc)):
+                        g_sig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[i, j]
+                del dwin  # peak memory: free it before the weight gradient's own
 
-            v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)  # (lr,lc,C,NTT)
-            m = np.matmul(dm, v.transpose(0, 1, 3, 2))                  # (lr,lc,F,C)
-            del v  # as in _dwm: freed before the detransform
-            g_w = _axes2(nt_r.g.T, nt_c.g.T, m, out=wt[ksel])           # Gt m G
-            del m, dm
-            g_sig = g_sig.transpose(1, 0, 2, 3)[:, :, :oh + lr - 2, :ow + lc - 2]
-            _check_part(g_sig, "dwm_backward", plan, index, " data gradient")
-            _check_part(g_w, "dwm_backward", plan, index, " weight gradient")
-            grad_pad[:, :, rows, cols] += g_sig
-            del g_sig
+                v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)
+                m = np.matmul(dm, v.transpose(0, 1, 3, 2))              # (lr,lc,F,C)
+                del v  # as in _dwm: freed before the detransform
+                g_w = _axes2(nt_r.g.T, nt_c.g.T, m, out=wt[ksel])       # Gt m G
+                del m, dm
+                g_sig = g_sig.transpose(1, 0, 2, 3)[:, :, :oh + lr - 2, :ow + lc - 2]
+                if checked:
+                    _check_part(g_sig, "dwm_backward", plan, index, " data gradient")
+                    _check_part(g_w, "dwm_backward", plan, index, " weight gradient")
+                grad_pad[:, :, rows, cols] += g_sig
+                del g_sig
+        if checked or (_finite(grad_pad) and _finite(wt)):
+            break
 
     top, _, left, _ = spec.pad
     h, wd = data.shape[2], data.shape[3]
     grad_d = np.ascontiguousarray(grad_pad[:, :, top:top + h, left:left + wd])
-    return check_finite(grad_d, "dwm_backward"), np.ascontiguousarray(wt.transpose(2, 3, 0, 1))
+    if checked:  # finite parts can still sum to an overflow
+        check_finite(grad_d, "dwm_backward")
+    return grad_d, np.ascontiguousarray(wt.transpose(2, 3, 0, 1))
 
 
 def convolve(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,

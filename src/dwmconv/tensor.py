@@ -49,14 +49,21 @@ def check_finite(x: np.ndarray, op: str) -> np.ndarray:
 
 
 def pad_input(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
-    """Zero-pad the spatial axes by (top, bottom, left, right).
+    """Zero-pad the spatial axes by (top, bottom, left, right), after
+    checking ``d`` for NaN/Inf (see ``_pad``)."""
+    require_tensor4(d)
+    if not _finite(d):
+        raise ValueError("pad_input: d contains NaN or Inf")
+    return _pad(d, pad)
+
+
+def _pad(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
+    """``pad_input`` without its NaN/Inf scan, for the engines, which have
+    scanned their data when they cast it.
 
     A padded shape numpy refuses to allocate (a dimension or byte count
     beyond its index type) raises ``MemoryError``, as any other array too
     large for memory does, naming the padded shape."""
-    require_tensor4(d)
-    if not _finite(d):
-        raise ValueError("pad_input: d contains NaN or Inf")
     top, bottom, left, right = (int(p) for p in pad)
     if min(top, bottom, left, right) < 0:
         raise ValueError(f"pad values must be non-negative, got {pad}")

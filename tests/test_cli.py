@@ -403,6 +403,26 @@ def test_bench_malformed_entry_is_identified(tmp_path, capsys, command, doc, nam
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"schema": 1, "out": [14, 14, 14], "configs": [{"kernel": 3}]},
+     "flops config 'out' must be an integer or a list of two integers, got [14, 14, 14]"),
+    ({"schema": 1, "out": "x", "configs": []}, "flops config 'out' must be an integer, got 'x'"),
+], ids=["out-of-three-one-config", "out-a-string-no-configs"])
+def test_bench_flops_document_out_is_named_as_the_documents(tmp_path, capsys, doc, message):
+    """A document-level "out" is every entry's default, checked once as a
+    field of the document: not blamed on entry 0, and checked with no entries."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *FLOPS, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: {cfg}: {message}\n"
+
+
+def test_bench_flops_entry_out_overrides_the_documents():
+    doc = {"schema": 1, "out": [7, 9], "configs": [{"kernel": 3}, {"kernel": 3, "out": 4}]}
+    assert [out for _, out, _ in bench.parse_flops_config(doc)] == [(7, 9), (4, 4)]
+
+
 def test_bench_out_of_memory_names_the_config(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "acc.json"
     doc = _acc()

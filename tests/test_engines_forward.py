@@ -9,8 +9,9 @@ import pytest
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_classic, plan_decomposition
 from dwmconv import engines
-from dwmconv.engines import (_aligned_empty, _axes2, _tap_major, convolve, direct_conv2d,
-                             dwm_backward, dwm_conv2d, gemm_conv2d, winograd_conv2d)
+from dwmconv.engines import (_aligned_empty, _axes2, _tap_major, _untile, convolve,
+                             direct_conv2d, dwm_backward, dwm_conv2d, gemm_conv2d,
+                             winograd_conv2d)
 from dwmconv.flops import flops_direct, flops_dwm, flops_winograd_classic
 from dwmconv.transforms import (cook_toom, get_baseline_transform, get_transform,
                                 to_exact_arrays, to_float)
@@ -411,6 +412,18 @@ def test_tap_major_is_the_contiguous_transpose(case):
     want = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     got = _tap_major(w, w.dtype)
     assert got.flags.c_contiguous and got.dtype == w.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("oh,ow", [(4, 6), (5, 7), (5, 6), (4, 7), (1, 1), (0, 3)])
+def test_untile_is_the_cropped_transpose_of_the_tiles(n, oh, ow):
+    th, tw = -(-oh // 2), -(-ow // 2)
+    tiles = np.arange(2 * 2 * 3 * n * th * tw, dtype=np.float32).reshape(2, 2, 3, n * th * tw)
+    grid = tiles.reshape(2, 2, 3, n, th, tw).transpose(3, 2, 4, 0, 5, 1)
+    want = np.ascontiguousarray(grid.reshape(n, 3, 2 * th, 2 * tw)[:, :, :oh, :ow])
+    got = _untile(tiles, n, oh, ow)
+    assert got.flags.c_contiguous and got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
@@ -901,6 +914,111 @@ def test_float32_overflow_in_cropped_tile_entries_raises_nothing(axis):
         warnings.simplefilter("error")
         y = dwm_conv2d(d, w, ConvSpec(kernel=tuple(shape[2:])))
     np.testing.assert_array_equal(y, np.zeros((1, 1, *shape[2:]), dtype=np.float32))
+
+
+@pytest.fixture
+def to_float_calls(monkeypatch):
+    """The transform sets the engines convert, one per call of ``to_float``:
+    two per plan part for each run of the part loop."""
+    calls, to_float_ = [], engines.to_float
+    monkeypatch.setattr(engines, "to_float", lambda ts, dt: calls.append(ts) or to_float_(ts, dt))
+    return calls
+
+
+@pytest.mark.parametrize("entry", ["dwm_conv2d", "dwm_backward"])
+@pytest.mark.parametrize("spec", [ConvSpec(kernel=(5, 5), pad=(2, 2, 2, 2)), SPEC_11S4],
+                         ids=["5x5", "11x11s4"])
+def test_a_successful_call_scans_each_input_block_and_result_once(monkeypatch, to_float_calls,
+                                                                  entry, spec):
+    """One NaN/Inf scan per data input (data, and grad_out), one per block of
+    the tap-major weight copy and one per result (the forward's untiled sum;
+    the backward's padded data gradient and tap-major weight gradient), each
+    of a contiguous array; no part runs twice."""
+    scans, finite = [], engines._finite
+    monkeypatch.setattr(engines, "_finite", lambda x: scans.append(x.flags.c_contiguous)
+                        or finite(x))
+    r_h, r_w = spec.kernel
+    monkeypatch.setattr(engines, "_TAP_BLOCK_BYTES", 5 * r_h * r_w * 4)  # 5 of 12 rows a block
+    rng = np.random.default_rng(30)
+    d = rng.standard_normal((2, 3, 19, 19)).astype(np.float32)
+    w = rng.standard_normal((4, 3, r_h, r_w)).astype(np.float32)
+    plan = plan_decomposition(spec)
+    if entry == "dwm_conv2d":
+        dwm_conv2d(d, w, spec, plan)
+        want = 1 + 3 + 1
+    else:
+        dy = rng.standard_normal((2, 4, *spec.out_dims(19, 19))).astype(np.float32)
+        dwm_backward(dy, plan, d, w)
+        want = 2 + 3 + 2
+    assert scans == [True] * want
+    assert len(to_float_calls) == 2 * len(plan.parts)
+
+
+@pytest.mark.parametrize("axis", [2, 3])
+def test_float32_overflow_in_cropped_entries_of_a_multi_part_plan_raises_nothing(
+        to_float_calls, axis):
+    # as in the one-part case, 2 * 3e38 overflows in the entry past the
+    # edge of part 0's last tile; the sum of the two parts' tiles meets it
+    # first, and the checked rerun zeroes it before the sum
+    shape = [1, 1, 1, 1]
+    shape[axis] = 7
+    d = np.zeros(shape, dtype=np.float32)
+    d.reshape(-1)[4] = 3e38
+    shape[axis] = 5
+    w = np.array([0, 2, 0, 0, 0], dtype=np.float32).reshape(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = dwm_conv2d(d, w, ConvSpec(kernel=tuple(shape[2:])))
+    np.testing.assert_array_equal(y, np.zeros((1, 1, *(3 if a == axis else 1 for a in (2, 3))),
+                                              dtype=np.float32))
+    assert len(to_float_calls) == 2 * 2 * 2  # two parts, run twice
+
+
+def test_overflow_only_in_the_padding_of_a_part_data_gradient_names_the_part():
+    # padded column 1 (left padding) receives dY[0] * w[1] = 4e38 from part
+    # 0; every transform-domain value stays finite (at most 2e38), and the
+    # unpadded data gradient is zero
+    spec = ConvSpec(kernel=(1, 5), pad=(0, 0, 2, 2))
+    dy = np.zeros((1, 1, 1, 6), dtype=np.float32)
+    dy[..., 0] = 2e38
+    w = np.array([0, 2, 0, 0, 0], dtype=np.float32).reshape(1, 1, 1, 5)
+    d = np.zeros((1, 1, 1, 6), dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"^dwm_backward part 0 \(kernel rows 0; "
+                           r"cols 0,1,2\) data gradient produced non-finite values$"):
+            dwm_backward(dy, plan_decomposition(spec), d, w)
+
+
+def test_finite_parts_overflowing_only_in_the_padding_return_the_gradients(to_float_calls):
+    # padded column 8 (right padding) sums dY[6] * w[2] from part 0 and
+    # dY[5] * w[3] from part 1, 2e38 each; no unpadded element overflows
+    spec = ConvSpec(kernel=(1, 4), pad=(0, 0, 2, 2))
+    dy = np.zeros((1, 1, 1, 7), dtype=np.float32)
+    dy[..., 5:] = 2e38
+    w = np.array([0, 0, 1, 1], dtype=np.float32).reshape(1, 1, 1, 4)
+    d = np.zeros((1, 1, 1, 6), dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad_d, grad_w = dwm_backward(dy, plan_decomposition(spec), d, w)
+    want = np.zeros_like(d)
+    want[..., 5] = dy[..., 5] * w[..., 2]  # unpadded column 5 is padded column 7
+    assert grad_d.tobytes() == want.tobytes()
+    assert grad_w.tobytes() == np.zeros_like(w).tobytes()
+    assert len(to_float_calls) == 2 * 2 * 2  # two parts, run twice
+
+
+def test_a_part_fault_ahead_of_a_partial_sum_overflow_names_the_part(to_float_calls):
+    # parts 0 (6e37 x 3) and 2 (2e38) are finite but their sum is not; part
+    # 1's output overflows, and it comes first in plan order
+    d = np.ones((1, 1, 1, 7), dtype=np.float32)
+    w = np.array([6e37, 6e37, 6e37, 3e38, 3e38, 3e38, 2e38], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"^dwm_conv2d part 1 \(kernel rows 0; "
+                           r"cols 3,4,5\) produced non-finite values$"):
+            dwm_conv2d(d, w.reshape(1, 1, 1, 7), ConvSpec(kernel=(1, 7)))
+    assert len(to_float_calls) == 2 * 2 + 2 * 2  # parts 0 and 1, run twice
 
 
 WIDE_11X11 = ConvSpec(kernel=(11, 11))
