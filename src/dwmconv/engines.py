@@ -364,19 +364,10 @@ def _tile_dims(oh: int, ow: int) -> tuple[int, int]:
     return -(-oh // 2), -(-ow // 2)
 
 
-def _zero_cropped(tiles: np.ndarray, n: int, oh: int, ow: int) -> None:
-    """Zero, in place, the entries of (2, 2, F, N*TH*TW) tiles that
-    ``_untile`` crops off an odd oh or ow."""
-    th, tw = _tile_dims(oh, ow)
-    grid = tiles.reshape(2, 2, tiles.shape[2], n, th, tw)
-    if oh % 2:
-        grid[1, :, :, :, th - 1] = 0
-    if ow % 2:
-        grid[:, 1, :, :, :, tw - 1] = 0
-
-
 def _untile(tiles: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
-    """(2, 2, F, N*TH*TW) tiles -> (N, F, oh, ow), cropping odd extents.
+    """(2, 2, F, N*TH*TW) tiles -> (N, F, oh, ow), cropping odd extents:
+    the only place a Winograd forward drops the outputs of windows past the
+    edge.
 
     Tile entry (i, j) holds the outputs of rows i::2 and columns j::2, so
     the result is four slice copies, one per tile phase, whose inner loops
@@ -445,11 +436,12 @@ def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: Decomposit
     edge read zeros, and ``_untile`` crops what they feed.  Each part's
     tiles go straight from the detransform into ``accumulate``, and the
     untiled result is scanned for NaN/Inf once.  Only when that scan or an
-    ``accumulate`` fails does the loop run again, ``checked``: each part's
-    cropped tile entries are zeroed and its tiles scanned before they are
-    summed, so the message names the part, or else the aggregation, that
-    overflowed first, and a non-finite value only in cropped entries
-    raises nothing.
+    ``accumulate`` fails does the loop run again, ``checked``: each part is
+    untiled, scanned and summed untiled, so the message names the part, or
+    else the aggregation, that overflowed first, and a non-finite value
+    only in cropped entries raises nothing.  Either pass adds the same
+    elements in the same order, so a rerun that returns returns the same
+    bytes.
     """
     _check_plan(plan, spec)
     dpad, dt, out_dims = _checked_inputs(data, weights, spec, precision)
@@ -475,14 +467,14 @@ def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: Decomposit
                     tiles = _axes2(nt_r.a_t, nt_c.a_t, m)              # At m A: (2,2,F,NTT)
                     del m
                     if checked:
-                        _zero_cropped(tiles, n, oh, ow)
+                        tiles = _untile(tiles, n, oh, ow)
                         _check_part(tiles, engine, plan, index)
                     acc = tiles if acc is None else accumulate(acc, tiles)
         except FloatingPointError:  # from accumulate, or a part when checked
             if checked:
                 raise
             continue
-        y = _untile(acc, n, oh, ow)
+        y = acc if checked else _untile(acc, n, oh, ow)
         if checked or _finite(y):
             return y
 

@@ -83,10 +83,11 @@ def accumulate(acc: np.ndarray, addend: np.ndarray) -> np.ndarray:
     checked for NaN/Inf.
 
     ``dwm_conv2d`` sums its parts' outputs in the Winograd tile layout
-    (2, 2, F, N*TH*TW) and untiles the total once.  Accumulation runs in
-    the operands' own precision.  Callers chaining several accumulations
-    must fold left-to-right so float results are bit-reproducible run to
-    run.
+    (2, 2, F, N*TH*TW) and untiles the total once; its checked rerun,
+    which names a part that overflows, sums the untiled parts instead.
+    Accumulation runs in the operands' own precision.  Callers chaining
+    several accumulations must fold left-to-right so float results are
+    bit-reproducible run to run.
     """
     return check_finite(acc + addend, "accumulate")
 

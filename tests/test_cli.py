@@ -204,6 +204,25 @@ def test_conv_float32_overflow_is_one_error_line(tmp_path, algo):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize("argv,size,taps,message", [
+    (("--algo", "dwm"), 8, 5, "dwm_conv2d part 0 (kernel rows 0,1,2; cols 0,1,2)"),
+    (("--algo", "dwm", "--stride", "4"), 24, 11,
+     "dwm_conv2d part 0 (kernel rows 0,4,8; cols 0,4,8)"),
+    (("--algo", "gemm"), 8, 3, "gemm_conv2d"),
+], ids=["dwm-5x5", "dwm-11x11s4", "gemm"])
+def test_conv_float32_overflow_names_the_part_or_engine(tmp_path, argv, size, taps, message):
+    """A multi-part plan's overflow is named by the checked rerun's part;
+    gemm names itself.  Either way stderr holds the one ``error:`` line."""
+    din, win = tmp_path / "in.dwm", tmp_path / "w.dwm"
+    tensorfile.write_tensor(din, np.full((1, 1, size, size), 3e38, dtype=np.float32))
+    tensorfile.write_tensor(win, np.full((1, 1, taps, taps), 10, dtype=np.float32))
+    proc = subprocess.run([sys.executable, "-m", "dwmconv.cli", "conv", *argv,
+                           "--in", str(din), "--weights", str(win)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message} produced non-finite values\n"
+
+
 @pytest.mark.parametrize("algo", ["direct", "gemm", "winograd", "dwm"])
 def test_conv_oversized_pad_is_one_error_line(tmp_path, capsys, algo):
     """numpy refuses the padded shape before allocating anything."""

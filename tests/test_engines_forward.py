@@ -1021,6 +1021,50 @@ def test_a_part_fault_ahead_of_a_partial_sum_overflow_names_the_part(to_float_ca
     assert len(to_float_calls) == 2 * 2 + 2 * 2  # parts 0 and 1, run twice
 
 
+@pytest.mark.parametrize("entry", ["dwm_conv2d", "dwm_backward"])
+@pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["binary32", "binary64"])
+@pytest.mark.parametrize("spec,parts", [
+    (ConvSpec(kernel=(3, 3)), 1),
+    (ConvSpec(kernel=(5, 5), pad=(2, 2, 2, 2)), 4),
+    (SPEC_11S4, 16),
+], ids=["3x3", "5x5-same", "11x11s4"])
+def test_a_forced_rerun_returns_the_same_bytes(monkeypatch, to_float_calls, entry, dt, spec,
+                                               parts):
+    """The first result scan is made to fail, so the checked rerun runs and
+    returns: its results are those of a call that returns from the first
+    pass, byte for byte.  19x19 data give odd outputs (17, 19 and 3), so
+    the forward's rerun crops each part."""
+    plan = plan_decomposition(spec)
+    assert len(plan.parts) == parts
+    rng = np.random.default_rng(31)
+    d = rng.standard_normal((2, 3, 19, 19)).astype(dt)
+    w = rng.standard_normal((4, 3, *spec.kernel)).astype(dt)
+    dy = rng.standard_normal((2, 4, *spec.out_dims(19, 19))).astype(dt)
+    if entry == "dwm_conv2d":
+        run = lambda: (dwm_conv2d(d, w, spec, plan),)
+    else:
+        run = lambda: dwm_backward(dy, plan, d, w)
+    want = run()
+    to_float_calls.clear()
+    forced, finite = [], engines._finite
+
+    def scan(x):  # fails the first scan after the part loop has begun
+        if to_float_calls and not forced:
+            forced.append(x.shape)
+            return False
+        return finite(x)
+
+    monkeypatch.setattr(engines, "_finite", scan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run()
+    assert forced
+    assert len(to_float_calls) == 4 * parts  # two per part, two passes
+    for g, e in zip(got, want, strict=True):
+        assert (g.shape, g.dtype) == (e.shape, e.dtype)
+        assert g.flags.c_contiguous and g.tobytes() == e.tobytes()
+
+
 WIDE_11X11 = ConvSpec(kernel=(11, 11))
 MEMORY_CASES = {
     "direct_conv2d": (lambda d, w, dy: direct_conv2d(d, w, WIDE_11X11, precision="binary32"),
