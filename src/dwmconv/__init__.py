@@ -11,7 +11,7 @@ from .engines import (ConvOutput, convolve, direct_conv2d, dwm_backward, dwm_con
                       gemm_conv2d, winograd_conv2d)
 from .flops import (FlopReport, FlopTable, flops_direct, flops_dwm, flops_winograd_classic,
                     is_shift_free, mult_counts, speedup_table)
-from .tensor import mse, pad_input
+from .tensor import mse
 from .tensorfile import read_tensor, write_tensor
 from .transforms import (NumericTransformSet, TransformSet, VerifyResult,
                          apply_exact, cook_toom, correlate_exact, get_baseline_transform,

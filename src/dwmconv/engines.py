@@ -434,14 +434,16 @@ def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: Decomposit
     Each part is a tiled F(2, r) correlation of its stride-1 input slice,
     in the GEMM's tile layout (2, 2, F, N*TH*TW); windows past the slice's
     edge read zeros, and ``_untile`` crops what they feed.  Each part's
-    tiles go straight from the detransform into ``accumulate``, and the
-    untiled result is scanned for NaN/Inf once.  Only when that scan or an
-    ``accumulate`` fails does the loop run again, ``checked``: each part is
-    untiled, scanned and summed untiled, so the message names the part, or
-    else the aggregation, that overflowed first, and a non-finite value
-    only in cropped entries raises nothing.  Either pass adds the same
-    elements in the same order, so a rerun that returns returns the same
-    bytes.
+    tiles go straight from the detransform into ``accumulate``, unchecked,
+    and the untiled result is scanned for NaN/Inf once: a non-finite
+    partial sum stays non-finite in every later sum, so that scan sees
+    every fault outside the cropped entries.  Only when it fails does the
+    loop run again, ``checked``, as in ``dwm_backward``: each part is
+    untiled, scanned and summed untiled, and each partial sum is scanned,
+    so the message names the part, or else the aggregation, that
+    overflowed first, and a non-finite value only in cropped entries
+    raises nothing.  Either pass adds the same elements in the same order,
+    so a rerun that returns returns the same bytes.
     """
     _check_plan(plan, spec)
     dpad, dt, out_dims = _checked_inputs(data, weights, spec, precision)
@@ -452,28 +454,25 @@ def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: Decomposit
 
     for checked in (False, True):
         acc = None
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported by the scans
-                for index, _, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, out_dims):
-                    v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)
-                    u = _axes2(nt_r.g, nt_c.g, wt[ksel])               # G g Gt: (lr,lc,F,C)
-                    m = np.matmul(u, v)                                # (lr,lc,F,NTT)
-                    # u and v are freed before the detransform allocates, m
-                    # before the next part's transforms: with either kept
-                    # alive longer, one process running two one-seed accuracy
-                    # sweeps peaked at 221 MB RSS instead of 198 (glibc heap
-                    # layout; 1 CPU, one BLAS thread).
-                    del u, v
-                    tiles = _axes2(nt_r.a_t, nt_c.a_t, m)              # At m A: (2,2,F,NTT)
-                    del m
-                    if checked:
-                        tiles = _untile(tiles, n, oh, ow)
-                        _check_part(tiles, engine, plan, index)
-                    acc = tiles if acc is None else accumulate(acc, tiles)
-        except FloatingPointError:  # from accumulate, or a part when checked
-            if checked:
-                raise
-            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the scans
+            for index, _, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, out_dims):
+                v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)
+                u = _axes2(nt_r.g, nt_c.g, wt[ksel])               # G g Gt: (lr,lc,F,C)
+                m = np.matmul(u, v)                                # (lr,lc,F,NTT)
+                # u and v are freed before the detransform allocates, m
+                # before the next part's transforms: with either kept
+                # alive longer, one process running two one-seed accuracy
+                # sweeps peaked at 221 MB RSS instead of 198 (glibc heap
+                # layout; 1 CPU, one BLAS thread).
+                del u, v
+                tiles = _axes2(nt_r.a_t, nt_c.a_t, m)              # At m A: (2,2,F,NTT)
+                del m
+                if checked:
+                    tiles = _untile(tiles, n, oh, ow)
+                    _check_part(tiles, engine, plan, index)
+                acc = tiles if acc is None else accumulate(acc, tiles)
+                if checked:  # names a sum of finite parts that overflows
+                    check_finite(acc, "accumulate")
         y = acc if checked else _untile(acc, n, oh, ow)
         if checked or _finite(y):
             return y

@@ -2,10 +2,11 @@
 
 Tensors are plain numpy arrays with four axes and element type float32
 (binary32) or float64 (binary64).  Operations are pure: inputs are never
-mutated and every float result is checked to be finite.  Arrays of dtype
-``object`` (exact rationals) are also accepted so the convolution engines
-can run an exact-arithmetic test mode; finiteness checks apply to float
-data only.
+mutated.  Nothing here scans for NaN/Inf unasked: the engines decide which
+arrays ``_finite`` and ``check_finite`` scan, each value once on a
+successful call.  Arrays of dtype ``object`` (exact rationals) are also
+accepted so the convolution engines can run an exact-arithmetic test mode;
+finiteness checks apply to float data only.
 """
 
 import numpy as np
@@ -48,25 +49,15 @@ def check_finite(x: np.ndarray, op: str) -> np.ndarray:
     return x
 
 
-def pad_input(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
-    """Zero-pad the spatial axes by (top, bottom, left, right), after
-    checking ``d`` for NaN/Inf (see ``_pad``)."""
-    require_tensor4(d)
-    if not _finite(d):
-        raise ValueError("pad_input: d contains NaN or Inf")
-    return _pad(d, pad)
-
-
 def _pad(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
-    """``pad_input`` without its NaN/Inf scan, for the engines, which have
-    scanned their data when they cast it.
+    """Zero-pad the spatial axes by (top, bottom, left, right), without a
+    NaN/Inf scan: the engines have scanned their data when they cast it,
+    and ``ConvSpec`` has checked that every pad is a non-negative int.
 
     A padded shape numpy refuses to allocate (a dimension or byte count
     beyond its index type) raises ``MemoryError``, as any other array too
     large for memory does, naming the padded shape."""
-    top, bottom, left, right = (int(p) for p in pad)
-    if min(top, bottom, left, right) < 0:
-        raise ValueError(f"pad values must be non-negative, got {pad}")
+    top, bottom, left, right = pad
     n, c, h, w = d.shape
     shape = (n, c, h + top + bottom, w + left + right)
     try:
@@ -80,16 +71,18 @@ def _pad(d: np.ndarray, pad: tuple[int, int, int, int]) -> np.ndarray:
 
 def accumulate(acc: np.ndarray, addend: np.ndarray) -> np.ndarray:
     """Element-wise sum of two arrays of the same shape and precision,
-    checked for NaN/Inf.
+    unchecked: a non-finite partial sum stays non-finite in every later
+    sum, so the scan of the result the sums feed sees it.
 
     ``dwm_conv2d`` sums its parts' outputs in the Winograd tile layout
     (2, 2, F, N*TH*TW) and untiles the total once; its checked rerun,
     which names a part that overflows, sums the untiled parts instead.
     Accumulation runs in the operands' own precision.  Callers chaining
     several accumulations must fold left-to-right so float results are
-    bit-reproducible run to run.
+    bit-reproducible run to run.  It stays a function, not an inline
+    ``+``, so that a tracer can count and time the aggregation adds.
     """
-    return check_finite(acc + addend, "accumulate")
+    return acc + addend
 
 
 def mse(x: np.ndarray, reference: np.ndarray) -> float:

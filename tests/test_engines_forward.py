@@ -8,7 +8,7 @@ import pytest
 
 from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import plan_classic, plan_decomposition
-from dwmconv import engines
+from dwmconv import engines, tensor
 from dwmconv.engines import (_aligned_empty, _axes2, _tap_major, _untile, convolve,
                              direct_conv2d, dwm_backward, dwm_conv2d, gemm_conv2d,
                              winograd_conv2d)
@@ -933,10 +933,14 @@ def test_a_successful_call_scans_each_input_block_and_result_once(monkeypatch, t
     """One NaN/Inf scan per data input (data, and grad_out), one per block of
     the tap-major weight copy and one per result (the forward's untiled sum;
     the backward's padded data gradient and tap-major weight gradient), each
-    of a contiguous array; no part runs twice."""
+    of a contiguous array; none of a partial sum (``check_finite`` or
+    ``accumulate``), and no part runs twice."""
     scans, finite = [], engines._finite
     monkeypatch.setattr(engines, "_finite", lambda x: scans.append(x.flags.c_contiguous)
                         or finite(x))
+    tensor_scans, tensor_finite = [], tensor._finite
+    monkeypatch.setattr(tensor, "_finite", lambda x: tensor_scans.append(x.shape)
+                        or tensor_finite(x))
     r_h, r_w = spec.kernel
     monkeypatch.setattr(engines, "_TAP_BLOCK_BYTES", 5 * r_h * r_w * 4)  # 5 of 12 rows a block
     rng = np.random.default_rng(30)
@@ -951,6 +955,7 @@ def test_a_successful_call_scans_each_input_block_and_result_once(monkeypatch, t
         dwm_backward(dy, plan, d, w)
         want = 2 + 3 + 2
     assert scans == [True] * want
+    assert tensor_scans == []
     assert len(to_float_calls) == 2 * len(plan.parts)
 
 
@@ -958,8 +963,8 @@ def test_a_successful_call_scans_each_input_block_and_result_once(monkeypatch, t
 def test_float32_overflow_in_cropped_entries_of_a_multi_part_plan_raises_nothing(
         to_float_calls, axis):
     # as in the one-part case, 2 * 3e38 overflows in the entry past the
-    # edge of part 0's last tile; the sum of the two parts' tiles meets it
-    # first, and the checked rerun zeroes it before the sum
+    # edge of part 0's last tile; the untile crops it before the result
+    # scan, so the unchecked pass returns and no rerun runs
     shape = [1, 1, 1, 1]
     shape[axis] = 7
     d = np.zeros(shape, dtype=np.float32)
@@ -971,7 +976,7 @@ def test_float32_overflow_in_cropped_entries_of_a_multi_part_plan_raises_nothing
         y = dwm_conv2d(d, w, ConvSpec(kernel=tuple(shape[2:])))
     np.testing.assert_array_equal(y, np.zeros((1, 1, *(3 if a == axis else 1 for a in (2, 3))),
                                               dtype=np.float32))
-    assert len(to_float_calls) == 2 * 2 * 2  # two parts, run twice
+    assert len(to_float_calls) == 2 * 2  # two parts, run once
 
 
 def test_overflow_only_in_the_padding_of_a_part_data_gradient_names_the_part():
@@ -1018,7 +1023,7 @@ def test_a_part_fault_ahead_of_a_partial_sum_overflow_names_the_part(to_float_ca
         with pytest.raises(FloatingPointError, match=r"^dwm_conv2d part 1 \(kernel rows 0; "
                            r"cols 3,4,5\) produced non-finite values$"):
             dwm_conv2d(d, w.reshape(1, 1, 1, 7), ConvSpec(kernel=(1, 7)))
-    assert len(to_float_calls) == 2 * 2 + 2 * 2  # parts 0 and 1, run twice
+    assert len(to_float_calls) == 2 * 3 + 2 * 2  # all three parts, then the rerun's 0 and 1
 
 
 @pytest.mark.parametrize("entry", ["dwm_conv2d", "dwm_backward"])
