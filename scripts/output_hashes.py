@@ -57,7 +57,14 @@ AlexNet conv1 (3->64, 11x11, stride 4) and GoogLeNet's first layer (3->64,
 views of the engine's data buffer.  After them come binary32 ``dwm_conv2d``
 and both ``dwm_backward`` gradients on AlexNet conv2 at full width (64->192,
 5x5, 27x27): four parts summed in the tile layout and an odd output extent,
-so the untile drops a tile row and column.
+so the untile drops a tile row and column.  Last are binary32
+``dwm_conv2d`` and both ``dwm_backward`` gradients under a plan built by
+hand: a 12x12 kernel split 6+6 on each axis, four 6x6 parts under the
+baseline transform family (3->4, 19x19), the one plan here with several
+parts under a family other than the default; its parts share one tap-count
+pair, so the backward builds A dY At once and reuses it.  The source
+before plans carried one transform family gave the same three hashes, with
+the baseline F(2, 6) given to each part.
 """
 
 import argparse
@@ -72,10 +79,10 @@ from pathlib import Path
 
 import numpy as np
 
-from dwmconv import (ConvSpec, analyze_network, convolve, direct_conv2d, dwm_backward,
-                     dwm_conv2d, gemm_conv2d, get_baseline_transform, load_network,
-                     plan_classic, plan_decomposition, plan_to_json, run_accuracy_suite,
-                     speedup_table, winograd_conv2d)
+from dwmconv import (AxisPart, ConvSpec, DecompositionPlan, KernelPart, analyze_network,
+                     convolve, direct_conv2d, dwm_backward, dwm_conv2d, gemm_conv2d,
+                     get_baseline_transform, load_network, plan_classic, plan_decomposition,
+                     plan_to_json, run_accuracy_suite, speedup_table, winograd_conv2d)
 from dwmconv.bench import parse_accuracy_config, parse_flops_config
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
@@ -118,6 +125,18 @@ STRIDED_DIRECT = (
 # binary32 dwm_conv2d and dwm_backward on the one stride-1 multi-part layer of
 # AlexNet: name, kernel, pad, (N, C, F), input (H, W)
 MULTI_PART_FULL_WIDTH = ("alexnet-conv2-full", (5, 5), (2, 2, 2, 2), (1, 64, 192), (27, 27))
+
+# binary32 dwm_conv2d and dwm_backward under a hand-built plan: a 12x12
+# kernel split 6+6 per axis under the baseline family; (N, C, F), input (H, W)
+SPLIT_6X6 = ("12x12-split-6+6-baseline", (1, 3, 4), (19, 19))
+
+
+def split_6x6_plan() -> DecompositionPlan:
+    """The 12x12 kernel as four 6x6 parts, F(2, 6) baseline transforms."""
+    runs = (AxisPart(0, 1, 6), AxisPart(6, 1, 6))
+    return DecompositionPlan(ConvSpec(kernel=(12, 12)),
+                             tuple(KernelPart(row, col) for row in runs for col in runs),
+                             get_baseline_transform)
 
 
 def _bundled(name: str, parse):
@@ -237,7 +256,7 @@ def listing():
     name, kernel, pad, dims, extent = CLASSIC_FULL_WIDTH
     spec = ConvSpec(kernel=kernel, pad=pad)
     data, weights, _ = inputs(100 + len(FULL_WIDTH), spec, dims, extent, "binary32")
-    baseline = plan_classic(spec, *map(get_baseline_transform, kernel))
+    baseline = plan_classic(spec, get_baseline_transform)
     for label, plan in (("winograd_conv2d", None), ("winograd_conv2d[baseline]", baseline)):
         yield f"{digest(winograd_conv2d(data, weights, spec, plan))}  {label} {name} binary32"
     for label, name, build, late in REPORTS:
@@ -273,6 +292,13 @@ def listing():
     data, weights, grad_out = inputs(105 + len(STRIDED_DIRECT), spec, dims, extent, "binary32")
     yield f"{digest(dwm_conv2d(data, weights, spec))}  dwm_conv2d {name} binary32"
     grad_d, grad_w = dwm_backward(grad_out, plan_decomposition(spec), data, weights)
+    yield f"{digest(grad_d)}  dwm_backward[data] {name} binary32"
+    yield f"{digest(grad_w)}  dwm_backward[weights] {name} binary32"
+    name, dims, extent = SPLIT_6X6
+    plan = split_6x6_plan()
+    data, weights, grad_out = inputs(108, plan.spec, dims, extent, "binary32")
+    yield f"{digest(dwm_conv2d(data, weights, plan.spec, plan))}  dwm_conv2d {name} binary32"
+    grad_d, grad_w = dwm_backward(grad_out, plan, data, weights)
     yield f"{digest(grad_d)}  dwm_backward[data] {name} binary32"
     yield f"{digest(grad_w)}  dwm_backward[weights] {name} binary32"
 

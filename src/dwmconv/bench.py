@@ -167,9 +167,10 @@ def run_accuracy_suite(configs, seeds) -> AccuracyReport:
     return AccuracyReport(rows=tuple(rows))
 
 
-def _parse_entries(doc, kind: str, key: str, build) -> list:
+def _parse_entries(doc, kind: str, key: str, build, fields: tuple[str, ...]) -> list:
     """[build(index, entry)] over the ``key`` list of a schema-1 ``kind`` document.
 
+    Only "schema", ``key``, the parser's ``fields`` and "note" may be at the top level.
     ``build`` pops each key it reads from a copy of the entry, so a key
     left over is one it never reads, and is refused.  An error names the
     document, the list or the entry (by index, and by its "name" where it
@@ -179,6 +180,9 @@ def _parse_entries(doc, kind: str, key: str, build) -> list:
         raise ValueError(f"{kind} must be a JSON object, got {type(doc).__name__}")
     if type(doc.get("schema")) is not int or doc["schema"] != 1:  # not 1.0 or true
         raise ValueError(f"unsupported {kind} schema {doc.get('schema')!r}")
+    unknown = [name for name in doc if name not in ("schema", key, *fields, "note")]
+    if unknown:
+        raise ValueError(f"unknown {kind} key {unknown[0]!r}")
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise ValueError(f"{kind} {key!r} must be a list, got {type(entries).__name__}")
@@ -215,7 +219,7 @@ def _accuracy_entry(_, entry: dict) -> AccuracyConfig:
 
 def parse_accuracy_config(doc: dict):
     """(configs, seeds) of an accuracy config document."""
-    configs = _parse_entries(doc, "accuracy config", "configs", _accuracy_entry)
+    configs = _parse_entries(doc, "accuracy config", "configs", _accuracy_entry, ("seeds",))
     try:
         seeds = [_integer(s, "seeds") for s in _list(doc.get("seeds", [1]), "seeds")]
     except TypeError as exc:
@@ -294,7 +298,7 @@ def parse_flops_config(doc: dict):
                              f"{', '.join(REPORT_FIELDS)}")
         return spec, out, expected
 
-    entries = _parse_entries(doc, "flops config", "configs", build)
+    entries = _parse_entries(doc, "flops config", "configs", build, ("out",))
     try:
         default = _out(doc.get("out", 14))
     except (TypeError, ValueError) as exc:
@@ -404,9 +408,11 @@ def load_network(doc: dict) -> NetworkSpec:
 
     The network's and each layer's "name" must be a string that fits in one
     plain CSV field (``_name``), since ``NetworkReport.to_csv`` writes it
-    unquoted.
+    unquoted.  A network needs at least one layer.
     """
-    layers = _parse_entries(doc, "network", "layers", _layer_entry)
+    layers = _parse_entries(doc, "network", "layers", _layer_entry, ("name",))
+    if not layers:  # the report's TOTAL row would divide by zero
+        raise ValueError("network has no layers")
     return NetworkSpec(name=_name(doc.get("name", "network"), "network"), layers=tuple(layers))
 
 

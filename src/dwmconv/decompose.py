@@ -13,16 +13,15 @@ well:
 Applied per axis and crossed, this yields a partition of the original
 kernel into parts of at most 3x3 taps; the convolution result is the sum
 of the parts' results.  A plan records each part's (origin, step, count)
-per axis; ``input_region_for_part`` gives the matching input slices.
+per axis and one transform family, F(2, r) ``transform(r)`` for every run
+of r taps; ``input_region_for_part`` gives a part's input slices.
 Classic tiled F(2, r) Winograd is the one-part plan of ``plan_classic``.
 
 Any plan, built here or by hand, is checked once, when it is built
-(``DecompositionPlan``): a part that runs at another step than the
-stride, a kernel tap in no part or in two, a part reaching past the
-kernel or a transform with m != 2 raises ValueError there, so the engines
-never see such a plan.
+(``DecompositionPlan`` lists the checks), so the engines never see a bad one.
 """
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from itertools import product
 
@@ -50,16 +49,10 @@ class AxisPart:
 
 @dataclass(frozen=True)
 class KernelPart:
-    """One 2-D kernel sub-block with the transforms matching its tap counts."""
+    """One 2-D kernel sub-block, a row run by a column run; its plan gives its transforms."""
 
     row: AxisPart
     col: AxisPart
-    transform_rows: TransformSet
-    transform_cols: TransformSet
-
-    def __post_init__(self):
-        if self.transform_rows.r != self.row.count or self.transform_cols.r != self.col.count:
-            raise ValueError("transform tap counts must match the axis counts")
 
     @property
     def label(self) -> str:
@@ -70,16 +63,22 @@ class KernelPart:
 
 @dataclass(frozen=True)
 class DecompositionPlan:
-    """Ordered partition of a kernel into parts, row-major over (row, col) splits.
+    """Ordered partition of a kernel into parts, row-major over (row, col)
+    splits, with one transform family: F(2, r) ``transform(r)`` per r-tap run.
 
     Checked when built, with a ValueError naming the part or tap at fault:
     each part steps by ``spec.stride`` on each axis, every tap of
-    ``spec.kernel`` lies in exactly one part, and every transform has
-    m == 2, the engines' output tile.
+    ``spec.kernel`` lies in exactly one part, and each run's transform
+    has the run's tap count and m == 2, the engines' output tile.
     """
 
     spec: ConvSpec
     parts: tuple[KernelPart, ...]
+    transform: Callable[[int], TransformSet] = get_transform
+
+    def transforms(self, part: KernelPart) -> tuple[TransformSet, TransformSet]:
+        """The row and column transforms of ``part``."""
+        return self.transform(part.row.count), self.transform(part.col.count)
 
     def __post_init__(self):
         def fault(index: int, what: str) -> ValueError:
@@ -88,12 +87,15 @@ class DecompositionPlan:
         r_h, r_w = self.spec.kernel
         owner = {}  # kernel tap -> index of the part that holds it
         for index, part in enumerate(self.parts):
+            ts_r, ts_c = self.transforms(part)
+            if (ts_r.r, ts_c.r) != (part.row.count, part.col.count):
+                raise ValueError("transform tap counts must match the axis counts")
             steps = (part.row.step, part.col.step)
             if steps != self.spec.stride:
                 raise fault(index, f"steps by {steps}, not by the stride {self.spec.stride}")
             if part.row.taps[-1] >= r_h or part.col.taps[-1] >= r_w:
                 raise fault(index, f"reaches past kernel {self.spec.kernel}")
-            if part.transform_rows.m != 2 or part.transform_cols.m != 2:
+            if ts_r.m != 2 or ts_c.m != 2:
                 raise ValueError("engine produces 2x2 output tiles; transforms must have m == 2")
             for tap in product(part.row.taps, part.col.taps):
                 if owner.setdefault(tap, index) != index:
@@ -118,21 +120,16 @@ def _axis_parts(taps: int, stride: int) -> list[AxisPart]:
 def plan_decomposition(spec: ConvSpec) -> DecompositionPlan:
     """Partition spec's kernel into Winograd-sized parts (cross product of axes)."""
     rows, cols = map(_axis_parts, spec.kernel, spec.stride)
-    parts = tuple(
-        KernelPart(row=rp, col=cp,
-                   transform_rows=get_transform(rp.count),
-                   transform_cols=get_transform(cp.count))
-        for rp in rows
-        for cp in cols
-    )
-    return DecompositionPlan(spec=spec, parts=parts)
+    parts = tuple(KernelPart(row=rp, col=cp) for rp in rows for cp in cols)
+    # named, not left to the field's default, so that a tracer that rebinds
+    # this module's get_transform (perfbench's) sees the plan's lookups
+    return DecompositionPlan(spec=spec, parts=parts, transform=get_transform)
 
 
-def plan_classic(spec: ConvSpec, ts_rows: TransformSet | None = None,
-                 ts_cols: TransformSet | None = None) -> DecompositionPlan:
+def plan_classic(spec: ConvSpec, transform=get_transform) -> DecompositionPlan:
     """Classic tiled F(2, r) Winograd: one part covering the whole stride-1
-    kernel, with the given transforms (default ``get_transform`` per axis).
-    The ValueErrors say where classic Winograd does not apply."""
+    kernel, each axis run with ``transform`` of its tap count.  The
+    ValueErrors say where classic Winograd does not apply."""
     if spec.stride != (1, 1):
         raise ValueError(
             "classic Winograd is stride-1 only; use --algo dwm for strided convolutions")
@@ -140,13 +137,8 @@ def plan_classic(spec: ConvSpec, ts_rows: TransformSet | None = None,
         raise ValueError(
             f"classic Winograd supports at most {len(POINT_SEQUENCE)} taps per axis, "
             f"got kernel {spec.kernel}; use --algo dwm for larger kernels")
-    ts_r = ts_rows if ts_rows is not None else get_transform(spec.kernel[0])
-    ts_c = ts_cols if ts_cols is not None else get_transform(spec.kernel[1])
-    if (ts_r.r, ts_c.r) != spec.kernel:
-        raise ValueError(f"transform taps {(ts_r.r, ts_c.r)} do not match kernel {spec.kernel}")
-    part = KernelPart(row=AxisPart(0, 1, spec.kernel[0]), col=AxisPart(0, 1, spec.kernel[1]),
-                      transform_rows=ts_r, transform_cols=ts_c)
-    return DecompositionPlan(spec=spec, parts=(part,))
+    part = KernelPart(row=AxisPart(0, 1, spec.kernel[0]), col=AxisPart(0, 1, spec.kernel[1]))
+    return DecompositionPlan(spec=spec, parts=(part,), transform=transform)
 
 
 def input_region_for_part(part: KernelPart, out_dims: tuple[int, int]) -> tuple[slice, slice]:

@@ -222,15 +222,15 @@ def _tap_major(weights: np.ndarray, dt) -> np.ndarray:
 
 def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
     """Walk the plan once: per part, its index and the part itself, its
-    numeric row and column transforms, and its kernel sub-block and its
-    padded-input region, each as the (rows, cols) slices of the spatial
-    axes that index it.  A built plan is checked, so neither leaves its
-    array (``input_region_for_part``).  Transforms are exact in the
-    object type, else rounded to ``dt`` (``to_float``)."""
+    numeric row and column transforms (``plan.transforms``), and its
+    kernel sub-block and its padded-input region, each as the (rows, cols)
+    slices of the spatial axes that index it.  A built plan is checked, so
+    neither leaves its array (``input_region_for_part``).  Transforms are
+    exact in the object type, else rounded to ``dt`` (``to_float``)."""
     numeric = to_exact_arrays if dt == _OBJECT else lambda ts: to_float(ts, dt)
     for index, part in enumerate(plan.parts):
         ksel = tuple(slice(t.start, t.stop, t.step) for t in (part.row.taps, part.col.taps))
-        yield (index, part, numeric(part.transform_rows), numeric(part.transform_cols), ksel,
+        yield (index, part, *map(numeric, plan.transforms(part)), ksel,
                input_region_for_part(part, out_dims))
 
 
@@ -390,8 +390,8 @@ def winograd_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     """Classic tiled Winograd correlation: one F(2, r) per axis, stride 1 only.
 
     ``plan`` defaults to ``plan_classic(spec)``, the one part that covers
-    the whole kernel with ``get_transform`` of each axis's taps; a plan
-    with other transforms comes from ``plan_classic``'s own arguments.
+    the whole kernel under ``get_transform``; ``plan_classic(spec,
+    transform)`` gives it another transform family.
     Strided convolutions and kernels beyond the point sequence are out of
     this engine's reach (``plan_classic`` refuses them); dwm_conv2d runs
     them.
@@ -484,10 +484,10 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
 
     Aggregation is a plain sum, so every part receives the whole ``grad_out``
     unchanged; no per-part outputs need to be stored.  The taps of
-    ``grad_out`` are built once per call, and A dY At once per distinct
-    (row, col) transform pair, kept until that pair's last part.  Per part,
-    with G g Gt its kernel transform and Bt d B its data transform as in
-    ``_dwm``:
+    ``grad_out`` are built once per call, and A dY At once per (row, col)
+    tap-count pair (the plan's family fixes the transforms), kept until
+    that pair's last part.  Per part, with G g Gt its kernel transform and
+    Bt d B its data transform as in ``_dwm``:
 
     * data gradient: B[(A dY At) . (G g Gt)]Bt per tile, summed over
       filters in the transform domain, then scatter-added into the
@@ -523,14 +523,14 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
         raise ValueError(f"grad_out shape {grad_out.shape} != {want}")
     th, tw = _tile_dims(oh, ow)
     dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, th, tw)            # (2,2,F,NTT)
-    pair = lambda part: (id(part.transform_rows), id(part.transform_cols))
+    pair = lambda part: (part.row.count, part.col.count)
     last = {pair(part): index for index, part in enumerate(plan.parts)}
 
     for checked in (False, True):
         if checked:  # the first pass wrote its weight gradient over the copy
             wt = _tap_major(weights, dt)
         grad_pad = np.zeros_like(dpad)
-        dms = {}  # A dY At per (row, col) transform pair, until its last part
+        dms = {}  # A dY At per (row, col) tap-count pair, until its last part
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the scans
             for index, part, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, (oh, ow)):
                 key = pair(part)

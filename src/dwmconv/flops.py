@@ -100,7 +100,7 @@ def _classic_baseline_plan(spec: ConvSpec) -> DecompositionPlan | None:
     """``plan_classic`` over the naive baseline transforms (integer-first
     nodes), or None where classic Winograd does not apply."""
     try:
-        return plan_classic(spec, *map(get_baseline_transform, spec.kernel))
+        return plan_classic(spec, get_baseline_transform)
     except ValueError:
         return None
 
@@ -125,7 +125,7 @@ def flops_dwm(plan: DecompositionPlan, out: tuple[int, int]) -> int:
     shift-free, so that term is zero (computed, not assumed).
     """
     tiles = _tiles(out)
-    return sum(_part_cost(part.transform_rows, part.transform_cols, tiles) for part in plan.parts)
+    return sum(_part_cost(*plan.transforms(part), tiles) for part in plan.parts)
 
 
 def mult_counts(spec: ConvSpec, out: tuple[int, int]) -> tuple[int, int | None, int]:

@@ -67,7 +67,7 @@ def test_accuracy_suite_rows_equal_the_public_engines():
                   ("dwm", "binary32"): dwm_conv2d(data, weights, spec, precision="binary32"),
                   ("dwm", "binary64"): dwm_conv2d(data, weights, spec, precision="binary64")}
         if spec.stride == (1, 1):
-            baseline = plan_classic(spec, *map(get_baseline_transform, cfg.kernel))
+            baseline = plan_classic(spec, get_baseline_transform)
             public["winograd", "binary32"] = winograd_conv2d(data, weights, spec, baseline,
                                                              precision="binary32")
         for _ in public:

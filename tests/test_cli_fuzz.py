@@ -193,11 +193,15 @@ def wrong_typed_cases():
     """(label, argv, document) per near miss of each document: one field at
     the top level, the first entry itself, or one field of that entry (for
     flops, one of its expected values too) replaced by each value that field
-    does not accept; or one unread key added to the entry (or, for flops,
-    to its expected values)."""
+    does not accept; or one unread key added to the document, to the entry
+    (or, for flops, to its expected values); or a network with no layers."""
+    argv, doc, key = DOCUMENTS["network"][:3]
+    yield "network with no layers", argv, _replaced(doc, (key,), [])
+    yield "network without 'layers'", argv, {name: doc[name] for name in doc if name != key}
     for kind, (argv, doc, key, top, fields) in DOCUMENTS.items():
         entry = (key, 0)
         paths = [((name,), values) for name, values in top.items()]
+        paths += [((unread,), (1,)) for unread in UNREAD_KEYS]
         paths += [(entry, NEAR_MISSES)]
         paths += [((*entry, name), values) for name, values in fields.items()]
         paths += [((*entry, unread), (1,)) for unread in UNREAD_KEYS]

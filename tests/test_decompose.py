@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from dwmconv.convspec import ConvSpec
 from dwmconv.decompose import (AxisPart, DecompositionPlan, KernelPart, input_region_for_part,
                                plan_decomposition)
 from dwmconv.engines import dwm_backward, dwm_conv2d
-from dwmconv.transforms import cook_toom, get_transform
+from dwmconv.transforms import cook_toom, get_baseline_transform, get_transform
 
-from reference import oracle_conv
+from reference import oracle_conv, oracle_grads
 
 
 def _axis_runs(taps, stride):
@@ -105,8 +106,7 @@ def test_partition_invariant_exhaustive():
 def test_plan_transforms_match_counts():
     plan = plan_decomposition(ConvSpec(kernel=(7, 7), stride=(2, 2)))
     for p in plan.parts:
-        assert p.transform_rows.r == p.row.count
-        assert p.transform_cols.r == p.col.count
+        assert plan.transforms(p) == (get_transform(p.row.count), get_transform(p.col.count))
 
 
 @pytest.mark.parametrize("kernel,stride", [((5, 5), (1, 1)), ((5, 5), (2, 2)),
@@ -171,48 +171,56 @@ BAD_PLANS = {
     "part repeated": (SPEC_5, PARTS_5 + PARTS_5[1:2],
                       r"^plan part 4 \(kernel rows 0,1,2; cols 3,4\) repeats kernel tap "
                       r"\(0, 3\) of part 1$"),
-    "past the kernel": (SPEC_5, PARTS_5[:3] + (KernelPart(AxisPart(3, 1, 3), AxisPart(3, 1, 2),
-                                                         get_transform(3), get_transform(2)),),
+    "past the kernel": (SPEC_5, PARTS_5[:3] + (KernelPart(AxisPart(3, 1, 3), AxisPart(3, 1, 2)),),
                         r"^plan part 3 \(kernel rows 3,4,5; cols 3,4\) reaches past "
                         r"kernel \(5, 5\)$"),
     "wrong step": (replace(SPEC_5, stride=(2, 2)), PARTS_5,
                    r"^plan part 0 \(kernel rows 0,1,2; cols 0,1,2\) steps by \(1, 1\), "
                    r"not by the stride \(2, 2\)$"),
-    "F(4, 3)": (SPEC_5, (replace(PARTS_5[0], transform_rows=cook_toom(4, 3)),) + PARTS_5[1:],
-                r"^engine produces 2x2 output tiles; transforms must have m == 2$"),
 }
+# transform families that no plan can use: F(4, r), and F(2, r') with r' != r
+F4_FAMILY = lambda r: cook_toom(4, r)
+WRONG_R_FAMILY = lambda r: get_transform(r % 3 + 1)
+M_MESSAGE = r"^engine produces 2x2 output tiles; transforms must have m == 2$"
+R_MESSAGE = r"^transform tap counts must match the axis counts$"
+BAD_FAMILIES = {"F(4, 3)": (F4_FAMILY, M_MESSAGE),
+                "F(2, 1) for 3 taps": (WRONG_R_FAMILY, R_MESSAGE)}
 
 
 @pytest.mark.parametrize("engine", ["dwm_conv2d", "dwm_backward"])
-@pytest.mark.parametrize("case", BAD_PLANS)
+@pytest.mark.parametrize("case", [*BAD_PLANS, *BAD_FAMILIES])
 def test_bad_plan_raises_when_built(case, engine):
     # the plan's own message, not one from a tensor stage or numpy
-    spec, parts, message = BAD_PLANS[case]
+    if case in BAD_PLANS:
+        (spec, parts, message), family = BAD_PLANS[case], get_transform
+    else:
+        (family, message), spec, parts = BAD_FAMILIES[case], SPEC_5, PARTS_5
     rng = np.random.default_rng(3)
     x, w = rng.standard_normal((1, 2, 9, 9)), rng.standard_normal((2, 2, 5, 5))
     gy = rng.standard_normal((1, 2, *spec.out_dims(9, 9)))
     with pytest.raises(ValueError, match=message):
         if engine == "dwm_conv2d":
-            dwm_conv2d(x, w, spec, plan=DecompositionPlan(spec, parts))
+            dwm_conv2d(x, w, spec, plan=DecompositionPlan(spec, parts, family))
         else:
-            dwm_backward(gy, DecompositionPlan(spec, parts), x, w)
+            dwm_backward(gy, DecompositionPlan(spec, parts, family), x, w)
 
 
-def _mutated(draw, parts: tuple[KernelPart, ...]) -> tuple[KernelPart, ...]:
-    """``parts`` with one part dropped or repeated, or one axis run of one
-    part given another origin, step or count, or one transform given m = 4."""
+def _mutated(draw, parts: tuple[KernelPart, ...]):
+    """(parts, family): ``parts`` with one part dropped or repeated, or one
+    axis run of one part given another origin, step or count, under the
+    default family; or ``parts`` under a family of F(4, r) or of the wrong
+    tap count."""
     i = draw(st.integers(0, len(parts) - 1))
-    kind = draw(st.sampled_from(["drop", "repeat", "origin", "step", "count", "m"]))
+    kind = draw(st.sampled_from(["drop", "repeat", "origin", "step", "count", "m", "r"]))
+    if kind in ("m", "r"):
+        return parts, F4_FAMILY if kind == "m" else WRONG_R_FAMILY
     if kind == "drop":
-        return parts[:i] + parts[i + 1:]
+        return parts[:i] + parts[i + 1:], get_transform
     if kind == "repeat":
-        return parts + parts[i:i + 1]
+        return parts + parts[i:i + 1], get_transform
     part = parts[i]
     axis = draw(st.sampled_from(["row", "col"]))
     run = getattr(part, axis)
-    if kind == "m":
-        key = f"transform_{axis}s"
-        return parts[:i] + (replace(part, **{key: cook_toom(4, run.count)}),) + parts[i + 1:]
     if kind == "origin":
         run = replace(run, origin=draw(st.integers(0, 16).filter(lambda o: o != run.origin)))
     elif kind == "step":
@@ -220,8 +228,7 @@ def _mutated(draw, parts: tuple[KernelPart, ...]) -> tuple[KernelPart, ...]:
     else:
         run = replace(run, count=draw(st.integers(1, 4).filter(lambda c: c != run.count)))
     rows, cols = (run, part.col) if axis == "row" else (part.row, run)
-    built = KernelPart(rows, cols, get_transform(rows.count), get_transform(cols.count))
-    return parts[:i] + (built,) + parts[i + 1:]
+    return parts[:i] + (KernelPart(rows, cols),) + parts[i + 1:], get_transform
 
 
 @given(st.tuples(st.integers(1, 13), st.integers(1, 13)),
@@ -230,5 +237,30 @@ def _mutated(draw, parts: tuple[KernelPart, ...]) -> tuple[KernelPart, ...]:
 def test_plans_pass_and_any_one_mutation_is_rejected(kernel, stride, data):
     spec = ConvSpec(kernel=kernel, stride=stride)
     parts = plan_decomposition(spec).parts  # a checked plan: building it raised nothing
-    with pytest.raises(ValueError, match=r"^(plan part \d+ \(|kernel tap |engine produces)"):
-        DecompositionPlan(spec, _mutated(data.draw, parts))
+    with pytest.raises(ValueError,
+                       match=r"^(plan part \d+ \(|kernel tap |engine produces|transform tap)"):
+        DecompositionPlan(spec, *_mutated(data.draw, parts))
+
+
+def test_a_hand_built_plan_under_the_baseline_family_equals_the_oracle():
+    # a 12x12 kernel split 6+6 per axis: four parts of F(2, 6) baseline
+    # transforms, one tap-count pair, so the backward builds A dY At once
+    runs = (AxisPart(0, 1, 6), AxisPart(6, 1, 6))
+    spec = ConvSpec(kernel=(12, 12), pad=(1, 0, 2, 1))
+    plan = DecompositionPlan(spec, tuple(KernelPart(row, col) for row in runs for col in runs),
+                             get_baseline_transform)
+    assert set(map(plan.transforms, plan.parts)) == {(get_baseline_transform(6),) * 2}
+    # multiples of 1/4 keep every product and sum of the binary64 oracle exact
+    rng = np.random.default_rng(12)
+    d = rng.integers(-8, 9, (1, 2, 14, 13)) / 4
+    w = rng.integers(-8, 9, (3, 2, 12, 12)) / 4
+    oh, ow = spec.out_dims(14, 13)  # 4x5: the odd extent leaves a partial tile
+    dy = rng.integers(-8, 9, (1, 3, oh, ow)) / 4
+    exact = np.vectorize(Fraction, otypes=[object])
+    y = dwm_conv2d(exact(d), exact(w), spec, plan)
+    gd, gw = dwm_backward(exact(dy), plan, exact(d), exact(w))
+    want_d, want_w = oracle_grads(d, w, spec, dy)
+    assert y.dtype == gd.dtype == gw.dtype == np.dtype(object)
+    assert y.tolist() == exact(oracle_conv(d, w, spec)).tolist()
+    assert gd.tolist() == exact(want_d).tolist()
+    assert gw.tolist() == exact(want_w).tolist()

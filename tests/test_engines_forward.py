@@ -190,7 +190,7 @@ def test_winograd_1d_delta_filter_passes_signal_through():
     d = np.arange(4, dtype=np.float64).reshape(1, 1, 1, 4) + 1.0
     g = np.array([1.0, 0.0, 0.0]).reshape(1, 1, 1, 3)
     spec = ConvSpec(kernel=(1, 3))
-    y = winograd_conv2d(d, g, spec, plan_classic(spec, cook_toom(2, 1), get_transform(3)))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform))
     np.testing.assert_allclose(y, [[[[1.0, 2.0]]]], atol=1e-14)
 
 
@@ -198,7 +198,7 @@ def test_winograd_1d_box_filter():
     d = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4)
     g = np.ones((1, 1, 1, 3))
     spec = ConvSpec(kernel=(1, 3))
-    y = winograd_conv2d(d, g, spec, plan_classic(spec, cook_toom(2, 1), get_transform(3)))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform))
     np.testing.assert_allclose(y, [[[[6.0, 9.0]]]], atol=1e-14)
 
 
@@ -207,7 +207,7 @@ def test_winograd_single_tile_matches_direct():
     d = rng.standard_normal((1, 1, 4, 4))
     g = rng.standard_normal((1, 1, 3, 3))
     spec = ConvSpec(kernel=(3, 3))
-    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform(3)))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform))
     want = direct_conv2d(d, g, spec)
     assert np.max(np.abs(y - want)) <= 1e-13
 
@@ -217,7 +217,7 @@ def test_winograd_multi_tile_multichannel_matches_oracle():
     spec = ConvSpec(kernel=(3, 3))
     d = rng.standard_normal((2, 3, 10, 12))
     g = rng.standard_normal((4, 3, 3, 3))
-    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform(3)))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform))
     np.testing.assert_allclose(y, oracle_conv(d, g, spec), atol=1e-12)
 
 
@@ -226,7 +226,7 @@ def test_winograd_truncates_odd_output_extent():
     d = rng.standard_normal((1, 2, 7, 9))  # outputs 5 x 7, both odd
     g = rng.standard_normal((2, 2, 3, 3))
     spec = ConvSpec(kernel=(3, 3))
-    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform(3)))
+    y = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform))
     assert y.shape == (1, 2, 5, 7)
     np.testing.assert_allclose(y, oracle_conv(d, g, spec), atol=1e-12)
 
@@ -434,7 +434,7 @@ def test_dwm_degenerate_3x3_is_bit_identical_to_winograd():
         d = rng.standard_normal((2, 3, 14, 14)).astype(dtype)
         g = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
         via_dwm = dwm_conv2d(d, g, spec)
-        via_winograd = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform(3)))
+        via_winograd = winograd_conv2d(d, g, spec, plan_classic(spec, get_transform))
         assert via_dwm.tobytes() == via_winograd.tobytes()
 
 
@@ -561,7 +561,7 @@ def test_convolve_instrumented_count_matches_flop_model():
     out_11 = convolve(d_big, g11, spec_11, algo="winograd")
     assert out_11.y.shape[2:] == (19, 23)
     assert out_11.flops == flops_dwm(
-        plan_classic(spec_11, get_transform(11), get_transform(11)), (19, 23)) == 249_704
+        plan_classic(spec_11, get_transform), (19, 23)) == 249_704
 
 
 @pytest.mark.parametrize("algo,build", [("direct", None), ("gemm", None),
@@ -808,15 +808,17 @@ def test_winograd_rejects_what_it_cannot_run(spec, message):
         winograd_conv2d(d, w, spec)
 
 
-@pytest.mark.parametrize("transforms,message", [
-    ((get_transform(5),), r"transform taps \(5, 3\) do not match kernel \(3, 3\)"),
-    ((get_transform(3), get_transform(2)),
-     r"transform taps \(3, 2\) do not match kernel \(3, 3\)"),
-    ((cook_toom(3, 3),), "m == 2"),
-], ids=["rows5", "cols2", "m3"])
-def test_plan_classic_rejects_transforms_it_cannot_use(transforms, message):
+M_IS_NOT_2 = r"^engine produces 2x2 output tiles; transforms must have m == 2$"
+
+
+@pytest.mark.parametrize("family,message", [
+    (lambda r: get_transform(5), r"^transform tap counts must match the axis counts$"),
+    (lambda r: cook_toom(3, r), M_IS_NOT_2),
+    (lambda r: cook_toom(4, r), M_IS_NOT_2),
+], ids=["r5", "m3", "m4"])
+def test_plan_classic_rejects_transforms_it_cannot_use(family, message):
     with pytest.raises(ValueError, match=message):
-        plan_classic(SPEC_PAD1, *transforms)
+        plan_classic(SPEC_PAD1, family)
 
 
 @pytest.mark.parametrize("engine", [winograd_conv2d, dwm_conv2d], ids=lambda f: f.__name__)
@@ -1111,7 +1113,7 @@ def test_binary32_weights_live_once_beside_the_kernel_transform(engine, channels
     if plan is None:  # data (1, 14, 14, F), sum and product (1, 4, 4F), weight rows (11, 4, F)
         beside = (14 * 14 + 2 * 4 * 4 + 11 * 4) * channels * 4
     else:  # the largest part's U
-        points = max(p.transform_rows.alpha * p.transform_cols.alpha for p in plan.parts)
+        points = max(ts_r.alpha * ts_c.alpha for ts_r, ts_c in map(plan.transforms, plan.parts))
         beside = points * channels * channels * 4
     tracemalloc.start()
     try:
