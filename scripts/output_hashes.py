@@ -59,7 +59,8 @@ and both ``dwm_backward`` gradients on AlexNet conv2 at full width (64->192,
 5x5, 27x27): four parts summed in the tile layout and an odd output extent,
 so the untile drops a tile row and column.  Last are binary32
 ``dwm_conv2d`` and both ``dwm_backward`` gradients under a plan built by
-hand: a 12x12 kernel split 6+6 on each axis, four 6x6 parts under the
+hand: a 12x12 kernel split 6+6 on each axis, the runs ``range(6)`` and
+``range(6, 12)`` for both rows and columns, so four 6x6 parts under the
 baseline transform family (3->4, 19x19), the one plan here with several
 parts under a family other than the default; its parts share one tap-count
 pair, so the backward builds A dY At once and reuses it.  The source
@@ -79,10 +80,10 @@ from pathlib import Path
 
 import numpy as np
 
-from dwmconv import (AxisPart, ConvSpec, DecompositionPlan, KernelPart, analyze_network,
-                     convolve, direct_conv2d, dwm_backward, dwm_conv2d, gemm_conv2d,
-                     get_baseline_transform, load_network, plan_classic, plan_decomposition,
-                     plan_to_json, run_accuracy_suite, speedup_table, winograd_conv2d)
+from dwmconv import (ConvSpec, DecompositionPlan, analyze_network, convolve, direct_conv2d,
+                     dwm_backward, dwm_conv2d, gemm_conv2d, get_baseline_transform,
+                     load_network, plan_classic, plan_decomposition, plan_to_json,
+                     run_accuracy_suite, speedup_table, winograd_conv2d)
 from dwmconv.bench import parse_accuracy_config, parse_flops_config
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
@@ -132,11 +133,10 @@ SPLIT_6X6 = ("12x12-split-6+6-baseline", (1, 3, 4), (19, 19))
 
 
 def split_6x6_plan() -> DecompositionPlan:
-    """The 12x12 kernel as four 6x6 parts, F(2, 6) baseline transforms."""
-    runs = (AxisPart(0, 1, 6), AxisPart(6, 1, 6))
-    return DecompositionPlan(ConvSpec(kernel=(12, 12)),
-                             tuple(KernelPart(row, col) for row in runs for col in runs),
-                             get_baseline_transform)
+    """The 12x12 kernel's rows and columns each split into runs of 6 taps:
+    four 6x6 parts, F(2, 6) baseline transforms."""
+    runs = (range(6), range(6, 12))
+    return DecompositionPlan(ConvSpec(kernel=(12, 12)), runs, runs, get_baseline_transform)
 
 
 def _bundled(name: str, parse):

@@ -5,8 +5,8 @@ from .bench import (AccuracyConfig, AccuracyReport, AccuracyRow, LayerReport,
                     LayerSpec, NetworkReport, NetworkSpec, analyze_network,
                     check_accuracy_bands, load_network, run_accuracy_suite)
 from .convspec import ConvSpec
-from .decompose import (AxisPart, DecompositionPlan, KernelPart, plan_classic,
-                        plan_decomposition, plan_to_json)
+from .decompose import (DecompositionPlan, KernelPart, plan_classic, plan_decomposition,
+                        plan_to_json)
 from .engines import (ConvOutput, convolve, direct_conv2d, dwm_backward, dwm_conv2d,
                       gemm_conv2d, winograd_conv2d)
 from .flops import (FlopReport, FlopTable, flops_direct, flops_dwm, flops_winograd_classic,

@@ -68,10 +68,11 @@ def _cast(x: np.ndarray, dt, name: str) -> np.ndarray:
 
 
 def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, precision,
-                    default_dtype=None):
+                    grad_out: np.ndarray | None = None):
     """The prologue every engine shares: check data and weights against
-    ``spec``, resolve the element type (from ``precision``, else
-    ``default_dtype``, else data's), cast data to it with one NaN/Inf check
+    ``spec``, and ``grad_out`` (when given) against the output they make,
+    all before any cast; resolve the element type (from ``precision``, else
+    ``grad_out``'s, else data's), cast data to it with one NaN/Inf check
     (``_cast``), pad without scanning again (``tensor._pad``).  The caller
     casts the weights next, also through ``_cast``, so that a fault in
     data is named first: ``gemm_conv2d`` whole, the other engines one
@@ -88,10 +89,15 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     if tuple(weights.shape[2:]) != spec.kernel:
         raise ValueError(f"weights taps {weights.shape[2:]} do not match kernel {spec.kernel}")
     out_dims = spec.out_dims(data.shape[2], data.shape[3])
+    if grad_out is not None:
+        require_tensor4(grad_out, "grad_out")
+        want = (data.shape[0], weights.shape[0], *out_dims)
+        if grad_out.shape != want:
+            raise ValueError(f"grad_out shape {grad_out.shape} != {want}")
     if precision is not None:
         dt = precision_dtype(precision)
     else:
-        dt = data.dtype if default_dtype is None else default_dtype
+        dt = (data if grad_out is None else grad_out).dtype
     return _pad(_cast(data, dt, "data"), spec.pad), dt, out_dims
 
 
@@ -229,7 +235,7 @@ def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
     exact in the object type, else rounded to ``dt`` (``to_float``)."""
     numeric = to_exact_arrays if dt == _OBJECT else lambda ts: to_float(ts, dt)
     for index, part in enumerate(plan.parts):
-        ksel = tuple(slice(t.start, t.stop, t.step) for t in (part.row.taps, part.col.taps))
+        ksel = tuple(slice(run.start, run.stop, run.step) for run in part)
         yield (index, part, *map(numeric, plan.transforms(part)), ksel,
                input_region_for_part(part, out_dims))
 
@@ -514,16 +520,12 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     """
     _check_plan(plan)
     spec = plan.spec
-    require_tensor4(grad_out, "grad_out")
-    dpad, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out.dtype)
+    dpad, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out)
     wt = _tap_major(weights, dt)
     n, c = dpad.shape[:2]
-    want = (data.shape[0], weights.shape[0], oh, ow)
-    if grad_out.shape != want:
-        raise ValueError(f"grad_out shape {grad_out.shape} != {want}")
     th, tw = _tile_dims(oh, ow)
     dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, th, tw)            # (2,2,F,NTT)
-    pair = lambda part: (part.row.count, part.col.count)
+    pair = lambda part: (len(part.row), len(part.col))
     last = {pair(part): index for index, part in enumerate(plan.parts)}
 
     for checked in (False, True):

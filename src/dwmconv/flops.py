@@ -137,8 +137,6 @@ def mult_counts(spec: ConvSpec, out: tuple[int, int]) -> tuple[int, int | None, 
 
 def _sci(x: int) -> str:
     """3-significant-digit scientific notation with half-up rounding (1225 -> 1.23E+03)."""
-    if x == 0:
-        return "0.00E+00"
     d = Decimal(x)
     exp = d.adjusted()
     q = d.scaleb(-exp).quantize(Decimal("1.00"), rounding=ROUND_HALF_UP)

@@ -167,6 +167,38 @@ def test_band_checker_reports_overflow_rows():
     assert any("overflow" in v for v in check_accuracy_bands(AccuracyReport((row,))))
 
 
+def test_accuracy_suite_reports_binary32_overflow_and_the_band_check_lists_it(monkeypatch):
+    # inputs near 1e20 make 1e40 products: past binary32, not binary64
+    draw = bench._draw
+    monkeypatch.setattr(bench, "_draw", lambda cfg, seed: tuple(x * 1e20 for x in draw(cfg, seed)))
+    cfg = AccuracyConfig(kernel=(5, 5), stride=(1, 1), hw=6, channels=2, filters=2)
+    report = run_accuracy_suite([cfg], [1])
+    status = {(r.algorithm, r.precision): r.status for r in report.rows}
+    assert status == {("direct", "binary64"): "ok", ("direct", "binary32"): "overflow",
+                      ("winograd", "binary32"): "overflow", ("dwm", "binary32"): "overflow",
+                      ("dwm", "binary64"): "ok"}
+    csv_tails = [line.rsplit(",", 4)[1:] for line in report.to_csv().splitlines()[1:]]
+    assert [t for t in csv_tails if t[1] == "overflow"] == [["binary32", "overflow", "", ""]] * 3
+    dwm64 = next(r for r in report.rows if (r.algorithm, r.precision) == ("dwm", "binary64"))
+    assert dwm64.mse > 1e-20
+    assert check_accuracy_bands(report) == [
+        "overflow in direct/binary32 at kernel (5, 5)",
+        "overflow in winograd/binary32 at kernel (5, 5)",
+        "overflow in dwm/binary32 at kernel (5, 5)",
+        f"dwm binary64 mse {dwm64.mse:.3E} > 1e-20 at kernel (5, 5)",
+    ]
+
+
+def test_band_checker_leaves_strided_binary32_rows_unbanded():
+    row = AccuracyRow(kernel=(5, 5), stride=(2, 2), hw=14, channels=64, filters=64,
+                      batch=1, seed=1, algorithm="dwm", precision="binary32",
+                      status="ok", mse=1e-3, log_scaled=None)
+    assert check_accuracy_bands(AccuracyReport((row,))) == []
+    stride1 = dataclasses.replace(row, stride=(1, 1))
+    assert check_accuracy_bands(AccuracyReport((stride1,))) == [
+        "dwm binary32 mse 1.000E-03 > 1e-7 at kernel (5, 5)"]
+
+
 def test_flops_suite_empty_config_is_empty():
     table = speedup_table([])
     assert table.rows == () and table.to_json() == []

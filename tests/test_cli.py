@@ -53,6 +53,11 @@ def test_gen_transforms_rejects_bad_rational(capsys):
     assert code != 0
 
 
+def test_gen_transforms_rejects_a_size_below_one(capsys):
+    code, out, err = run_cli(capsys, "gen-transforms", "0", "3")
+    assert (code, out, err) == (1, "", "error: m and r must be positive, got m=0, r=3\n")
+
+
 def test_gen_transforms_beyond_the_default_nodes_asks_for_points(capsys):
     code, out, err = run_cli(capsys, "gen-transforms", "2", "14")
     assert code == 1 and out == ""
@@ -583,6 +588,11 @@ def test_tensorfile_roundtrip_and_validation(tmp_path):
     path.write_bytes(b"NOPE" + bytes(30))
     with pytest.raises(ValueError, match="magic"):
         tensorfile.read_tensor(path)
+
+    with pytest.raises(TypeError,
+                       match="^only binary32/binary64 tensors can be stored, got object$"):
+        tensorfile.write_tensor(tmp_path / "object.dwm", np.empty((1, 1, 1, 1), dtype=object))
+    assert not (tmp_path / "object.dwm").exists()
 
     good = tmp_path / "t_float32.dwm"
     truncated = good.read_bytes()[:-3]

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwmconv.convspec import ConvSpec
-from dwmconv.decompose import (AxisPart, DecompositionPlan, KernelPart, input_region_for_part,
-                               plan_decomposition)
+from dwmconv.decompose import DecompositionPlan, input_region_for_part, plan_decomposition
 from dwmconv.engines import dwm_backward, dwm_conv2d
 from dwmconv.transforms import cook_toom, get_baseline_transform, get_transform
 
@@ -16,10 +15,11 @@ from reference import oracle_conv, oracle_grads
 
 
 def _axis_runs(taps, stride):
-    """(origin, step, count) of each run ``plan_decomposition`` cuts one
+    """(start, step, length) of each run ``plan_decomposition`` cuts one
     kernel axis of ``taps`` taps at ``stride`` into, in plan order."""
     plan = plan_decomposition(ConvSpec(kernel=(taps, 1), stride=(stride, 1)))
-    return [(p.row.origin, p.row.step, p.row.count) for p in plan.parts]
+    assert [p.row for p in plan.parts] == list(plan.rows)
+    return [(run.start, run.step, len(run)) for run in plan.rows]
 
 
 @pytest.mark.parametrize("taps,blocks", [
@@ -51,8 +51,8 @@ def test_split_axis_omits_empty_residues():
 
 
 def _part_geoms(plan):
-    return [((p.row.origin, p.col.origin), (p.row.step, p.col.step),
-             (p.row.count, p.col.count)) for p in plan.parts]
+    return [((p.row.start, p.col.start), (p.row.step, p.col.step),
+             (len(p.row), len(p.col))) for p in plan.parts]
 
 
 def test_plan_5x5_stride1():
@@ -74,7 +74,7 @@ def test_plan_5x5_stride2():
 def test_plan_7x7_stride2_has_nine_parts():
     plan = plan_decomposition(ConvSpec(kernel=(7, 7), stride=(2, 2)))
     assert len(plan.parts) == 9
-    row_axis = [(p.row.origin, p.row.step, p.row.count) for p in plan.parts[::3]]
+    row_axis = [(p.row.start, p.row.step, len(p.row)) for p in plan.parts[::3]]
     assert row_axis == [(0, 2, 3), (6, 2, 1), (1, 2, 3)]
 
 
@@ -83,7 +83,7 @@ def test_small_stride1_plan_degenerates_to_single_part():
         plan = plan_decomposition(ConvSpec(kernel=(r, r)))
         assert len(plan.parts) == 1
         part = plan.parts[0]
-        assert (part.row.origin, part.row.step, part.row.count) == (0, 1, r)
+        assert part == (range(r), range(r))
 
 
 def test_partition_invariant_exhaustive():
@@ -95,18 +95,17 @@ def test_partition_invariant_exhaustive():
                 plan = plan_decomposition(ConvSpec(kernel=(r_h, r_w), stride=(s, s)))
                 covered = np.zeros((r_h, r_w), dtype=int)
                 for p in plan.parts:
-                    assert p.row.count <= 3 and p.col.count <= 3
-                    for i in range(p.row.count):
-                        for j in range(p.col.count):
-                            covered[p.row.origin + p.row.step * i,
-                                    p.col.origin + p.col.step * j] += 1
+                    assert len(p.row) <= 3 and len(p.col) <= 3
+                    for i in p.row:
+                        for j in p.col:
+                            covered[i, j] += 1
                 assert (covered == 1).all(), (r_h, r_w, s)
 
 
 def test_plan_transforms_match_counts():
     plan = plan_decomposition(ConvSpec(kernel=(7, 7), stride=(2, 2)))
     for p in plan.parts:
-        assert plan.transforms(p) == (get_transform(p.row.count), get_transform(p.col.count))
+        assert plan.transforms(p) == (get_transform(len(p.row)), get_transform(len(p.col)))
 
 
 @pytest.mark.parametrize("kernel,stride", [((5, 5), (1, 1)), ((5, 5), (2, 2)),
@@ -127,12 +126,10 @@ def test_reconstruction_sum_of_parts_equals_whole(kernel, stride):
     plan = plan_decomposition(spec)
     for part in plan.parts:
         row, col = part.row, part.col
-        sub = weights[:, :,
-                      row.origin:row.origin + row.step * row.count:row.step,
-                      col.origin:col.origin + col.step * col.count:col.step]
+        sub = weights[:, :, row.start:row.stop:row.step, col.start:col.stop:col.step]
         rows, cols = input_region_for_part(part, (oh, ow))
         sig = padded[:, :, rows, cols]
-        part_spec = ConvSpec(kernel=(row.count, col.count))
+        part_spec = ConvSpec(kernel=(len(row), len(col)))
         total += oracle_conv(sig, sub, part_spec)
     np.testing.assert_allclose(total, whole, atol=1e-12)
 
@@ -146,37 +143,70 @@ def test_input_region_classic_3x3():
 
 def test_input_region_5x5_corner_part():
     plan = plan_decomposition(ConvSpec(kernel=(5, 5)))
-    part = plan.parts[3]  # origin (3,3), 2x2
+    part = plan.parts[3]  # start (3,3), 2x2
     region = input_region_for_part(part, (14, 14))
     assert region == (slice(3, 18, 1), slice(3, 18, 1))
 
 
 def test_input_region_5x5_stride2_odd_part():
     plan = plan_decomposition(ConvSpec(kernel=(5, 5), stride=(2, 2)))
-    part = plan.parts[3]  # origin (1,1), 2x2, step 2
+    part = plan.parts[3]  # start (1,1), 2x2, step 2
     region = input_region_for_part(part, (2, 2))
     assert region == (slice(1, 7, 2), slice(1, 7, 2))
 
 
-@pytest.mark.parametrize("origin,step,count", [(-1, 1, 1), (0, 0, 1), (0, 1, 0), (0, 1, 14)])
-def test_axis_part_rejects_invalid_runs(origin, step, count):
-    with pytest.raises(ValueError, match="invalid axis part"):
-        AxisPart(origin, step, count)
+FIVE = (range(3), range(3, 5))  # the runs of a 5-tap axis at stride 1
+BAD_RUNS = {  # taps, stride, runs of the bad axis, message with {axis}
+    "empty": (5, 1, (range(3), range(3, 3), range(3, 5)),
+              r"^plan {axis} run 1 must be a non-empty range, got range\(3, 3\)$"),
+    "not a range": (5, 1, (range(3), [3, 4]),
+                    r"^plan {axis} run 1 must be a non-empty range, got \[3, 4\]$"),
+    "before the kernel": (5, 1, (range(-1, 2), range(2, 5)),
+                          r"^plan {axis} run 0 \(taps -1,0,1\) reaches {axis} -1, "
+                          r"outside the kernel's 5 {axis}s$"),
+    "wrong step": (5, 2, (range(0, 5, 2), range(1, 5)),
+                   r"^plan {axis} run 1 \(taps 1,2,3,4\) steps by 1, not by the stride 2$"),
+    "missing": (5, 2, (range(0, 5, 2),), r"^plan {axis} runs hold no kernel {axis} 1$"),
+    # geometry passes; the family's own lookup refuses 14 taps
+    "14 taps": (14, 1, (range(14),), r"^F\(2,14\) needs 14 interpolation nodes"),
+}
 
 
-SPEC_5 = ConvSpec(kernel=(5, 5), pad=(2, 2, 2, 2))
-PARTS_5 = plan_decomposition(SPEC_5).parts  # 3+2 by 3+2 taps, stride 1
-BAD_PLANS = {
-    "part missing": (SPEC_5, PARTS_5[:3], r"^kernel tap \(3, 3\) lies in no part of the plan$"),
-    "part repeated": (SPEC_5, PARTS_5 + PARTS_5[1:2],
-                      r"^plan part 4 \(kernel rows 0,1,2; cols 3,4\) repeats kernel tap "
-                      r"\(0, 3\) of part 1$"),
-    "past the kernel": (SPEC_5, PARTS_5[:3] + (KernelPart(AxisPart(3, 1, 3), AxisPart(3, 1, 2)),),
-                        r"^plan part 3 \(kernel rows 3,4,5; cols 3,4\) reaches past "
-                        r"kernel \(5, 5\)$"),
-    "wrong step": (replace(SPEC_5, stride=(2, 2)), PARTS_5,
-                   r"^plan part 0 \(kernel rows 0,1,2; cols 0,1,2\) steps by \(1, 1\), "
-                   r"not by the stride \(2, 2\)$"),
+@pytest.mark.parametrize("axis", ["row", "col"])
+@pytest.mark.parametrize("case", BAD_RUNS)
+def test_plan_rejects_a_bad_run_on_either_axis(case, axis):
+    taps, stride, runs, message = BAD_RUNS[case]
+    if axis == "row":
+        spec, rows, cols = ConvSpec(kernel=(taps, 5), stride=(stride, 1)), runs, FIVE
+    else:
+        spec, rows, cols = ConvSpec(kernel=(5, taps), stride=(1, stride)), FIVE, runs
+    with pytest.raises(ValueError, match=message.format(axis=axis)):
+        DecompositionPlan(spec, rows, cols)
+
+
+def test_runs_given_as_a_list_or_a_generator_make_the_tuple_plan():
+    # the check reads the runs before the parts are crossed from them, so a
+    # generator must give the same parts as the tuple
+    spec = ConvSpec(kernel=(5, 5))
+    plan = DecompositionPlan(spec, FIVE, FIVE)
+    assert DecompositionPlan(spec, list(FIVE), iter(FIVE)) == plan
+    assert DecompositionPlan(spec, iter(FIVE), list(FIVE)).parts == plan.parts
+    assert len(plan.parts) == 4
+    assert hash(DecompositionPlan(spec, list(FIVE), FIVE)) == hash(plan)
+    with pytest.raises(ValueError, match="^plan row runs hold no kernel row 3$"):
+        DecompositionPlan(spec, iter(FIVE[:1]), iter(FIVE))
+
+
+SPEC_5 = ConvSpec(kernel=(5, 5), pad=(2, 2, 2, 2))  # 3+2 by 3+2 taps, stride 1
+BAD_PLANS = {  # spec, rows, cols, message
+    "part missing": (SPEC_5, FIVE[:1], FIVE, r"^plan row runs hold no kernel row 3$"),
+    "part repeated": (SPEC_5, FIVE, FIVE + FIVE[1:],
+                      r"^plan col run 2 \(taps 3,4\) repeats col 3 of run 1$"),
+    "past the kernel": (SPEC_5, (range(3), range(3, 6)), FIVE,
+                        r"^plan row run 1 \(taps 3,4,5\) reaches row 5, "
+                        r"outside the kernel's 5 rows$"),
+    "wrong step": (replace(SPEC_5, stride=(2, 2)), FIVE, FIVE,
+                   r"^plan row run 0 \(taps 0,1,2\) steps by 1, not by the stride 2$"),
 }
 # transform families that no plan can use: F(4, r), and F(2, r') with r' != r
 F4_FAMILY = lambda r: cook_toom(4, r)
@@ -192,43 +222,47 @@ BAD_FAMILIES = {"F(4, 3)": (F4_FAMILY, M_MESSAGE),
 def test_bad_plan_raises_when_built(case, engine):
     # the plan's own message, not one from a tensor stage or numpy
     if case in BAD_PLANS:
-        (spec, parts, message), family = BAD_PLANS[case], get_transform
+        (spec, rows, cols, message), family = BAD_PLANS[case], get_transform
     else:
-        (family, message), spec, parts = BAD_FAMILIES[case], SPEC_5, PARTS_5
+        (family, message), spec, rows, cols = BAD_FAMILIES[case], SPEC_5, FIVE, FIVE
     rng = np.random.default_rng(3)
     x, w = rng.standard_normal((1, 2, 9, 9)), rng.standard_normal((2, 2, 5, 5))
     gy = rng.standard_normal((1, 2, *spec.out_dims(9, 9)))
     with pytest.raises(ValueError, match=message):
         if engine == "dwm_conv2d":
-            dwm_conv2d(x, w, spec, plan=DecompositionPlan(spec, parts, family))
+            dwm_conv2d(x, w, spec, plan=DecompositionPlan(spec, rows, cols, family))
         else:
-            dwm_backward(gy, DecompositionPlan(spec, parts, family), x, w)
+            dwm_backward(gy, DecompositionPlan(spec, rows, cols, family), x, w)
 
 
-def _mutated(draw, parts: tuple[KernelPart, ...]):
-    """(parts, family): ``parts`` with one part dropped or repeated, or one
-    axis run of one part given another origin, step or count, under the
-    default family; or ``parts`` under a family of F(4, r) or of the wrong
-    tap count."""
-    i = draw(st.integers(0, len(parts) - 1))
-    kind = draw(st.sampled_from(["drop", "repeat", "origin", "step", "count", "m", "r"]))
+def _mutated(draw, rows: tuple[range, ...], cols: tuple[range, ...]):
+    """(rows, cols, family): one run of one axis dropped, repeated or
+    emptied, or given another start, step or length, under the default
+    family; or the runs unchanged under a family of F(4, r) or of the
+    wrong tap count."""
+    kind = draw(st.sampled_from(["drop", "repeat", "empty", "start", "step", "length",
+                                 "m", "r"]))
     if kind in ("m", "r"):
-        return parts, F4_FAMILY if kind == "m" else WRONG_R_FAMILY
-    if kind == "drop":
-        return parts[:i] + parts[i + 1:], get_transform
-    if kind == "repeat":
-        return parts + parts[i:i + 1], get_transform
-    part = parts[i]
+        return rows, cols, F4_FAMILY if kind == "m" else WRONG_R_FAMILY
     axis = draw(st.sampled_from(["row", "col"]))
-    run = getattr(part, axis)
-    if kind == "origin":
-        run = replace(run, origin=draw(st.integers(0, 16).filter(lambda o: o != run.origin)))
-    elif kind == "step":
-        run = replace(run, step=draw(st.integers(1, 5).filter(lambda s: s != run.step)))
+    runs = rows if axis == "row" else cols
+    i = draw(st.integers(0, len(runs) - 1))
+    start, step, length = runs[i].start, runs[i].step, len(runs[i])
+    if kind == "drop":
+        runs = runs[:i] + runs[i + 1:]
+    elif kind == "repeat":
+        runs = runs + runs[i:i + 1]
     else:
-        run = replace(run, count=draw(st.integers(1, 4).filter(lambda c: c != run.count)))
-    rows, cols = (run, part.col) if axis == "row" else (part.row, run)
-    return parts[:i] + (KernelPart(rows, cols),) + parts[i + 1:], get_transform
+        if kind == "empty":
+            length = 0
+        elif kind == "start":
+            start = draw(st.integers(-2, 16).filter(lambda s: s != start))
+        elif kind == "step":
+            step = draw(st.integers(1, 5).filter(lambda s: s != step))
+        else:
+            length = draw(st.integers(1, 4).filter(lambda n: n != length))
+        runs = runs[:i] + (range(start, start + step * length, step),) + runs[i + 1:]
+    return (runs, cols, get_transform) if axis == "row" else (rows, runs, get_transform)
 
 
 @given(st.tuples(st.integers(1, 13), st.integers(1, 13)),
@@ -236,19 +270,18 @@ def _mutated(draw, parts: tuple[KernelPart, ...]):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_plans_pass_and_any_one_mutation_is_rejected(kernel, stride, data):
     spec = ConvSpec(kernel=kernel, stride=stride)
-    parts = plan_decomposition(spec).parts  # a checked plan: building it raised nothing
+    plan = plan_decomposition(spec)  # a checked plan: building it raised nothing
     with pytest.raises(ValueError,
-                       match=r"^(plan part \d+ \(|kernel tap |engine produces|transform tap)"):
-        DecompositionPlan(spec, *_mutated(data.draw, parts))
+                       match=r"^(plan (row|col) |engine produces|transform tap)"):
+        DecompositionPlan(spec, *_mutated(data.draw, plan.rows, plan.cols))
 
 
 def test_a_hand_built_plan_under_the_baseline_family_equals_the_oracle():
     # a 12x12 kernel split 6+6 per axis: four parts of F(2, 6) baseline
     # transforms, one tap-count pair, so the backward builds A dY At once
-    runs = (AxisPart(0, 1, 6), AxisPart(6, 1, 6))
+    runs = (range(6), range(6, 12))
     spec = ConvSpec(kernel=(12, 12), pad=(1, 0, 2, 1))
-    plan = DecompositionPlan(spec, tuple(KernelPart(row, col) for row in runs for col in runs),
-                             get_baseline_transform)
+    plan = DecompositionPlan(spec, runs, runs, get_baseline_transform)
     assert set(map(plan.transforms, plan.parts)) == {(get_baseline_transform(6),) * 2}
     # multiples of 1/4 keep every product and sum of the binary64 oracle exact
     rng = np.random.default_rng(12)

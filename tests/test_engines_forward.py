@@ -693,15 +693,29 @@ def test_nan_data_is_named_before_inf_weights(engine, precision):
 
 
 @pytest.mark.parametrize("precision", [None, np.float32], ids=["own", "binary32"])
-@pytest.mark.parametrize("grad_out", ["wrong-shape", "nan"])
+@pytest.mark.parametrize("grad_out", ["nan"])
 def test_nan_weights_are_named_before_a_bad_grad_out(grad_out, precision):
     d, w, dy = _named_inputs("weights", np.nan)
-    if grad_out == "wrong-shape":
-        dy = np.ones((1, 2, 6, 5))
-    else:
-        dy[0, 1, 2, 2] = np.nan
+    dy[0, 1, 2, 2] = np.nan
     with pytest.raises(ValueError, match="^weights contains NaN or Inf$"):
         NAMED_INPUT_ENGINES["dwm_backward"](d, w, dy, precision=precision)
+
+
+@pytest.mark.parametrize("precision", [None, np.float32], ids=["own", "binary32"])
+@pytest.mark.parametrize("arg", ["data", "weights", "grad_out"])
+def test_grad_out_shape_is_checked_before_any_value(monkeypatch, arg, precision):
+    # shapes first, as in every engine: a NaN or Inf in any input waits
+    # for the grad_out shape, and no weights are copied before it
+    d, w, _ = _named_inputs(arg, np.nan if arg == "data" else np.inf)
+    dy = np.full((1, 2, 6, 5), np.nan if arg == "grad_out" else 1.0)
+    copies = []
+    monkeypatch.setattr(engines, "_tap_major", lambda *a: copies.append(a) or _tap_major(*a))
+    message = re.escape("grad_out shape (1, 2, 6, 5) != (1, 2, 6, 6)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NAMED_INPUT_ENGINES["dwm_backward"](d, w, dy, precision=precision)
+    with pytest.raises(TypeError, match="^grad_out must be a numpy array, got list$"):
+        NAMED_INPUT_ENGINES["dwm_backward"](d, w, dy.tolist(), precision=precision)
+    assert copies == []
 
 
 # (100, 73, 3, 3) binary32 weights: F*C = 7300 rows of 9 taps, against a
@@ -826,6 +840,21 @@ def test_winograd_engines_refuse_a_plan_for_another_spec(engine):
     d, w = np.ones((1, 2, 8, 8)), np.ones((2, 2, 3, 3))
     with pytest.raises(ValueError, match="^plan was built for a different ConvSpec$"):
         engine(d, w, SPEC_PAD1, plan_classic(ConvSpec(kernel=(3, 3))))
+
+
+@pytest.mark.parametrize("data,error,message", [
+    ([[1.0]], TypeError, "^data must be a numpy array, got list$"),
+    (np.ones((1, 2, 8, 8), dtype=np.int32), TypeError,
+     "^data must be float32 or float64, got int32$"),
+])
+def test_dwm_conv2d_refuses_data_that_is_not_a_float_array(data, error, message):
+    with pytest.raises(error, match=message):
+        dwm_conv2d(data, np.ones((2, 2, 3, 3)), SPEC_PAD1)
+
+
+def test_dwm_conv2d_refuses_an_integer_precision():
+    with pytest.raises(ValueError, match="^unsupported precision "):
+        dwm_conv2d(np.ones((1, 2, 8, 8)), np.ones((2, 2, 3, 3)), SPEC_PAD1, precision=np.int32)
 
 
 PLAN_ENTRIES = {
