@@ -103,10 +103,12 @@ class AccuracyReport:
         lines = ["kernel,stride,hw,channels,filters,batch,seed,algorithm,"
                  "precision,status,mse,log_scaled"]
         for r in self.rows:
+            s_h, s_w = r.stride
+            stride = s_h if s_h == s_w else f"{s_h}x{s_w}"  # as FlopTable.to_csv writes it
             mse_s = "" if r.mse is None else f"{r.mse:.6E}"
             log_s = "" if r.log_scaled is None else f"{r.log_scaled:.4f}"
             lines.append(
-                f"{r.kernel[0]}x{r.kernel[1]},{r.stride[0]},{r.hw},{r.channels},"
+                f"{r.kernel[0]}x{r.kernel[1]},{stride},{r.hw},{r.channels},"
                 f"{r.filters},{r.batch},{r.seed},{r.algorithm},{r.precision},"
                 f"{r.status},{mse_s},{log_s}")
         return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Convolution geometry: kernel size, stride, padding, output extents."""
 
+import operator
 from dataclasses import dataclass
 
 
@@ -10,6 +11,7 @@ class ConvSpec:
     kernel  (r_h, r_w) filter taps per axis
     stride  (s_h, s_w) output sampling step
     pad     (top, bottom, left, right) zero padding of the input
+    each of ints or numpy integers; a float, string, bool or scalar raises ValueError
     """
 
     kernel: tuple[int, int]
@@ -17,15 +19,18 @@ class ConvSpec:
     pad: tuple[int, int, int, int] = (0, 0, 0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", tuple(int(k) for k in self.kernel))
-        object.__setattr__(self, "stride", tuple(int(s) for s in self.stride))
-        object.__setattr__(self, "pad", tuple(int(p) for p in self.pad))
-        if len(self.kernel) != 2 or any(k < 1 for k in self.kernel):
-            raise ValueError(f"kernel must be two positive integers, got {self.kernel}")
-        if len(self.stride) != 2 or any(s < 1 for s in self.stride):
-            raise ValueError(f"stride must be two positive integers, got {self.stride}")
-        if len(self.pad) != 4 or any(p < 0 for p in self.pad):
-            raise ValueError(f"pad must be four non-negative integers, got {self.pad}")
+        for name, count, least, words in (("kernel", 2, 1, "two positive"),
+                                          ("stride", 2, 1, "two positive"),
+                                          ("pad", 4, 0, "four non-negative")):
+            value = getattr(self, name)
+            try:  # ints and numpy integers only (no float or string), and no bool
+                entries = tuple(value)
+                ints = tuple(map(operator.index, entries))
+            except TypeError:  # not iterable, or an entry that is not an integer
+                entries = ints = ()
+            if len(ints) != count or min(ints) < least or bool in map(type, entries):
+                raise ValueError(f"{name} must be {words} integers, got {value}")
+            object.__setattr__(self, name, ints)
 
     def out_dims(self, in_h: int, in_w: int) -> tuple[int, int]:
         """Output extents for an in_h x in_w input, erroring if either is < 1."""

@@ -226,18 +226,18 @@ def _tap_major(weights: np.ndarray, dt) -> np.ndarray:
     return wt
 
 
-def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int]):
-    """Walk the plan once: per part, its index and the part itself, its
-    numeric row and column transforms (``plan.transforms``), and its
-    kernel sub-block and its padded-input region, each as the (rows, cols)
-    slices of the spatial axes that index it.  A built plan is checked, so
-    neither leaves its array (``input_region_for_part``).  Transforms are
-    exact in the object type, else rounded to ``dt`` (``to_float``)."""
+def _part_loop(plan: DecompositionPlan, dt, out_dims: tuple[int, int], wt: np.ndarray):
+    """Walk the plan once: per part, its index, its numeric row and column
+    transforms (``plan.transforms``), its kernel sub-block as a view of the
+    tap-major weights ``wt`` and its padded-input index, (all, all, rows,
+    cols), the strided slices of ``input_region_for_part``.  A built plan
+    is checked, so neither leaves its array.  Transforms are exact in the
+    object type, else rounded to ``dt`` (``to_float``)."""
     numeric = to_exact_arrays if dt == _OBJECT else lambda ts: to_float(ts, dt)
     for index, part in enumerate(plan.parts):
-        ksel = tuple(slice(run.start, run.stop, run.step) for run in part)
-        yield (index, part, *map(numeric, plan.transforms(part)), ksel,
-               input_region_for_part(part, out_dims))
+        kernel = wt[tuple(slice(run.start, run.stop, run.step) for run in part)]
+        yield (index, *map(numeric, plan.transforms(part)), kernel,
+               (slice(None), slice(None), *input_region_for_part(part, out_dims)))
 
 
 def _check_part(x: np.ndarray, engine: str, plan: DecompositionPlan, index: int,
@@ -353,14 +353,12 @@ def gemm_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     block = max(1, _GEMM_BLOCK_BYTES // max(1, r_h * r_w * n * oh * ow * dt.itemsize))
     y = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
-        for c0 in range(0, c, block):
+        for c0 in range(0, max(c, 1), block):  # no channels: one empty block, the empty sum
             c1 = min(c, c0 + block)
             cols = np.ascontiguousarray(windows[c0:c1])
             k = (c1 - c0) * r_h * r_w
             part = np.matmul(w[:, c0:c1].reshape(f, k), cols.reshape(k, n * oh * ow))
             y = part if y is None else np.add(y, part, out=y)
-    if y is None:  # no input channels: the empty sum
-        y = np.zeros((f, n * oh * ow), dtype=dt)
     y = y.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
     return check_finite(np.ascontiguousarray(y), "gemm_conv2d")
 
@@ -439,17 +437,16 @@ def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: Decomposit
 
     Each part is a tiled F(2, r) correlation of its stride-1 input slice,
     in the GEMM's tile layout (2, 2, F, N*TH*TW); windows past the slice's
-    edge read zeros, and ``_untile`` crops what they feed.  Each part's
+    edge read zeros, and ``_untile`` crops what they feed.  The parts'
     tiles go straight from the detransform into ``accumulate``, unchecked,
-    and the untiled result is scanned for NaN/Inf once: a non-finite
-    partial sum stays non-finite in every later sum, so that scan sees
-    every fault outside the cropped entries.  Only when it fails does the
-    loop run again, ``checked``, as in ``dwm_backward``: each part is
-    untiled, scanned and summed untiled, and each partial sum is scanned,
-    so the message names the part, or else the aggregation, that
-    overflowed first, and a non-finite value only in cropped entries
-    raises nothing.  Either pass adds the same elements in the same order,
-    so a rerun that returns returns the same bytes.
+    and the untiled sum is scanned for NaN/Inf once: a non-finite partial
+    sum stays non-finite in every later sum, so that scan sees every fault
+    outside the cropped entries.  Only when it fails does the loop run
+    again, ``checked``, as in ``dwm_backward``: the same pass, plus a scan
+    of each part and of each partial sum, each untiled, so the message
+    names the part, or else the aggregation, that overflowed first, and a
+    non-finite value only in cropped entries raises nothing.  Untiling is a
+    copy and a crop, so a rerun that returns returns the same bytes.
     """
     _check_plan(plan, spec)
     dpad, dt, out_dims = _checked_inputs(data, weights, spec, precision)
@@ -461,9 +458,9 @@ def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: Decomposit
     for checked in (False, True):
         acc = None
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the scans
-            for index, _, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, out_dims):
-                v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)
-                u = _axes2(nt_r.g, nt_c.g, wt[ksel])               # G g Gt: (lr,lc,F,C)
+            for index, nt_r, nt_c, kernel, region in _part_loop(plan, dt, out_dims, wt):
+                v = _data_transform(dpad[region], nt_r, nt_c, th, tw)
+                u = _axes2(nt_r.g, nt_c.g, kernel)                 # G g Gt: (lr,lc,F,C)
                 m = np.matmul(u, v)                                # (lr,lc,F,NTT)
                 # u and v are freed before the detransform allocates, m
                 # before the next part's transforms: with either kept
@@ -473,13 +470,11 @@ def _dwm(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, plan: Decomposit
                 del u, v
                 tiles = _axes2(nt_r.a_t, nt_c.a_t, m)              # At m A: (2,2,F,NTT)
                 del m
-                if checked:
-                    tiles = _untile(tiles, n, oh, ow)
-                    _check_part(tiles, engine, plan, index)
                 acc = tiles if acc is None else accumulate(acc, tiles)
-                if checked:  # names a sum of finite parts that overflows
-                    check_finite(acc, "accumulate")
-        y = acc if checked else _untile(acc, n, oh, ow)
+                if checked:  # the part, then a sum of finite parts that overflows
+                    _check_part(_untile(tiles, n, oh, ow), engine, plan, index)
+                    check_finite(_untile(acc, n, oh, ow), "accumulate")
+        y = _untile(acc, n, oh, ow)
         if checked or _finite(y):
             return y
 
@@ -513,34 +508,32 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
     The two results are scanned for NaN/Inf once each, whole and
     contiguous, before the copies that are returned: the padded data
     gradient and the tap-major weight gradient.  Only when either scan
-    fails does the loop run again, ``checked``, over a fresh tap-major
-    copy: each part's data and weight gradients are then scanned as they
-    are made, naming the part, and last the unpadded data gradient, so a
-    sum that overflows only in the padding raises nothing.
+    fails does the loop run again, ``checked``: the same pass, from its own
+    tap-major copy and dY taps, plus a scan of each part's data and weight
+    gradients as they are made, naming the part, and last of the unpadded
+    data gradient, so a sum that overflows only in the padding raises
+    nothing.
     """
     _check_plan(plan)
     spec = plan.spec
     dpad, dt, (oh, ow) = _checked_inputs(data, weights, spec, precision, grad_out)
-    wt = _tap_major(weights, dt)
     n, c = dpad.shape[:2]
     th, tw = _tile_dims(oh, ow)
-    dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, th, tw)            # (2,2,F,NTT)
-    pair = lambda part: (len(part.row), len(part.col))
-    last = {pair(part): index for index, part in enumerate(plan.parts)}
+    last = {(len(row), len(col)): index for index, (row, col) in enumerate(plan.parts)}
 
     for checked in (False, True):
-        if checked:  # the first pass wrote its weight gradient over the copy
-            wt = _tap_major(weights, dt)
+        wt = _tap_major(weights, dt)  # each pass writes its weight gradient over it
+        dy = _taps(_cast(grad_out, dt, "grad_out"), 2, 2, th, tw)        # (2,2,F,NTT)
         grad_pad = np.zeros_like(dpad)
         dms = {}  # A dY At per (row, col) tap-count pair, until its last part
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the scans
-            for index, part, nt_r, nt_c, ksel, (rows, cols) in _part_loop(plan, dt, (oh, ow)):
-                key = pair(part)
+            for index, nt_r, nt_c, kernel, region in _part_loop(plan, dt, (oh, ow), wt):
+                key = nt_r.r, nt_c.r
                 if key not in dms:
                     dms[key] = _axes2(nt_r.a_t.T, nt_c.a_t.T, dy)   # (lr,lc,F,NTT)
                 dm = dms.pop(key) if last[key] == index else dms[key]
                 lr, lc = nt_r.r + 1, nt_c.r + 1
-                u = _axes2(nt_r.g, nt_c.g, wt[ksel])                    # G g Gt: (lr,lc,F,C)
+                u = _axes2(nt_r.g, nt_c.g, kernel)                      # G g Gt: (lr,lc,F,C)
                 m = np.matmul(u.transpose(0, 1, 3, 2), dm)              # (lr,lc,C,NTT)
                 del u  # as in _dwm: freed before the detransform allocates
                 dwin = _axes2(nt_r.b_t.T, nt_c.b_t.T, m).reshape(lr, lc, c, n, th, tw)
@@ -551,16 +544,16 @@ def dwm_backward(grad_out: np.ndarray, plan: DecompositionPlan, data: np.ndarray
                         g_sig[:, :, i:i + 2 * th:2, j:j + 2 * tw:2] += dwin[i, j]
                 del dwin  # peak memory: free it before the weight gradient's own
 
-                v = _data_transform(dpad[:, :, rows, cols], nt_r, nt_c, th, tw)
+                v = _data_transform(dpad[region], nt_r, nt_c, th, tw)
                 m = np.matmul(dm, v.transpose(0, 1, 3, 2))              # (lr,lc,F,C)
                 del v  # as in _dwm: freed before the detransform
-                g_w = _axes2(nt_r.g.T, nt_c.g.T, m, out=wt[ksel])       # Gt m G
+                g_w = _axes2(nt_r.g.T, nt_c.g.T, m, out=kernel)         # Gt m G
                 del m, dm
                 g_sig = g_sig.transpose(1, 0, 2, 3)[:, :, :oh + lr - 2, :ow + lc - 2]
                 if checked:
                     _check_part(g_sig, "dwm_backward", plan, index, " data gradient")
                     _check_part(g_w, "dwm_backward", plan, index, " weight gradient")
-                grad_pad[:, :, rows, cols] += g_sig
+                grad_pad[region] += g_sig
                 del g_sig
         if checked or (_finite(grad_pad) and _finite(wt)):
             break

@@ -64,9 +64,7 @@ REPORT_FIELDS = ("direct", "winograd", "winograd_speedup", "dwm", "dwm_speedup")
 
 def is_shift_free(x) -> bool:
     """True iff x is 0 or +-2^k for integer k (so +-1, +-4, +-1/2, ...)."""
-    f = Fraction(x)
-    if f == 0:
-        return True
+    f = Fraction(x)  # 0 is 0/1: both pass the power-of-two test below
     num, den = abs(f.numerator), f.denominator
     return (num & (num - 1)) == 0 and (den & (den - 1)) == 0
 

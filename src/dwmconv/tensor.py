@@ -75,8 +75,8 @@ def accumulate(acc: np.ndarray, addend: np.ndarray) -> np.ndarray:
     sum, so the scan of the result the sums feed sees it.
 
     ``dwm_conv2d`` sums its parts' outputs in the Winograd tile layout
-    (2, 2, F, N*TH*TW) and untiles the total once; its checked rerun,
-    which names a part that overflows, sums the untiled parts instead.
+    (2, 2, F, N*TH*TW) and untiles the total once, in its checked rerun
+    too, which only adds an untiled scan of each part and partial sum.
     Accumulation runs in the operands' own precision.  Callers chaining
     several accumulations must fold left-to-right so float results are
     bit-reproducible run to run.  It stays a function, not an inline

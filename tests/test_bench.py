@@ -307,3 +307,13 @@ def test_analyze_names_layer_with_impossible_geometry():
     with pytest.raises(ValueError, match="tiny"):
         analyze_network(_single_layer_net(name="tiny", input=[2, 2], kernel=[3, 3],
                                           pad=[0, 0, 0, 0]))
+
+
+def test_accuracy_csv_writes_both_strides_when_they_differ():
+    doc = {"schema": 1, "seeds": [1], "configs": [
+        {"kernel": 3, "stride": 1, "hw": 6, "channels": 1, "filters": 1},
+        {"kernel": 3, "stride": [1, 2], "hw": 6, "channels": 1, "filters": 1}]}
+    report = run_accuracy_suite(*bench.parse_accuracy_config(doc))
+    strides = {line.split(",")[1] for line in report.to_csv().splitlines()[1:]}
+    assert strides == {"1", "1x2"}
+    assert {tuple(r["stride"]) for r in report.to_json()} == {(1, 1), (1, 2)}

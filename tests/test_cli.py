@@ -8,6 +8,7 @@ import pytest
 
 from dwmconv import (ConvSpec, bench, cli, convolve, flops_dwm, plan_classic,
                      plan_decomposition, plan_to_json, tensorfile)
+from dwmconv.transforms import VerifyResult
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +57,17 @@ def test_gen_transforms_rejects_bad_rational(capsys):
 def test_gen_transforms_rejects_a_size_below_one(capsys):
     code, out, err = run_cli(capsys, "gen-transforms", "0", "3")
     assert (code, out, err) == (1, "", "error: m and r must be positive, got m=0, r=3\n")
+
+
+def test_gen_transforms_exits_2_when_verification_fails(capsys, monkeypatch, tmp_path):
+    failed = VerifyResult(ok=False, trials=3, failure=([1], [1, 2, 3, 4], [7, 8], [7, 9]))
+    monkeypatch.setattr(cli, "verify_transform", lambda ts, trials: failed)
+    out_path = tmp_path / "f23.json"
+    code, out, err = run_cli(capsys, "gen-transforms", "2", "3", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: generated transform failed verification after 3 trials: "
+                   "filt=[1] data=[1, 2, 3, 4] expected=[7, 8] got=[7, 9]\n")
+    assert not out_path.exists()
 
 
 def test_gen_transforms_beyond_the_default_nodes_asks_for_points(capsys):

@@ -41,6 +41,19 @@ def test_default_points_rejects_large_count():
         get_transform(14)
 
 
+def test_baseline_points_reject_large_count():
+    with pytest.raises(ValueError, match="^baseline point sequence supports up to 13 nodes$"):
+        get_baseline_transform(14)
+
+
+@pytest.mark.parametrize("filt,data", [([F(1)] * 2, [F(1)] * 4), ([F(1)] * 4, [F(1)] * 4),
+                                       ([F(1)] * 3, [F(1)] * 3), ([F(1)] * 3, [F(1)] * 5)],
+                         ids=["short-filter", "long-filter", "short-signal", "long-signal"])
+def test_apply_exact_refuses_wrong_lengths(filt, data):
+    with pytest.raises(ValueError, match=r"^F\(2,3\) takes 3 taps and 4 samples$"):
+        apply_exact(get_transform(3), filt, data)
+
+
 def test_r1_checks_its_nodes_like_any_r():
     with pytest.raises(ValueError, match=r"^F\(2,1\) needs 1 points, got 3$"):
         cook_toom(2, 1, [5, 6, 7])
