@@ -23,6 +23,7 @@ are reproducible run to run.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -77,7 +78,8 @@ def _checked_inputs(data: np.ndarray, weights: np.ndarray, spec: ConvSpec, preci
     casts the weights next, also through ``_cast``, so that a fault in
     data is named first: ``gemm_conv2d`` whole, the other engines one
     block at a time inside their transposed copy (``direct_conv2d``'s
-    filters-last one, ``_tap_major``).
+    filters-last one, which scans weights already of the element type
+    whole, before the copy; ``_tap_major``).
 
     Returns (padded data, element type, output extents).
     """
@@ -296,35 +298,61 @@ def direct_conv2d(data: np.ndarray, weights: np.ndarray, spec: ConvSpec,
     It is built from column tiles of at most 256 kB of the (F, C*r_h*r_w)
     weights, each cast and checked (``_cast``) and then copied transposed,
     so no cast of the whole weights exists beside it; the first tile that
-    fails raises, naming its own fault.
+    fails raises, naming its own fault.  Weights that already have the
+    element type are scanned whole instead, in one pass, and their tiles
+    (views of them) are copied unscanned.
+
+    Kernel row ky runs only over the output rows whose input row
+    oy*s_h + ky - top is data, not top or bottom padding; a row with no
+    such output row is skipped whole, weight refill too.  This changes no
+    bit: each skipped product is a finite weight times the +0.0 of the
+    padding, so +-0, and the running sum starts at +0.0, which no add under
+    round-to-nearest turns into -0.0, so adding +-0 never changes it.  (At
+    the paper's same-padded 14x14 shapes the skip drops 5 to 19 % of the
+    products, more as the kernel grows.)  Columns run whole.  In the exact
+    mode the sum starts at ``Fraction(0)``, so an output whose window
+    holds padding only is a ``Fraction`` too, as the products would make
+    it.
     """
     dpad, dt, out_dims = _checked_inputs(data, weights, spec, precision)
     f, c, r_h, r_w = weights.shape
     n, _, h_pad, w_pad = dpad.shape
     oh, ow = out_dims
     s_h, s_w = spec.stride
+    top, h = spec.pad[0], data.shape[2]  # data rows are padded rows top to top + h - 1
+    in_type = weights.dtype == dt  # then each tile is a view: scan the whole once
+    if in_type:
+        _cast(weights, dt, "weights")
     wl = np.empty((c, r_h, r_w, f), dtype=dt)
     step = max(1, _TAP_BLOCK_BYTES // max(1, f * wl.itemsize))  # columns per tile
     src, dst = weights.reshape(f, c * r_h * r_w), wl.reshape(c * r_h * r_w, f)
     for i in range(0, c * r_h * r_w, step):
-        dst[i:i + step] = _cast(src[:, i:i + step], dt, "weights").T
+        tile = src[:, i:i + step]
+        dst[i:i + step] = (tile if in_type else _cast(tile, dt, "weights")).T
     xb = _aligned_empty((n, h_pad, w_pad, f), dt)
     y = _aligned_empty((n, oh, ow, f), dt)
-    y[...] = 0
+    y[...] = Fraction(0) if dt == _OBJECT else 0
     prod = _aligned_empty(y.shape, dt)
     wb = _aligned_empty((r_w, ow, f), dt)
-    # every tap's window and weight row, built once as views that follow the
+    # per kernel row, the output rows y0:y1 whose input row oy*s_h + ky - top
+    # is data, not padding, and the views of the running sum, product,
+    # windows and weight rows they use, built once: the views follow the
     # in-place refills below, so the tap loop runs only its multiply and add
-    taps = [[(xb[:, ky:ky + s_h * oh:s_h, kx:kx + s_w * ow:s_w], wb[kx])
-             for kx in range(r_w)] for ky in range(r_h)]
+    rows = []
+    for ky in range(r_h):
+        y0, y1 = max(0, -((ky - top) // s_h)), min(oh, (top + h - 1 - ky) // s_h + 1)
+        if y0 < y1:
+            rows.append((ky, y[:, y0:y1], prod[:, y0:y1],
+                         [(xb[:, ky + s_h * y0:ky + s_h * y1:s_h, kx:kx + s_w * ow:s_w],
+                           wb[kx]) for kx in range(r_w)]))
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for ci in range(c):
             xb[...] = dpad[:, ci, :, :, None]
-            for ky in range(r_h):
+            for ky, y_rows, prod_rows, taps in rows:
                 wb[...] = wl[ci, ky, :, None]
-                for win, w_row in taps[ky]:
-                    np.multiply(win, w_row, prod)
-                    np.add(y, prod, y)
+                for win, w_row in taps:
+                    np.multiply(win, w_row, prod_rows)
+                    np.add(y_rows, prod_rows, y_rows)
     return check_finite(np.ascontiguousarray(y.transpose(0, 3, 1, 2)), "direct_conv2d")
 
 

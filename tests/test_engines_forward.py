@@ -121,6 +121,71 @@ def test_direct_exact_mode_equals_oracle_on_strided_geometries(kernel, stride, p
     assert y.tolist() == exact(oracle_conv(d, w, spec)).tolist()
 
 
+# (spec, H, W) where direct_conv2d skips the products of padding rows
+PADDING_HEAVY = {
+    # H = 2 < s_h: kernel row 0 reads rows -4, -1, 2, padding for every output
+    "row-of-padding-only": (ConvSpec(kernel=(3, 2), stride=(3, 1), pad=(4, 4, 0, 1)), 2, 5),
+    # pads beyond the kernel: the first three output columns and the last
+    # two output rows read padding only
+    "pad-beyond-kernel": (ConvSpec(kernel=(2, 3), pad=(0, 3, 5, 0)), 4, 4),
+    "strided-asymmetric": (ConvSpec(kernel=(4, 3), stride=(2, 3), pad=(4, 0, 1, 2)), 7, 8),
+}
+
+
+def _padding_heavy_inputs(name):
+    """Multiples of 1/4 (exact in every mode), every zero of data and
+    weights a -0.0, and one image of data all -0.0."""
+    spec, h, w = PADDING_HEAVY[name]
+    rng = np.random.default_rng(len(name))
+    d = rng.integers(-3, 4, (2, 2, h, w)) / 4
+    g = rng.integers(-3, 4, (3, 2, *spec.kernel)) / 4
+    d[d == 0], g[g == 0], d[1, 0] = -0.0, -0.0, -0.0
+    # windows of padding only: no data under them, whatever the values
+    padding_only = oracle_conv(np.ones_like(d), np.ones_like(g), spec) == 0
+    assert padding_only.any() and np.signbit(d).any() and np.signbit(g).any()
+    return spec, d, g, padding_only
+
+
+@pytest.mark.parametrize("name", PADDING_HEAVY)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_direct_skipped_padding_rows_keep_every_float_bit(name, dtype):
+    # each skipped product is a finite weight times the +0.0 of the padding,
+    # and adding +-0 to a sum that starts at +0.0 changes no bit
+    spec, d, g, padding_only = _padding_heavy_inputs(name)
+    d, g = d.astype(dtype), g.astype(dtype)
+    oracle = oracle_conv_f32 if dtype == np.float32 else oracle_conv
+    y = direct_conv2d(d, g, spec)
+    assert y.dtype == dtype
+    assert y.tobytes() == oracle(d, g, spec).tobytes()
+    assert not y[padding_only].any() and not np.signbit(y[y == 0]).any()  # +0.0 only
+
+
+@pytest.mark.parametrize("name", PADDING_HEAVY)
+def test_direct_exact_mode_keeps_fractions_where_windows_are_padding(name):
+    spec, d, g, padding_only = _padding_heavy_inputs(name)
+    exact = np.vectorize(F, otypes=[object])
+    y = direct_conv2d(exact(d), exact(g), spec)
+    assert y.tolist() == exact(oracle_conv(d, g, spec)).tolist()
+    assert all(type(v) is F for v in y.ravel())
+    assert all(v == 0 for v in y[padding_only])
+
+
+def test_direct_scans_weights_of_its_element_type_once(monkeypatch):
+    # weights that already have the element type are scanned whole, in one
+    # pass over the contiguous array after the data, not tile by tile as
+    # strided views; weights it casts are scanned as each tile's cast copy
+    scans, finite = [], engines._finite
+    monkeypatch.setattr(engines, "_finite",
+                        lambda x: scans.append((x.shape, x.flags.c_contiguous)) or finite(x))
+    monkeypatch.setattr(engines, "_TAP_BLOCK_BYTES", 2 * 4 * 4)  # 2 columns: 6 tiles
+    d, w = np.ones((1, 3, 6, 6), np.float32), np.ones((4, 3, 2, 2), np.float32)
+    direct_conv2d(d, w, ConvSpec(kernel=(2, 2)))
+    assert scans == [(d.shape, True), (w.shape, True)]
+    scans.clear()
+    direct_conv2d(d, w.astype(np.float64), ConvSpec(kernel=(2, 2)), precision="binary32")
+    assert scans == [(d.shape, True)] + [((4, 2), True)] * 6
+
+
 @pytest.mark.parametrize("shape", [(0,), (3, 0, 5), (1,), (7, 13), (2, 3, 5, 17)],
                          ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
