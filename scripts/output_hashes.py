@@ -36,8 +36,8 @@ geometry; the Fraction inputs are multiples of 1/4.  Floats hash their dtype, sh
 ``p/q`` text of every element.
 
 After all of those come the bundled CLI reports, each line the SHA-1 of
-the text the CLI writes, the ``to_csv()``/``to_json()`` of the report the
-suite returns:
+the text the CLI writes, as ``dwmconv.cli.report_texts`` builds it from
+the report the suite returns:
 ``dwmconv bench --suite accuracy --config accuracy_14x14.json`` (CSV and
 JSON), ``dwmconv bench --suite flops --config flops_14x14.json`` (CSV) and
 ``dwmconv analyze`` on ``alexnet.json`` and ``googlenet.json`` (CSV).
@@ -85,6 +85,7 @@ from dwmconv import (ConvSpec, DecompositionPlan, analyze_network, convolve, dir
                      load_network, plan_classic, plan_decomposition, plan_to_json,
                      run_accuracy_suite, speedup_table, winograd_conv2d)
 from dwmconv.bench import parse_accuracy_config, parse_flops_config
+from dwmconv.cli import report_texts
 
 # name, kernel, stride, pad, (N, C, F), float input (H, W), Fraction input (H, W)
 GEOMETRIES = (
@@ -145,25 +146,20 @@ def _bundled(name: str, parse):
     return parse(json.loads(text))
 
 
-def _texts(report) -> dict[str, str]:
-    """{format: text} of the report files the CLI writes for ``report``."""
-    return {"csv": report.to_csv(), "json": json.dumps(report.to_json(), indent=2) + "\n"}
-
-
 def accuracy_report(name: str) -> dict[str, str]:
     """{format: text} that ``dwmconv bench --suite accuracy --config name --out`` writes."""
-    return _texts(run_accuracy_suite(*_bundled(name, parse_accuracy_config)))
+    return report_texts(run_accuracy_suite(*_bundled(name, parse_accuracy_config)))
 
 
 def flops_report(name: str) -> dict[str, str]:
     """{format: text} that ``dwmconv bench --suite flops --config name --out`` writes."""
     parsed = _bundled(name, parse_flops_config)
-    return _texts(speedup_table([(spec, out) for spec, out, _ in parsed]))
+    return report_texts(speedup_table([(spec, out) for spec, out, _ in parsed]))
 
 
 def analyze_report(name: str) -> dict[str, str]:
     """{format: text} that ``dwmconv analyze --network name --out`` writes."""
-    return _texts(analyze_network(_bundled(name, load_network)))
+    return report_texts(analyze_network(_bundled(name, load_network)))
 
 
 # bundled CLI reports: label, config name, {format: text} builder, and the

@@ -20,7 +20,8 @@ import numpy as np
 from .convspec import ConvSpec
 from .decompose import plan_decomposition
 from .engines import direct_conv2d, dwm_conv2d, gemm_conv2d, winograd_conv2d
-from .flops import REPORT_FIELDS, FlopTable, _classic_baseline_plan, flops_direct, mult_counts
+from .flops import (REPORT_FIELDS, FlopTable, _classic_baseline_plan, _sci, flops_direct,
+                    mult_counts)
 from .tensor import mse
 
 
@@ -378,10 +379,9 @@ class NetworkReport:
                  "layer,kernel,stride,out,direct,winograd,winograd_speedup,dwm,dwm_speedup"]
 
         def row(name, dims, direct, winograd, dwm):
-            wino = ["N/A"] * 2 if winograd is None else [f"{winograd:.2E}",
+            wino = ["N/A"] * 2 if winograd is None else [_sci(winograd),
                                                          f"{direct / winograd:.2f}"]
-            return ",".join([name, *dims, f"{direct:.2E}", *wino, f"{dwm:.2E}",
-                             f"{direct / dwm:.2f}"])
+            return ",".join([name, *dims, _sci(direct), *wino, _sci(dwm), f"{direct / dwm:.2f}"])
 
         for rep in self.layers:
             dims = [f"{a}x{b}" for a, b in (rep.kernel, rep.stride, rep.out)]

@@ -5,9 +5,15 @@ Human-readable output goes to stdout, diagnostics to stderr, and machine
 output only to files named with --out.  Every subcommand is deterministic
 given its inputs and declared seeds, so identical invocations produce
 byte-identical outputs.
+
+A command that meets bad input lets the ``OSError``, ``ValueError`` or
+``FloatingPointError`` that names it propagate; ``main`` prints it as one
+``error:`` line and exits 1.  Commands catch only to add context.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -58,11 +64,10 @@ def _resolve_config(path_text: str) -> Path:
 def _load_config(path_text: str, parse):
     """``parse`` of the JSON document at a path or bundled name; an error
     in the JSON or in its contents names the file."""
-    path = _resolve_config(path_text)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_resolve_config(path_text), "r", encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
-        except ValueError as exc:  # json.JSONDecodeError included
+        except (RecursionError, ValueError) as exc:  # too deep a nest; bad JSON or contents
             raise ValueError(f"{path_text}: {exc}") from exc
 
 
@@ -75,10 +80,7 @@ def cmd_gen_transforms(args) -> int:
             points = [Fraction(p) for p in args.points.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             return _fail(f"bad rational in --points: {exc}")
-    try:
-        ts = cook_toom(args.m, args.r, points)
-    except ValueError as exc:
-        return _fail(str(exc))
+    ts = cook_toom(args.m, args.r, points)
     result = verify_transform(ts, trials=args.trials)
     if not result.ok:
         filt, data, want, got = result.failure
@@ -101,25 +103,15 @@ def cmd_gen_transforms(args) -> int:
 def cmd_conv(args) -> int:
     if args.dump_plan and args.algo in ("direct", "gemm"):
         return _fail(f"--dump-plan needs --algo winograd or dwm; {args.algo} runs no plan")
-    try:
-        data = tensorfile.read_tensor(args.input)
-        weights = tensorfile.read_tensor(args.weights)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-
+    data = tensorfile.read_tensor(args.input)
+    weights = tensorfile.read_tensor(args.weights)
     kernel = tuple(weights.shape[2:])
-    try:
-        spec = ConvSpec(kernel=kernel, stride=_parse_ints(args.stride, "--stride", 2),
-                        pad=_parse_ints(args.pad, "--pad", 4))
-    except ValueError as exc:
-        return _fail(str(exc))
-
+    spec = ConvSpec(kernel=kernel, stride=_parse_ints(args.stride, "--stride", 2),
+                    pad=_parse_ints(args.pad, "--pad", 4))
     try:
         out = convolve(data, weights, spec, algo=args.algo, precision=args.precision)
         reference = (direct_conv2d(data, weights, spec, precision=args.precision)
                      if args.verify else None)
-    except (ValueError, FloatingPointError) as exc:
-        return _fail(str(exc))
     except MemoryError:
         h, w = data.shape[2:]
         top, bottom, left, right = spec.pad
@@ -143,28 +135,28 @@ def cmd_conv(args) -> int:
     return 0
 
 
+def report_texts(report) -> dict[str, str]:
+    """{format: text} of the report files that ``--out`` writes for ``report``."""
+    return {"csv": report.to_csv(), "json": json.dumps(report.to_json(), indent=2) + "\n"}
+
+
 def _emit(report, out_base: str | None) -> int:
     """Write the report's .csv and .json under ``out_base`` and print the CSV;
     returns 1, after an error line, if a report cannot be written, else 0."""
-    csv_text = report.to_csv()
+    texts = report_texts(report)
     if out_base:
         try:
-            Path(out_base + ".csv").write_text(csv_text, encoding="utf-8")
-            Path(out_base + ".json").write_text(
-                json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
+            for fmt, text in texts.items():
+                Path(f"{out_base}.{fmt}").write_text(text, encoding="utf-8")
         except OSError as exc:
             return _cannot_write(out_base, exc)
-    print(csv_text, end="")
+    print(texts["csv"], end="")
     return 0
 
 
 def cmd_bench(args) -> int:
     parse = bench.parse_flops_config if args.suite == "flops" else bench.parse_accuracy_config
-    try:
-        parsed = _load_config(args.config, parse)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-
+    parsed = _load_config(args.config, parse)
     if args.suite == "flops":
         report = flops.speedup_table([(spec, out) for spec, out, _ in parsed])
         check = lambda: bench.check_flops(report, [exp for _, _, exp in parsed])
@@ -192,11 +184,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        report = bench.analyze_network(_load_config(args.network, bench.load_network))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    return _emit(report, args.out)
+    return _emit(bench.analyze_network(_load_config(args.network, bench.load_network)), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,13 +238,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if any(isinstance(value, list) for value in vars(args).values()):
         parser.error("'--' is not a flag value")  # Python 3.11's argparse makes "--flag=--" []
+    # stdout is held until the command is done, so a failed write to it is
+    # never mistaken for a fault in the command's input
+    with contextlib.redirect_stdout(io.StringIO()) as held:
+        try:
+            code = args.func(args)
+        except (OSError, ValueError, FloatingPointError) as exc:  # each names its input
+            code = _fail(str(exc))
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-    except BrokenPipeError:
+        print(held.getvalue(), end="", flush=True)  # a failing stdout fails here, not at exit
+    except OSError as exc:  # a closed pipe or a full disk
         # as the Python docs advise: the exit-time flush then writes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _fail("stdout was closed before all output was written")
+        if isinstance(exc, BrokenPipeError):
+            return _fail("stdout was closed before all output was written")
+        return _cannot_write("stdout", exc)
     return code
 
 

@@ -21,7 +21,7 @@ away.
 """
 
 from dataclasses import asdict, dataclass
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Context, ROUND_HALF_UP
 from fractions import Fraction
 
 from .convspec import ConvSpec
@@ -135,13 +135,8 @@ def mult_counts(spec: ConvSpec, out: tuple[int, int]) -> tuple[int, int | None, 
 
 def _sci(x: int) -> str:
     """3-significant-digit scientific notation with half-up rounding (1225 -> 1.23E+03)."""
-    d = Decimal(x)
-    exp = d.adjusted()
-    q = d.scaleb(-exp).quantize(Decimal("1.00"), rounding=ROUND_HALF_UP)
-    if q >= 10:
-        q = (q / 10).quantize(Decimal("1.00"), rounding=ROUND_HALF_UP)
-        exp += 1
-    return f"{q}E{exp:+03d}"
+    q = Context(prec=3, rounding=ROUND_HALF_UP).create_decimal(x)  # one rounding, at any size
+    return f"{q.scaleb(-q.adjusted()):.2f}E{q.adjusted():+03d}"
 
 
 @dataclass(frozen=True)

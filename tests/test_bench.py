@@ -292,6 +292,18 @@ def test_network_csv_has_total_row():
     assert text.strip().split("\n")[-1].startswith("TOTAL,")
 
 
+def test_network_csv_counts_round_half_up_as_the_flops_csv():
+    # 1225 is a tie at three digits: half-up gives 1.23E+03, where
+    # f"{1225:.2E}" rounds the binary 1225.0 to even, 1.22E+03
+    layer = bench.LayerReport(name="tie", kernel=(1, 1), stride=(1, 1), out=(35, 35),
+                              direct=1225, winograd=None, dwm=1225)
+    report = bench.NetworkReport("tie", (layer,), {"direct": 1225, "winograd": 1225,
+                                                   "dwm": 1225})
+    assert report.to_csv().splitlines()[2:] == [
+        "tie,1x1,1x1,35x35,1.23E+03,N/A,N/A,1.23E+03,1.00",
+        "TOTAL,-,-,-,1.23E+03,1.23E+03,1.00,1.23E+03,1.00"]
+
+
 def test_load_network_rejects_bad_schema():
     with pytest.raises(ValueError, match="schema"):
         load_network({"schema": 2, "layers": []})

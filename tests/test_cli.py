@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dwmconv import (ConvSpec, bench, cli, convolve, flops_dwm, plan_classic,
+from dwmconv import (ConvSpec, bench, cli, convolve, flops, flops_dwm, plan_classic,
                      plan_decomposition, plan_to_json, tensorfile)
 from dwmconv.transforms import VerifyResult
 
@@ -528,6 +528,75 @@ def test_closed_stdout_is_one_error_line(tmp_path, command):
         assert (tmp_path / "report.csv").read_text(encoding="utf-8") == report.to_csv()
     else:
         assert json.loads(out.read_text(encoding="utf-8"))["r"] == 3
+
+
+@pytest.mark.parametrize("command,key", [
+    (FLOPS, "configs"), (ACCURACY, "configs"), (ANALYZE, "layers"),
+], ids=["flops", "accuracy", "network"])
+def test_config_nested_too_deeply_is_one_error_line(tmp_path, capsys, command, key):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(f'{{"schema": 1, "{key}": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    flag = "--network" if command == ANALYZE else "--config"
+    code, out, err = run_cli(capsys, *command, flag, str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cfg}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1, err
+
+
+# for each subcommand, a module attribute it calls and the arguments that reach it
+CALLS = {
+    "gen-transforms": (cli, "cook_toom", ("gen-transforms", "2", "3")),
+    "conv": (tensorfile, "read_tensor",
+             ("conv", "--algo", "direct", "--in", "x.bin", "--weights", "w.bin")),
+    "bench": (flops, "speedup_table", (*FLOPS, "--config", "flops_14x14.json")),
+    "analyze": (bench, "analyze_network", (*ANALYZE, "--network", "alexnet.json")),
+}
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, OSError, FloatingPointError])
+@pytest.mark.parametrize("command", CALLS)
+def test_main_prints_a_fault_raised_inside_any_command(capsys, monkeypatch, command, exc_type):
+    module, name, argv = CALLS[command]
+    monkeypatch.setattr(module, name, _raiser(exc_type(f"{name} refused its input")))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {name} refused its input\n")
+
+
+@pytest.mark.parametrize("command", CALLS)
+def test_main_lets_other_exceptions_propagate(monkeypatch, command):
+    module, name, argv = CALLS[command]
+    monkeypatch.setattr(module, name, _raiser(TypeError("a bug, not bad input")))
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(list(argv))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_full_stdout_is_one_error_line(unbuffered):
+    # buffered, the failed bytes stay in stdout's buffer for the exit-time flush;
+    # unbuffered, the write itself fails
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "dwmconv.cli", "analyze", "--network",
+                               "alexnet.json"], stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write stdout: No space left on device\n")
+
+
+def test_analyze_counts_beyond_float_range(tmp_path, capsys):
+    net = tmp_path / "wide.json"
+    net.write_text(json.dumps(_net(in_channels=10**400)))
+    code, out, err = run_cli(capsys, "analyze", "--network", str(net))
+    assert code == 0 and err == ""
+    direct = next(line for line in out.splitlines() if line.startswith("conv1,")).split(",")[4]
+    assert direct == "3.24E+402"  # 10**400 * 1 filter * 36 outputs * 9 taps
 
 
 def test_analyze_bundled_alexnet(capsys):

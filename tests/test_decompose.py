@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -297,3 +298,26 @@ def test_a_hand_built_plan_under_the_baseline_family_equals_the_oracle():
     assert y.tolist() == exact(oracle_conv(d, w, spec)).tolist()
     assert gd.tolist() == exact(want_d).tolist()
     assert gw.tolist() == exact(want_w).tolist()
+
+
+def _dyadic(ts):
+    """Every entry of ``ts``'s three matrices has a power-of-two denominator."""
+    return all(x.denominator & (x.denominator - 1) == 0
+               for matrix in (ts.g, ts.b_t, ts.a_t) for row in matrix for x in row)
+
+
+def test_every_transform_a_decomposition_plan_uses_is_dyadic():
+    # dyadic transforms keep every intermediate of integer inputs a
+    # multiple of 1/4, the ground of exactness at full size
+    used = set()
+    for r_h, r_w, s_h, s_w in product(range(1, 14), range(1, 14), range(1, 5), range(1, 5)):
+        plan = plan_decomposition(ConvSpec(kernel=(r_h, r_w), stride=(s_h, s_w)))
+        used.update(ts for part in plan.parts for ts in plan.transforms(part))
+    assert used == {get_transform(r) for r in (1, 2, 3)}
+    assert all(map(_dyadic, used))
+
+
+@pytest.mark.parametrize("r", range(4, 14))
+def test_classic_transforms_beyond_three_taps_are_not_dyadic(r):
+    assert not _dyadic(get_transform(r))
+    assert not _dyadic(get_baseline_transform(r))

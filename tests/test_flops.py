@@ -164,3 +164,12 @@ def test_csv_formatting():
 def test_sci_rounds_half_up_and_carries_into_the_exponent(x, text):
     # 9.995 rounds to 10.00, which is written 1.00 at the next exponent
     assert _sci(x) == text
+
+
+@pytest.mark.parametrize("x,text", [
+    (int("1224" + "9" * 30), "1.22E+33"),  # a default 28-digit context rounds it to 1.225 first
+    (int("1225" + "0" * 30), "1.23E+33"),
+    (324 * 10**400, "3.24E+402"),
+])
+def test_sci_rounds_once_past_the_default_decimal_precision(x, text):
+    assert _sci(x) == text
